@@ -1,0 +1,10 @@
+"""Puts the checkout's ``src/`` and this directory on the import path, so
+``python -m pytest perfbench`` tests the program of this checkout."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
