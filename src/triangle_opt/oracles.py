@@ -4,7 +4,9 @@ finite-difference / Hölder validation probes used by the tests."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -99,37 +101,22 @@ def substream(seed: int, iteration: int, draw_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _one_draw(oracle: StochasticGradientOracle, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    kind = oracle.noise_model.kind
-    g = np.asarray(oracle.base.smooth_grad(x), dtype=float)
-    if kind == "none":
-        return g
-    if kind == "gaussian":
-        d_var = oracle.variance_bound
-        if d_var == 0.0:
-            return g
-        # per-coordinate variance D/n so E||noise||_2^2 = D exactly
-        return g + rng.standard_normal(x.size) * np.sqrt(d_var / x.size)
-    idx = int(rng.integers(len(oracle.noise_model.components)))
-    return np.asarray(oracle.noise_model.components[idx](x), dtype=float)
-
-
 def sample_gradient(oracle: StochasticGradientOracle, x: np.ndarray,
                     rng: np.random.Generator, counter: EvalCounter | None = None) -> np.ndarray:
     """One unbiased stochastic gradient draw; stochastic counter += 1."""
-    out = _one_draw(oracle, x, rng)
-    if counter is not None:
-        counter.stochastic_grad_calls += 1
-    return out
+    return minibatch_gradient(oracle, x, 1, rng, counter)
 
 
 def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
                        rng: np.random.Generator, counter: EvalCounter | None = None) -> np.ndarray:
     """Mean of m independent draws; stochastic counter += m.
 
-    The average uses numpy's fixed-order pairwise reduction over the draw axis,
-    so results are deterministic for a given stream and m=1 reproduces a single
-    draw bit-for-bit.
+    The draws are never formed one by one.  Under the gaussian model the mean of
+    m iid N(0, (D/n) I) draws is N(0, (D/(n m)) I), so the batch mean is drawn
+    directly from that law in O(n) whatever m is.  Under finite_sum the m
+    component indices are drawn as before and each distinct component is called
+    once, weighted by how often it was picked.  Either way m = 1 reproduces a
+    single draw bit-for-bit, and the counter still charges m oracle calls.
     """
     if m < 1:
         raise ConfigError("mini-batch size must be >= 1")
@@ -140,13 +127,14 @@ def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
         if d_var == 0.0:
             batch_mean = g
         else:
-            noise = rng.standard_normal((m, x.size)) * np.sqrt(d_var / x.size)
-            batch_mean = g + noise.mean(axis=0)
+            # per-coordinate variance D/n per draw, so E||noise||_2^2 = D for one draw
+            batch_mean = g + rng.standard_normal(x.size) * np.sqrt(d_var / (x.size * m))
     elif kind == "finite_sum":
-        idx = rng.integers(len(oracle.noise_model.components), size=m)
-        draws = np.stack([np.asarray(oracle.noise_model.components[int(i)](x), dtype=float)
-                          for i in idx])
-        batch_mean = draws.mean(axis=0)
+        components = oracle.noise_model.components
+        counts = np.bincount(rng.integers(len(components), size=m), minlength=len(components))
+        # reduce without a zero start keeps the m = 1 draw bit-exact, signed zeros included
+        batch_mean = reduce(operator.add, (counts[i] * np.asarray(components[i](x), dtype=float)
+                                           for i in np.flatnonzero(counts))) / m
     else:
         batch_mean = np.asarray(oracle.base.smooth_grad(x), dtype=float)
     if counter is not None:

@@ -160,12 +160,18 @@ def alpha_next(L: float, A_k: float, mu_tilde: float) -> tuple[float, float]:
 
 def fold_estimate(phi: EstimateFunction, alpha: float, y: np.ndarray, g: np.ndarray,
                   f_y: float, mu_tilde: float, setup: ProxSetup) -> EstimateFunction:
-    """phi + alpha*[f_y + <g, x-y> + mu~*V(x,y) + h(x)] in canonical form."""
+    """phi + alpha*[f_y + <g, x-y> + mu~*V(x,y) + h(x)] in canonical form.
+
+    With mu~ = 0 the V(x, y) terms vanish and d is not evaluated at y, so a
+    coordinate of y at 0 on the entropy simplex raises nothing."""
+    constant = phi.constant + alpha * (f_y - float(np.dot(g, y)))
+    if mu_tilde == 0.0:
+        return EstimateFunction(d_scale=phi.d_scale, linear=phi.linear + alpha * g,
+                                h_scale=phi.h_scale + alpha, constant=constant)
     gd = setup.d_grad(y)
     d_scale = phi.d_scale + alpha * mu_tilde
     linear = phi.linear + alpha * (g - mu_tilde * gd)
-    constant = (phi.constant + alpha * (f_y - float(np.dot(g, y)))
-                + alpha * mu_tilde * (-setup.d_value(y) + float(np.dot(gd, y))))
+    constant += alpha * mu_tilde * (-setup.d_value(y) + float(np.dot(gd, y)))
     return EstimateFunction(d_scale=d_scale, linear=linear,
                             h_scale=phi.h_scale + alpha, constant=constant)
 

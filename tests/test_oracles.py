@@ -172,6 +172,61 @@ def test_finite_sum_components_average_to_gradient():
     assert any(np.allclose(draw, m @ x) for m in mats)
 
 
+def test_gaussian_minibatch_costs_o_n_whatever_m():
+    oracle = StochasticGradientOracle(base=quadratic_objective(),
+                                      noise_model=NoiseModel(kind="gaussian"),
+                                      variance_bound=1.0)
+    x = np.array([1.0, -2.0, 0.5])
+    counter = EvalCounter()
+    out = minibatch_gradient(oracle, x, 10**12, substream(0, 0, 0), counter)
+    assert out.shape == x.shape
+    assert counter.stochastic_grad_calls == 10**12
+
+
+def finite_sum_oracle():
+    rng = np.random.default_rng(4)
+    vecs = [rng.standard_normal(3) for _ in range(5)]
+    vecs[0][1] = -0.0  # a signed zero that a bit-for-bit comparison must keep
+    calls = []
+
+    def component(i):
+        def c(x):
+            calls.append(i)
+            return vecs[i] * np.asarray(x, dtype=float)
+        return c
+
+    oracle = StochasticGradientOracle(
+        base=quadratic_objective(),
+        noise_model=NoiseModel(kind="finite_sum",
+                               components=tuple(component(i) for i in range(len(vecs)))))
+    return oracle, vecs, calls
+
+
+def test_finite_sum_minibatch_is_mean_of_picked_components():
+    oracle, vecs, calls = finite_sum_oracle()
+    x = np.array([0.4, 1.3, -0.8])
+    m = 50
+    for k in range(5):
+        counter = EvalCounter()
+        out = minibatch_gradient(oracle, x, m, substream(2, k, 1), counter)
+        picked = substream(2, k, 1).integers(len(vecs), size=m)
+        np.testing.assert_allclose(out, np.mean([vecs[i] * x for i in picked], axis=0),
+                                   rtol=1e-12, atol=1e-15)
+        assert counter.stochastic_grad_calls == m
+        assert sorted(calls) == sorted(set(picked))
+        calls.clear()
+
+
+def test_finite_sum_single_draw_is_one_component_bit_for_bit():
+    oracle, vecs, _ = finite_sum_oracle()
+    x = np.array([0.4, 1.3, -0.8])
+    for k in range(20):
+        single = sample_gradient(oracle, x, substream(1, k, 0))
+        batched = minibatch_gradient(oracle, x, 1, substream(1, k, 0))
+        component = vecs[substream(1, k, 0).integers(len(vecs))] * x
+        assert single.tobytes() == batched.tobytes() == component.tobytes()
+
+
 def test_finite_difference_examples():
     obj = quadratic_objective()
     x = np.array([1.0, -1.0])

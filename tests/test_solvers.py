@@ -12,6 +12,7 @@ from triangle_opt import (
     CoefficientOverflow,
     CompositeObjective,
     ConfigError,
+    DomainError,
     NoiseModel,
     SimpleTerm,
     SolverConfig,
@@ -111,6 +112,20 @@ def test_two_folds_equal_one_summed_fold():
     np.testing.assert_allclose(two.linear, one.linear, atol=1e-14)
     assert two.h_scale == pytest.approx(one.h_scale)
     assert two.constant == pytest.approx(one.constant, rel=1e-12)
+
+
+def test_fold_estimate_at_entropy_boundary_without_mu():
+    setup = entropy_setup(3)
+    y = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(DomainError):
+        setup.d_grad(y)
+    phi0 = initial_estimate(setup)
+    g = np.array([1.0, -2.0, 0.5])
+    folded = fold_estimate(phi0, 0.25, y, g, 0.7, 0.0, setup)
+    assert folded.d_scale == phi0.d_scale
+    np.testing.assert_array_equal(folded.linear, phi0.linear + 0.25 * g)
+    assert folded.h_scale == phi0.h_scale + 0.25
+    assert folded.constant == phi0.constant + 0.25 * (0.7 - float(np.dot(g, y)))
 
 
 def test_descent_check_examples():
