@@ -4,9 +4,7 @@ finite-difference / Hölder validation probes used by the tests."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -111,12 +109,11 @@ def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
                        rng: np.random.Generator, counter: EvalCounter | None = None) -> np.ndarray:
     """Mean of m independent draws; stochastic counter += m.
 
-    The draws are never formed one by one.  Under the gaussian model the mean of
-    m iid N(0, (D/n) I) draws is N(0, (D/(n m)) I), so the batch mean is drawn
-    directly from that law in O(n) whatever m is.  Under finite_sum the m
-    component indices are drawn as before and each distinct component is called
-    once, weighted by how often it was picked.  Either way m = 1 reproduces a
-    single draw bit-for-bit, and the counter still charges m oracle calls.
+    Under the gaussian model the mean of m iid N(0, (D/n) I) draws is
+    N(0, (D/(n m)) I), so the batch mean is drawn directly from that law in O(n)
+    whatever m is.  Under finite_sum m component indices are drawn and the picked
+    components are averaged.  Either way m = 1 reproduces a single draw
+    bit-for-bit, and the counter charges m oracle calls.
     """
     if m < 1:
         raise ConfigError("mini-batch size must be >= 1")
@@ -130,11 +127,11 @@ def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
             # per-coordinate variance D/n per draw, so E||noise||_2^2 = D for one draw
             batch_mean = g + rng.standard_normal(x.size) * np.sqrt(d_var / (x.size * m))
     elif kind == "finite_sum":
-        components = oracle.noise_model.components
-        counts = np.bincount(rng.integers(len(components), size=m), minlength=len(components))
-        # reduce without a zero start keeps the m = 1 draw bit-exact, signed zeros included
-        batch_mean = reduce(operator.add, (counts[i] * np.asarray(components[i](x), dtype=float)
-                                           for i in np.flatnonzero(counts))) / m
+        idx = rng.integers(len(oracle.noise_model.components), size=m)
+        draws = np.stack([np.asarray(oracle.noise_model.components[int(i)](x), dtype=float)
+                          for i in idx])
+        # the mean sums from +0.0, which would flip a lone -0.0, so m = 1 returns its draw as is
+        batch_mean = draws[0] if m == 1 else draws.mean(axis=0)
     else:
         batch_mean = np.asarray(oracle.base.smooth_grad(x), dtype=float)
     if counter is not None:
