@@ -13,7 +13,7 @@ from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
 from .oracles import (CompositeObjective, EvalCounter, NoiseModel,
                       StochasticGradientOracle, finite_difference_gradient,
                       grad, holder_probe, minibatch_gradient, sample_gradient,
-                      substream, value)
+                      substream, value, value_and_grad)
 from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             SimpleTerm, box, bregman_divergence,
                             composite_prox_solve, entropy_setup, estimate_value,
@@ -49,5 +49,5 @@ __all__ = [
     "precompute_optimum", "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",
     "sample_gradient", "simplex", "soft_threshold", "strong_convexity_probe",
-    "substream", "value",
+    "substream", "value", "value_and_grad",
 ]

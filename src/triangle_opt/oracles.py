@@ -28,6 +28,8 @@ class CompositeObjective:
     known_optimum, when present, is (x_star, F_star); x_star may be None for
     problems where only the optimal value was precomputed.  smoothness_meta
     carries whatever constants are known: keys among "L", "mu", "L_nu", "nu".
+    smooth_value_and_grad, when present, returns (f(x), grad f(x)) with the
+    same bits as the two separate callables, computing their shared work once.
     """
 
     smooth_value: callable
@@ -35,15 +37,15 @@ class CompositeObjective:
     h: SimpleTerm = field(default_factory=SimpleTerm)
     known_optimum: tuple | None = None
     smoothness_meta: dict | None = None
+    smooth_value_and_grad: callable | None = None
 
     def composite_value(self, x: np.ndarray) -> float:
         """F(x) = f(x) + h(x), uncounted (observer use only)."""
         return float(self.smooth_value(x)) + self.h.value(x)
 
 
-def value(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = None) -> float:
-    """f(x), counted."""
-    out = float(obj.smooth_value(x))
+def _checked_value(out, counter: EvalCounter | None) -> float:
+    out = float(out)
     if not np.isfinite(out):
         raise DomainError("objective value is not finite at the queried point")
     if counter is not None:
@@ -51,14 +53,35 @@ def value(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = 
     return out
 
 
-def grad(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-    """grad f(x), counted."""
-    g = np.asarray(obj.smooth_grad(x), dtype=float)
+def _checked_grad(g, counter: EvalCounter | None) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise DomainError("gradient is not finite at the queried point")
     if counter is not None:
         counter.grad_calls += 1
     return g
+
+
+def value(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = None) -> float:
+    """f(x), counted."""
+    return _checked_value(obj.smooth_value(x), counter)
+
+
+def grad(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
+    """grad f(x), counted."""
+    return _checked_grad(obj.smooth_grad(x), counter)
+
+
+def value_and_grad(obj: CompositeObjective, x: np.ndarray,
+                   counter: EvalCounter | None = None) -> tuple[float, np.ndarray]:
+    """(f(x), grad f(x)), counted as 1 f + 1 grad call.
+
+    Uses the fused smooth_value_and_grad when the objective has one, else the
+    two separate oracles; the checks and counts are those of value and grad."""
+    if obj.smooth_value_and_grad is None:
+        return value(obj, x, counter), grad(obj, x, counter)
+    f, g = obj.smooth_value_and_grad(x)
+    return _checked_value(f, counter), _checked_grad(g, counter)
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,7 @@ def holder_probe(obj: CompositeObjective, dimension: int, n_pairs: int,
 
 
 __all__ = [
-    "EvalCounter", "CompositeObjective", "value", "grad", "NoiseModel",
+    "EvalCounter", "CompositeObjective", "value", "grad", "value_and_grad", "NoiseModel",
     "StochasticGradientOracle", "substream", "sample_gradient",
     "minibatch_gradient", "finite_difference_gradient", "holder_probe",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BacktrackLimitExceeded, CoefficientOverflow, ConfigError
 from .oracles import (CompositeObjective, EvalCounter, StochasticGradientOracle,
-                      grad, minibatch_gradient, substream, value)
+                      grad, minibatch_gradient, substream, value, value_and_grad)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -125,6 +125,9 @@ class SolverState:
     mu_tilde: float
     counters: EvalCounter
     trace: Trace
+    # f at x and y as the method computed them, or None where it computed none
+    f_x: float | None = None
+    f_y: float | None = None
 
 
 @dataclass
@@ -209,13 +212,20 @@ def _base_objective(objective) -> CompositeObjective:
 
 
 def _candidate(state: SolverState, objective, setup: ProxSetup, L_for_step: float,
-               gradient_fn) -> StepCandidate:
-    """One trial: coefficients, query point, fold, prox, interpolation."""
+               draw_batch=None) -> StepCandidate:
+    """One trial: coefficients, query point, fold, prox, interpolation.
+
+    The gradient at y is exact, or with draw_batch(y, alpha, A_next) -> (g, m)
+    a mini-batch of size m."""
     obj = _base_objective(objective)
     alpha, a_next = alpha_next(L_for_step, state.A, state.mu_tilde)
     y = (alpha * state.u + state.A * state.x) / a_next
-    f_y = value(obj, y, state.counters)
-    g, m = gradient_fn(y)
+    if draw_batch is None:
+        f_y, g = value_and_grad(obj, y, state.counters)
+        m = 1
+    else:
+        f_y = value(obj, y, state.counters)
+        g, m = draw_batch(y, alpha, a_next)
     phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
     u = composite_prox_solve(setup, phi, obj.h)
     x = (alpha * u + state.A * state.x) / a_next
@@ -224,18 +234,14 @@ def _candidate(state: SolverState, objective, setup: ProxSetup, L_for_step: floa
 
 def mst_step(state: SolverState, objective, setup: ProxSetup, L_for_step: float) -> StepCandidate:
     """Deterministic candidate triple for the exact-L step (counts 1 f + 1 grad)."""
-    obj = _base_objective(objective)
-
-    def gradient_fn(y):
-        return grad(obj, y, state.counters), 1
-
-    return _candidate(state, objective, setup, L_for_step, gradient_fn)
+    return _candidate(state, objective, setup, L_for_step)
 
 
-def _accept(state: SolverState, cand: StepCandidate, L_trial: float, j: int) -> SolverState:
+def _accept(state: SolverState, cand: StepCandidate, L_trial: float, j: int,
+            f_x: float | None = None) -> SolverState:
     return replace(state, k=state.k + 1, A=cand.A_next, alpha=cand.alpha,
                    u=cand.u_next, x=cand.x_next, y=cand.y_next, phi=cand.phi_next,
-                   L_trial=L_trial, j=j, m=cand.m)
+                   L_trial=L_trial, j=j, m=cand.m, f_x=f_x, f_y=cand.f_y)
 
 
 def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
@@ -251,22 +257,19 @@ def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
     L_trial = state.L_trial / 2.0
     j = 0
     while True:
+        draw_batch = None
         if stochastic:
-            def gradient_fn(y, _j=j, _L=L_trial):
-                alpha, a_next = alpha_next(_L, state.A, state.mu_tilde)
+            def draw_batch(y, alpha, a_next, _j=j, _L=L_trial):
                 m = batch_size(config.D, a_next, alpha, _L, eps)
                 stream = substream(seed, state.k + 1, _j)
                 return minibatch_gradient(objective, y, m, stream, state.counters), m
-        else:
-            def gradient_fn(y):
-                return grad(obj, y, state.counters), 1
-        cand = _candidate(state, objective, setup, L_trial, gradient_fn)
+        cand = _candidate(state, objective, setup, L_trial, draw_batch)
         f_x = value(obj, cand.x_next, state.counters)
         dx = cand.x_next - cand.y_next
         slack = 0.0 if factor == 0.0 else factor * eps * cand.alpha / cand.A_next
         if descent_check(cand.f_y, float(np.dot(cand.g, dx)),
                          setup.norms.primal(dx) ** 2, L_trial, slack, f_x):
-            return _accept(state, cand, L_trial, j)
+            return _accept(state, cand, L_trial, j, f_x)
         j += 1
         if j > config.max_backtracks_per_iter:
             raise BacktrackLimitExceeded(
@@ -289,19 +292,20 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     counters = EvalCounter()
     y0 = setup.center
     phi_base = initial_estimate(setup)
-    f0 = value(obj, y0, counters)
+    if stochastic:
+        f0, g0_exact = value(obj, y0, counters), None
+    else:
+        f0, g0_exact = value_and_grad(obj, y0, counters)
 
     if config.mode == "mst_exact_L":
         L_trial = config.L_known
-        g0 = grad(obj, y0, counters)
         alpha0 = 1.0 / L_trial
-        phi0 = fold_estimate(phi_base, alpha0, y0, g0, f0, mu_tilde, setup)
+        phi0 = fold_estimate(phi_base, alpha0, y0, g0_exact, f0, mu_tilde, setup)
         u0 = composite_prox_solve(setup, phi0, obj.h)
         return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
                            L_trial=L_trial, j=0, m=1, mu_tilde=mu_tilde,
-                           counters=counters, trace=Trace())
+                           counters=counters, trace=Trace(), f_y=f0)
 
-    g0_exact = None if stochastic else grad(obj, y0, counters)
     slack0 = config.slack_factor * (config.epsilon or 0.0)
     L_trial = config.L0
     j = 0
@@ -320,7 +324,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
                          L_trial, slack0, f_x0):
             return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
                                L_trial=L_trial, j=j, m=m0, mu_tilde=mu_tilde,
-                               counters=counters, trace=Trace())
+                               counters=counters, trace=Trace(), f_x=f_x0, f_y=f0)
         j += 1
         if j > config.max_backtracks_per_iter:
             raise BacktrackLimitExceeded(
@@ -375,6 +379,11 @@ def _should_stop(state: SolverState, objective, setup: ProxSetup, config: Solver
     return residual <= rule.threshold
 
 
+def _composite_value(obj: CompositeObjective, f: float | None, x: np.ndarray) -> float:
+    """F(x), reusing f(x) when the method computed it (the sum composite_value forms)."""
+    return obj.composite_value(x) if f is None else f + obj.h.value(x)
+
+
 def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> None:
     obj = _base_objective(objective)
     counters = state.counters
@@ -383,15 +392,18 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
         "j": state.j, "m": state.m, "cum_f": counters.f_calls,
         "cum_grad": counters.grad_calls, "cum_stoch": counters.stochastic_grad_calls,
     }
-    # observer quantities below are uncounted: they are evidence, not method work
-    f_x = obj.composite_value(state.x)
+    # observer quantities below are uncounted: they are evidence, not method
+    # work.  F(x) and F(y) reuse the f values the method computed (state.f_x,
+    # state.f_y); only the exact-L mode's f(x), which the method never needs,
+    # is evaluated here.
+    f_x = _composite_value(obj, state.f_x, state.x)
     phi_at_u = estimate_value(setup, state.phi, obj.h, state.u)
     slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
     row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
     if obj.known_optimum is not None:
         x_star, f_star = obj.known_optimum
         row["gap"] = f_x - f_star
-        row["gap_y"] = obj.composite_value(state.y) - f_star
+        row["gap_y"] = _composite_value(obj, state.f_y, state.y) - f_star
         if x_star is not None:
             row["dist_u_sq"] = setup.norms.primal(state.u - x_star) ** 2
             row["dist_x_sq"] = setup.norms.primal(state.x - x_star) ** 2

@@ -111,6 +111,16 @@ def _parse_cell(name: str, text: str, lineno: int):
         raise ParseError(f"line {lineno}: bad value {text!r} for column {name!r}") from exc
 
 
+def _json_cell(name: str, value, index: int):
+    """A JSON cell: integer columns take JSON integers, float columns numbers or null."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name in _INT_COLUMNS and isinstance(value, int) and is_number:
+        return value
+    if name not in _INT_COLUMNS and (value is None or is_number):
+        return math.nan if value is None else float(value)
+    raise ParseError(f"row {index}: bad value {value!r} for column {name!r}")
+
+
 def load_trace(path: str) -> Trace:
     """Read a trace file written by emit_trace (format inferred from extension)."""
     try:
@@ -126,11 +136,13 @@ def load_trace(path: str) -> Trace:
             raise ParseError(f"bad JSON trace: {exc}") from exc
         if not isinstance(rows, list):
             raise ParseError("JSON trace must be an array of row objects")
-        for row in rows:
+        for index, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise ParseError(f"row {index}: JSON trace row {row!r} is not an object")
             if set(row) != set(CSV_COLUMNS):
-                raise ParseError(f"JSON trace row keys {sorted(row)} do not match the schema")
-            trace.append(**{name: (math.nan if row[name] is None else row[name])
-                            for name in CSV_COLUMNS})
+                raise ParseError(f"row {index}: JSON trace row keys {sorted(row)} "
+                                 "do not match the schema")
+            trace.append(**{name: _json_cell(name, row[name], index) for name in CSV_COLUMNS})
         return trace
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:

@@ -17,7 +17,9 @@ Five seeded problem families used by the tests, the demos, and the CLI:
   entropy prox; x* is the least-cost vertex.
 
 Every constructed instance is finite-difference checked (value against
-gradient) before it is returned.
+gradient) before it is returned.  The quadratic, lasso and logistic kinds also
+supply a fused value-and-gradient oracle that forms their matrix-vector
+product once.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
         z = q @ (np.asarray(x, dtype=float) - x_star)
         return q.T @ (lam * z)
 
+    def f_df(x):
+        z = q @ (np.asarray(x, dtype=float) - x_star)
+        lam_z = lam * z
+        return 0.5 * float(z @ lam_z), q.T @ lam_z
+
     if feasible == "free_space":
         feas = free_space()
     elif feasible == "box":
@@ -126,7 +133,8 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
         raise ConfigError(f"quadratic supports feasible in {{free_space, box}}, got {feasible!r}")
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=feas)
     objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, h=SimpleTerm(kind="zero"),
+        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
+        h=SimpleTerm(kind="zero"),
         known_optimum=(x_star, 0.0),
         smoothness_meta={"L": lam_max, "mu": lam_min})
     h_matrix = q.T @ (lam[:, None] * q)
@@ -156,11 +164,16 @@ def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
         r = design @ np.asarray(x, dtype=float) - targets
         return design.T @ r
 
+    def f_df(x):
+        r = design @ np.asarray(x, dtype=float) - targets
+        return 0.5 * float(r @ r), design.T @ r
+
     gram_eigs = np.linalg.eigvalsh(design.T @ design)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
     optimum = _FROZEN_OPTIMA.get(("lasso", dimension, seed, lam))
     objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, h=SimpleTerm(kind="l1", lam=lam),
+        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
+        h=SimpleTerm(kind="l1", lam=lam),
         known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]), "mu": float(max(gram_eigs[0], 0.0))})
     data = {"design": design, "targets": targets, "lam": lam}
@@ -222,11 +235,17 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
         sig = 1.0 / (1.0 + np.exp(-t))
         return design.T @ (-labels * sig) / n_rows
 
+    def f_df(x):
+        t = -labels * (design @ np.asarray(x, dtype=float))
+        sig = 1.0 / (1.0 + np.exp(-t))
+        return float(np.mean(np.logaddexp(0.0, t))), design.T @ (-labels * sig) / n_rows
+
     gram_eigs = np.linalg.eigvalsh(design.T @ design)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
     optimum = _FROZEN_OPTIMA.get(("logistic", dimension, seed))
     objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, h=SimpleTerm(kind="zero"),
+        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
+        h=SimpleTerm(kind="zero"),
         known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]) / (4.0 * n_rows)})
     data = {"design": design, "labels": labels}

@@ -103,6 +103,18 @@ def test_check_unreadable_trace_is_an_error(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def test_check_badly_typed_json_trace_is_a_parse_error(tmp_path, capsys):
+    row = {"k": 0, "A": 1.0, "alpha": 1.0, "L_trial": 1.0, "j": "x", "m": 1,
+           "cum_f": 1, "cum_grad": 1, "cum_stoch": 0, "gap": 0.5}
+    for name, rows in (("list.json", [1, 2]), ("cell.json", [row])):
+        path = tmp_path / name
+        path.write_text(json.dumps(rows))
+        rc = main(["check", "--trace", str(path), "--theorem", "t1", "--L", "1", "--R2", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: ParseError" in captured.err
+
+
 def test_zoo_list_and_describe(capsys):
     rc = main(["zoo", "list"])
     captured = capsys.readouterr()

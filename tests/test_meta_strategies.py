@@ -69,6 +69,23 @@ def test_regularize_mu_value_and_center_gradient():
         problem.objective.smoothness_meta["L"] + mu_reg)
 
 
+def test_regularize_forwards_the_fused_oracle_bit_for_bit():
+    for kind, options in (("quadratic", {"dimension": 6}), ("lasso", {}),
+                          ("logistic", {})):
+        problem = make_problem(kind, seed=1, **options)
+        reg, _ = regularize(problem.objective, problem.setup, epsilon=0.1, R_sq=2.0)
+        rng = np.random.default_rng(2)
+        for x in (problem.setup.center, rng.standard_normal(problem.spec.dimension)):
+            f, g = reg.smooth_value_and_grad(x)
+            assert np.float64(f).tobytes() == np.float64(reg.smooth_value(x)).tobytes()
+            assert g.tobytes() == reg.smooth_grad(x).tobytes()
+    # a base without a fused oracle gives a regularized objective without one
+    problem = make_problem("holder_norm_power", seed=0)
+    reg, _ = regularize(problem.objective, problem.setup, epsilon=0.1, R_sq=2.0)
+    assert problem.objective.smooth_value_and_grad is None
+    assert reg.smooth_value_and_grad is None
+
+
 def test_regularize_validation():
     problem = make_problem("quadratic", dimension=3, seed=1)
     with pytest.raises(ConfigError):

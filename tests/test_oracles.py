@@ -19,6 +19,7 @@ from triangle_opt import (
     sample_gradient,
     substream,
     value,
+    value_and_grad,
 )
 
 
@@ -55,6 +56,35 @@ def test_value_rejects_nonfinite():
         value(bad, np.zeros(2))
     with pytest.raises(DomainError):
         grad(bad, np.zeros(2))
+
+
+def test_value_and_grad_counts_one_of_each_with_or_without_fusion():
+    obj = quadratic_objective()
+    fused = CompositeObjective(smooth_value=obj.smooth_value, smooth_grad=obj.smooth_grad,
+                               smooth_value_and_grad=lambda x: (obj.smooth_value(x),
+                                                                obj.smooth_grad(x)))
+    x = np.array([3.0, 4.0])
+    for objective in (obj, fused):
+        counter = EvalCounter()
+        f, g = value_and_grad(objective, x, counter)
+        assert f == 12.5 and isinstance(f, float)
+        np.testing.assert_array_equal(g, [3.0, 4.0])
+        assert (counter.f_calls, counter.grad_calls) == (1, 1)
+
+
+def test_fused_oracle_rejects_nonfinite_like_the_separate_ones():
+    finite = lambda x: np.zeros_like(x)
+    bad_value = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=finite,
+                                   smooth_value_and_grad=lambda x: (float("inf"), finite(x)))
+    bad_grad = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=finite,
+                                  smooth_value_and_grad=lambda x: (0.0, np.full_like(x, np.nan)))
+    counter = EvalCounter()
+    with pytest.raises(DomainError, match="objective value is not finite"):
+        value_and_grad(bad_value, np.zeros(2), counter)
+    assert (counter.f_calls, counter.grad_calls) == (0, 0)
+    with pytest.raises(DomainError, match="gradient is not finite"):
+        value_and_grad(bad_grad, np.zeros(2), counter)
+    assert (counter.f_calls, counter.grad_calls) == (1, 0)
 
 
 def test_composite_value_is_uncounted():

@@ -2,6 +2,7 @@
 descent checks, backtracking, the shared iteration skeleton, stopping rules,
 and the per-iterate certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -463,3 +464,69 @@ def test_deterministic_modes_record_unit_batch():
                    SolverConfig(mode="amst_adaptive", max_iters=10)):
         report = run(problem.objective, problem.setup, config)
         assert np.all(report.trace.column("m") == 1)
+
+
+def _fused_runs(problem):
+    obj = problem.objective
+    L = obj.smoothness_meta["L"]
+    return [
+        (SolverConfig(mode="mst_exact_L", L_known=L, max_iters=25), False),
+        (SolverConfig(mode="amst_adaptive", L0=L / 16, max_iters=25), False),
+        (SolverConfig(mode="amst_adaptive", L0=L / 16, epsilon=1e-3, max_iters=25), False),
+        (SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=25), False),
+        (SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
+                      max_iters=12), True),
+    ]
+
+
+def _run_record(objective, setup, config, stochastic):
+    if stochastic:
+        objective = StochasticGradientOracle(base=objective,
+                                             noise_model=NoiseModel(kind="gaussian"),
+                                             variance_bound=config.D)
+    report = run(objective, setup, config, rng=4)
+    columns = {name: np.asarray(col, dtype=float).tobytes()
+               for name, col in report.trace.data.items()}
+    return (columns, report.final_x.tobytes(), report.iterations, report.total_f_calls,
+            report.total_grad_calls, report.total_stoch_calls)
+
+
+@pytest.mark.parametrize("kind,options", [
+    ("quadratic", {"dimension": 20}), ("quadratic", {"dimension": 20, "feasible": "box"}),
+    ("lasso", {}), ("logistic", {})])
+def test_fused_oracle_leaves_runs_bit_identical(kind, options):
+    problem = make_problem(kind, seed=2, **options)
+    fused = problem.objective
+    assert fused.smooth_value_and_grad is not None
+    separate = dataclasses.replace(fused, smooth_value_and_grad=None)
+    for config, stochastic in _fused_runs(problem):
+        assert (_run_record(fused, problem.setup, config, stochastic)
+                == _run_record(separate, problem.setup, config, stochastic)), config.mode
+
+
+def test_observer_reuses_the_methods_f_values():
+    problem = make_problem("quadratic", dimension=8, seed=6)
+    base = problem.objective
+    calls = [0]
+
+    def counted_value(x):
+        calls[0] += 1
+        return base.smooth_value(x)
+
+    obj = dataclasses.replace(base, smooth_value=counted_value, smooth_value_and_grad=None)
+    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
+                                      variance_bound=0.1)
+    runs = [
+        (obj, SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=20), True),
+        (obj, SolverConfig(mode="amst_adaptive", L0=0.1, max_iters=20), False),
+        (obj, SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=20), False),
+        (oracle, SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
+                              max_iters=10), False),
+    ]
+    for objective, config, observer_evaluates_x in runs:
+        calls[0] = 0
+        report = run(objective, problem.setup, config, rng=1)
+        # only the exact-L mode's F(x), which the method never computes, is
+        # evaluated by the observer: one uncounted call per row
+        extra = len(report.trace) if observer_evaluates_x else 0
+        assert calls[0] == report.total_f_calls + extra, config.mode

@@ -1,5 +1,6 @@
 """Unit tests for the trace container and its CSV/JSON serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -119,6 +120,40 @@ def test_load_rejects_malformed_files(tmp_path):
     wrong_keys.write_text('[{"k": 0, "A": 1.0}]\n')
     with pytest.raises(ParseError):
         load_trace(str(wrong_keys))
+
+
+def _json_rows(**changes):
+    row = {"k": 0, "A": 1.0, "alpha": 1.0, "L_trial": 1.0, "j": 0, "m": 1,
+           "cum_f": 1, "cum_grad": 1, "cum_stoch": 0, "gap": None}
+    row.update(changes)
+    return [row]
+
+
+@pytest.mark.parametrize("rows,where", [
+    ([1, 2], "row 0"),
+    (_json_rows() + ["row"], "row 1"),
+    (_json_rows(j="x"), "'j'"),
+    (_json_rows(k=1.0), "'k'"),
+    (_json_rows(m=True), "'m'"),
+    (_json_rows(cum_f=None), "'cum_f'"),
+    (_json_rows(A="1.0"), "'A'"),
+    (_json_rows(gap=False), "'gap'"),
+    (_json_rows(alpha=[1.0]), "'alpha'"),
+])
+def test_load_json_rejects_badly_typed_rows(tmp_path, rows, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(ParseError, match=where):
+        load_trace(str(path))
+
+
+def test_load_json_accepts_integral_numbers_in_float_columns(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(_json_rows(A=4, gap=0)))
+    back = load_trace(str(path))
+    assert back.column("A")[0] == 4.0 and isinstance(back.data["A"][0], float)
+    assert back.column("gap")[0] == 0.0
+    assert isinstance(back.data["k"][0], int)
 
 
 def test_seventeen_digit_floats_survive():

@@ -179,6 +179,25 @@ def test_fd_guard_catches_an_inconsistent_gradient():
         _fd_consistency_check(objective, [np.ones(3)])
 
 
+FUSED_PROBLEMS = [("quadratic", {"dimension": 30}),
+                  ("quadratic", {"dimension": 30, "feasible": "box"}),
+                  ("lasso", {}), ("lasso", {"dimension": 40}),
+                  ("logistic", {}), ("logistic", {"dimension": 20})]
+
+
+@pytest.mark.parametrize("kind,options", FUSED_PROBLEMS)
+def test_fused_oracle_matches_separate_oracles_bit_for_bit(kind, options):
+    problem = make_problem(kind, seed=3, **options)
+    obj = problem.objective
+    rng = np.random.default_rng(5)
+    points = [problem.setup.center] + [rng.standard_normal(problem.spec.dimension)
+                                       for _ in range(3)]
+    for x in points:
+        f, g = obj.smooth_value_and_grad(x)
+        assert np.float64(f).tobytes() == np.float64(obj.smooth_value(x)).tobytes()
+        assert np.asarray(g).tobytes() == np.asarray(obj.smooth_grad(x)).tobytes()
+
+
 def test_make_problem_is_deterministic():
     a = make_problem("lasso", seed=5)
     b = make_problem("lasso", seed=5)
