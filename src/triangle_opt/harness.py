@@ -161,6 +161,10 @@ def load_experiment(config_text: str) -> Experiment:
     if (not isinstance(seeds, list) or not seeds
             or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise ValidationError('"seeds" must be a nonempty list of integers')
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        # each seed writes its own trace file, so a repeat would race on it
+        raise ValidationError(f'"seeds" lists seed {repeated} more than once')
     max_iters = raw["max_iters"]
     if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
         raise ValidationError('"max_iters" must be a positive integer')

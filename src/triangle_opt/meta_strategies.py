@@ -165,7 +165,7 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
             row["dist_x_sq"] = float(setup.norms.primal(current - x_star) ** 2)
         else:
             row["dist_x_sq"] = math.nan
-        trace.append(**row)
+        trace.append_row(row)
     return RunReport(final_x=current, iterations=total_iters, total_f_calls=cum_f,
                      total_grad_calls=cum_grad, total_stoch_calls=cum_stoch, trace=trace)
 

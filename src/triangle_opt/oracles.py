@@ -4,6 +4,7 @@ finite-difference / Hölder validation probes used by the tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class CompositeObjective:
 
 def _checked_value(out, counter: EvalCounter | None) -> float:
     out = float(out)
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise DomainError("objective value is not finite at the queried point")
     if counter is not None:
         counter.f_calls += 1
@@ -55,7 +56,7 @@ def _checked_value(out, counter: EvalCounter | None) -> float:
 
 def _checked_grad(g, counter: EvalCounter | None) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DomainError("gradient is not finite at the queried point")
     if counter is not None:
         counter.grad_calls += 1

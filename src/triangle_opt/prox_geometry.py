@@ -14,6 +14,7 @@ closed-form solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,13 +32,21 @@ class NormPair:
 
     def primal(self, v: np.ndarray) -> float:
         if self.tag == "euclidean":
-            return float(np.linalg.norm(v))
-        return float(np.sum(np.abs(v)))
+            return two_norm(v)
+        return float(np.abs(v).sum())
 
     def dual(self, v: np.ndarray) -> float:
         if self.tag == "euclidean":
-            return float(np.linalg.norm(v))
-        return float(np.max(np.abs(v))) if v.size else 0.0
+            return two_norm(v)
+        return float(np.abs(v).max()) if v.size else 0.0
+
+
+def two_norm(v: np.ndarray) -> float:
+    """||v||_2 as np.linalg.norm computes it for float64 or integer input (ravel,
+    dot, sqrt): the same bits without its dispatch.  Unraveled, a strided view
+    would round differently."""
+    r = np.asarray(v, dtype=float).ravel(order="K")
+    return math.sqrt(r.dot(r))
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,8 @@ class ProxSetup:
     def d_value(self, x: np.ndarray) -> float:
         if self.geometry == "euclidean":
             diff = x - self.center
-            return 0.5 * float(np.dot(diff, diff))
-        return float(np.sum(_xlogx(x)) + np.log(x.size))
+            return 0.5 * float(diff.dot(diff))
+        return float(_xlogx(x).sum() + np.log(x.size))
 
     def d_grad(self, x: np.ndarray) -> np.ndarray:
         if self.geometry == "euclidean":
@@ -197,7 +206,7 @@ class SimpleTerm:
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == "l1":
-            return self.lam * float(np.sum(np.abs(x)))
+            return self.lam * float(np.abs(x).sum())
         # zero, or indicator evaluated at a feasible point
         return 0.0
 
@@ -223,7 +232,7 @@ def initial_estimate(setup: ProxSetup) -> EstimateFunction:
 
 
 def estimate_value(setup: ProxSetup, phi: EstimateFunction, h: SimpleTerm, x: np.ndarray) -> float:
-    return float(phi.d_scale * setup.d_value(x) + np.dot(phi.linear, x)
+    return float(phi.d_scale * setup.d_value(x) + phi.linear.dot(x)
                  + phi.h_scale * h.value(x) + phi.constant)
 
 
@@ -265,9 +274,9 @@ def composite_prox_solve(setup: ProxSetup, phi: EstimateFunction, h: SimpleTerm)
         # h = l1 is constant (= lam) on the simplex, so every supported h
         # reduces to the plain entropy-linear solve: x_i ~ exp(-linear_i/d_scale).
         w = -phi.linear / phi.d_scale
-        w -= np.max(w)
+        w -= w.max()
         ex = np.exp(w)
-        return ex / np.sum(ex)
+        return ex / ex.sum()
 
     # euclidean: unconstrained smooth minimizer is center - linear/d_scale
     v = setup.center - phi.linear / phi.d_scale

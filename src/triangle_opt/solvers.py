@@ -23,7 +23,7 @@ certified-gap stopping rule and the reported gap bound R^2/A_N + c*eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -167,14 +167,14 @@ def fold_estimate(phi: EstimateFunction, alpha: float, y: np.ndarray, g: np.ndar
 
     With mu~ = 0 the V(x, y) terms vanish and d is not evaluated at y, so a
     coordinate of y at 0 on the entropy simplex raises nothing."""
-    constant = phi.constant + alpha * (f_y - float(np.dot(g, y)))
+    constant = phi.constant + alpha * (f_y - float(g.dot(y)))
     if mu_tilde == 0.0:
         return EstimateFunction(d_scale=phi.d_scale, linear=phi.linear + alpha * g,
                                 h_scale=phi.h_scale + alpha, constant=constant)
     gd = setup.d_grad(y)
     d_scale = phi.d_scale + alpha * mu_tilde
     linear = phi.linear + alpha * (g - mu_tilde * gd)
-    constant += alpha * mu_tilde * (-setup.d_value(y) + float(np.dot(gd, y)))
+    constant += alpha * mu_tilde * (-setup.d_value(y) + float(gd.dot(y)))
     return EstimateFunction(d_scale=d_scale, linear=linear,
                             h_scale=phi.h_scale + alpha, constant=constant)
 
@@ -239,9 +239,10 @@ def mst_step(state: SolverState, objective, setup: ProxSetup, L_for_step: float)
 
 def _accept(state: SolverState, cand: StepCandidate, L_trial: float, j: int,
             f_x: float | None = None) -> SolverState:
-    return replace(state, k=state.k + 1, A=cand.A_next, alpha=cand.alpha,
-                   u=cand.u_next, x=cand.x_next, y=cand.y_next, phi=cand.phi_next,
-                   L_trial=L_trial, j=j, m=cand.m, f_x=f_x, f_y=cand.f_y)
+    return SolverState(k=state.k + 1, A=cand.A_next, alpha=cand.alpha, u=cand.u_next,
+                       x=cand.x_next, y=cand.y_next, phi=cand.phi_next, L_trial=L_trial,
+                       j=j, m=cand.m, mu_tilde=state.mu_tilde, counters=state.counters,
+                       trace=state.trace, f_x=f_x, f_y=cand.f_y)
 
 
 def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
@@ -267,7 +268,7 @@ def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
         f_x = value(obj, cand.x_next, state.counters)
         dx = cand.x_next - cand.y_next
         slack = 0.0 if factor == 0.0 else factor * eps * cand.alpha / cand.A_next
-        if descent_check(cand.f_y, float(np.dot(cand.g, dx)),
+        if descent_check(cand.f_y, float(cand.g.dot(dx)),
                          setup.norms.primal(dx) ** 2, L_trial, slack, f_x):
             return _accept(state, cand, L_trial, j, f_x)
         j += 1
@@ -320,7 +321,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
         u0 = composite_prox_solve(setup, phi0, obj.h)
         f_x0 = value(obj, u0, counters)
         dx = u0 - y0
-        if descent_check(f0, float(np.dot(g0, dx)), setup.norms.primal(dx) ** 2,
+        if descent_check(f0, float(g0.dot(dx)), setup.norms.primal(dx) ** 2,
                          L_trial, slack0, f_x0):
             return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
                                L_trial=L_trial, j=j, m=m0, mu_tilde=mu_tilde,
@@ -414,7 +415,7 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
         row["gap"] = math.nan
         row["gap_y"] = math.nan
         row["dist_u_sq"] = row["dist_x_sq"] = row["dist_y_sq"] = math.nan
-    state.trace.append(**row)
+    state.trace.append_row(row)
 
 
 def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunReport:

@@ -35,12 +35,17 @@ class Trace:
         return len(next(iter(self.data.values())))
 
     def append(self, **fields) -> None:
+        self.append_row(fields)
+
+    def append_row(self, fields: dict) -> None:
+        """append, with the row as a dict {column: value}."""
         if not self.data:
             self.data = {name: [] for name in fields}
-        elif set(fields) != set(self.data):
+        elif fields.keys() != self.data.keys():
             raise ParseError("trace rows must carry a consistent column set")
+        data = self.data
         for name, value in fields.items():
-            self.data[name].append(value)
+            data[name].append(value)
 
     def has_column(self, name: str) -> bool:
         return name in self.data
@@ -142,7 +147,8 @@ def load_trace(path: str) -> Trace:
             if set(row) != set(CSV_COLUMNS):
                 raise ParseError(f"row {index}: JSON trace row keys {sorted(row)} "
                                  "do not match the schema")
-            trace.append(**{name: _json_cell(name, row[name], index) for name in CSV_COLUMNS})
+            trace.append_row({name: _json_cell(name, row[name], index)
+                              for name in CSV_COLUMNS})
         return trace
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
@@ -154,8 +160,8 @@ def load_trace(path: str) -> Trace:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        trace.append(**{name: _parse_cell(name, cell, lineno)
-                        for name, cell in zip(CSV_COLUMNS, cells)})
+        trace.append_row({name: _parse_cell(name, cell, lineno)
+                          for name, cell in zip(CSV_COLUMNS, cells)})
     return trace
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .oracles import CompositeObjective, finite_difference_gradient, grad
 from .prox_geometry import (ProxSetup, SimpleTerm, box, entropy_setup,
-                            euclidean_setup, free_space)
+                            euclidean_setup, free_space, two_norm)
 
 ZOO_KINDS = ("quadratic", "lasso", "holder_norm_power", "logistic", "simplex_linear")
 
@@ -189,11 +189,11 @@ def _holder_norm_power(dimension: int, seed: int, p: float) -> ZooProblem:
     nu = p - 1.0
 
     def f(x):
-        return float(np.linalg.norm(x) ** p) / p
+        return two_norm(x) ** p / p
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        nrm = float(np.linalg.norm(x))
+        nrm = two_norm(x)
         if nrm == 0.0:
             return np.zeros_like(x)
         return nrm ** (p - 2.0) * x
@@ -228,7 +228,7 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
     def f(x):
         t = -labels * (design @ np.asarray(x, dtype=float))
         # log(1 + exp(t)) without overflow for large |t|
-        return float(np.mean(np.logaddexp(0.0, t)))
+        return float(np.logaddexp(0.0, t).mean())
 
     def df(x):
         t = -labels * (design @ np.asarray(x, dtype=float))
@@ -238,7 +238,7 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
     def f_df(x):
         t = -labels * (design @ np.asarray(x, dtype=float))
         sig = 1.0 / (1.0 + np.exp(-t))
-        return float(np.mean(np.logaddexp(0.0, t))), design.T @ (-labels * sig) / n_rows
+        return float(np.logaddexp(0.0, t).mean()), design.T @ (-labels * sig) / n_rows
 
     gram_eigs = np.linalg.eigvalsh(design.T @ design)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
@@ -267,7 +267,7 @@ def _simplex_linear(dimension: int, seed: int) -> ZooProblem:
     x_star[best] = 1.0
 
     def f(x):
-        return float(np.dot(costs, x))
+        return float(costs.dot(x))
 
     def df(x):
         return costs.copy()

@@ -40,6 +40,18 @@ def test_solve_seed_override_limits_the_batch(tmp_path, capsys):
     assert "seed 0:" not in captured.out
 
 
+def test_solve_repeated_seed_is_a_validation_error(tmp_path, capsys):
+    config = _write_config(tmp_path, seeds=[0, 0])
+    out = tmp_path / "trace.csv"
+    rc = main(["solve", "--config", config, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: ValidationError" in captured.err
+    assert "seed 0 more than once" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("trace*.csv"))
+
+
 def test_solve_bad_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"problem": {"kind": "quadratic"}}')

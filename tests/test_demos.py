@@ -1,10 +1,13 @@
-"""Smoke test: the stochastic mini-batch demo runs end to end and reports a
-passing call budget."""
+"""Smoke tests: the stochastic mini-batch demo runs end to end and reports a
+passing call budget; the trace digest tool prints the same digests twice."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from triangle_opt import ZOO_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +20,21 @@ def test_stochastic_minibatch_demo_passes():
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "stochastic call budget on every seed: pass" in result.stdout
+
+
+def test_trace_digest_is_reproducible_with_one_line_per_case():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for _ in range(2):
+        result = subprocess.run([sys.executable, str(ROOT / "demos" / "trace_digest.py"),
+                                 "--iters", "15"],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    # five modes per zoo kind, plus sumst on the quadratic
+    assert len(lines) == 5 * len(ZOO_KINDS) + 1
+    assert len({line.split()[0] for line in lines}) == len(lines)
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

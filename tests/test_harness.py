@@ -55,6 +55,14 @@ def test_load_experiment_rejects_malformed_json():
         load_experiment("[1, 2, 3]")
 
 
+def test_load_experiment_rejects_repeated_seeds():
+    with pytest.raises(ValidationError, match="seed 0 more than once"):
+        _load(seeds=[0, 0])
+    with pytest.raises(ValidationError, match="seed -3 more than once"):
+        _load(seeds=[1, -3, 2, -3, 1])
+    assert _load(seeds=[2, 0, 1]).seeds == [2, 0, 1]
+
+
 def test_load_experiment_rejects_unknown_keys():
     with pytest.raises(ValidationError):
         _load(extra=1)

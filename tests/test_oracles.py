@@ -87,6 +87,32 @@ def test_fused_oracle_rejects_nonfinite_like_the_separate_ones():
     assert (counter.f_calls, counter.grad_calls) == (1, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lone_nonfinite_value_or_gradient_entry_is_rejected(bad):
+    x = np.zeros(4)
+    ok_grad = lambda x: np.ones(4)
+    for f_out in (float(bad), np.float64(bad)):
+        separate = CompositeObjective(smooth_value=lambda x: f_out, smooth_grad=ok_grad)
+        fused = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=ok_grad,
+                                   smooth_value_and_grad=lambda x: (f_out, ok_grad(x)))
+        with pytest.raises(DomainError, match="objective value is not finite"):
+            value(separate, x)
+        for obj in (separate, fused):
+            with pytest.raises(DomainError, match="objective value is not finite"):
+                value_and_grad(obj, x)
+    for position in range(x.size):
+        g_out = np.ones(4)
+        g_out[position] = bad
+        separate = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=lambda x: g_out)
+        fused = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=lambda x: g_out,
+                                   smooth_value_and_grad=lambda x: (0.0, g_out))
+        with pytest.raises(DomainError, match="gradient is not finite"):
+            grad(separate, x)
+        for obj in (separate, fused):
+            with pytest.raises(DomainError, match="gradient is not finite"):
+                value_and_grad(obj, x)
+
+
 def test_composite_value_is_uncounted():
     obj = CompositeObjective(smooth_value=lambda x: 0.0,
                              smooth_grad=lambda x: np.zeros_like(x),

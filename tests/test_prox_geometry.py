@@ -9,6 +9,7 @@ import pytest
 from triangle_opt import (
     DomainError,
     EstimateFunction,
+    NormPair,
     SimpleTerm,
     UnsupportedGeometry,
     box,
@@ -42,6 +43,27 @@ def test_norm_pair_axioms_sampled():
             assert norms.primal(t * x) == pytest.approx(abs(t) * norms.primal(x), rel=1e-12)
             assert norms.primal(x + y) <= norms.primal(x) + norms.primal(y) + 1e-12
             assert abs(np.dot(g, x)) <= norms.dual(g) * norms.primal(x) + 1e-12
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 50, 1000])
+def test_norms_match_numpy_bit_for_bit(size):
+    # the solver's traces depend on these bits: euclidean norms must equal
+    # np.linalg.norm and l1 norms np.sum(np.abs(v)), for contiguous arrays and
+    # strided views alike, from tiny to huge magnitudes
+    euclidean, l1 = NormPair("euclidean"), NormPair("l1_linf")
+    rng = np.random.default_rng(size)
+    scales = [10.0 ** e for e in (-150, -50, 0, 50, 150)]
+    scales.append(10.0 ** rng.uniform(-150.0, 150.0, 2 * size))  # mixed magnitudes
+    for scale in scales:
+        base = rng.standard_normal(2 * size) * scale
+        for v in (base[:size], base[::2]):
+            want = float(np.linalg.norm(v)).hex()
+            assert euclidean.primal(v).hex() == want
+            assert euclidean.dual(v).hex() == want
+            assert l1.primal(v).hex() == float(np.sum(np.abs(v))).hex()
+            assert l1.dual(v) == (float(np.max(np.abs(v))) if size else 0.0)
+    integers = np.arange(-size, size, 2)  # np.linalg.norm sums integers as floats
+    assert euclidean.primal(integers).hex() == float(np.linalg.norm(integers)).hex()
 
 
 def test_d_value_zero_at_center_and_nonnegative():
