@@ -10,10 +10,10 @@ from .harness import (THEOREM_IDS, BoundCheck, Experiment, SeedResult,
                       check_bounds, load_experiment, run_experiment)
 from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
                               regularize, restart_run, restarts_for_target)
-from .oracles import (CompositeObjective, EvalCounter, NoiseModel,
+from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
                       StochasticGradientOracle, finite_difference_gradient,
-                      grad, holder_probe, minibatch_gradient, sample_gradient,
-                      substream, value, value_and_grad)
+                      grad, holder_probe, image_value_and_grad, minibatch_gradient,
+                      sample_gradient, substream, value, value_and_grad)
 from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             SimpleTerm, box, bregman_divergence,
                             composite_prox_solve, entropy_setup, estimate_value,
@@ -21,9 +21,9 @@ from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             initial_estimate, project_to_simplex, recenter,
                             simplex, soft_threshold, strong_convexity_probe)
 from .solvers import (MODES, RunReport, SolverConfig, SolverState, StoppingRule,
-                      alpha_next, backtrack_iteration, batch_size, descent_check,
-                      fold_estimate, gradient_mapping_residual, init_phase,
-                      mst_step, run)
+                      alpha_next, backtrack_iteration, batch_size, bregman_check,
+                      descent_check, fold_estimate, gradient_mapping_residual,
+                      init_phase, mst_step, run)
 from .traces import CSV_COLUMNS, Trace, emit_trace, load_trace
 from .zoo import (DESCRIPTIONS, ZOO_KINDS, ProblemSpec, ZooProblem,
                   make_problem, precompute_optimum)
@@ -34,18 +34,18 @@ __all__ = [
     "BacktrackLimitExceeded", "BoundCheck", "CSV_COLUMNS", "CoefficientOverflow",
     "CompositeObjective", "ConfigError", "DESCRIPTIONS", "DomainError",
     "EstimateFunction", "EvalCounter", "Experiment", "FeasibleSet", "IoError",
-    "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
+    "LinearImage", "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
     "ProblemSpec", "ProxSetup", "RestartPlan", "RunReport", "SeedResult",
     "SimpleTerm", "SolverConfig", "SolverState", "StochasticGradientOracle",
     "StoppingRule", "THEOREM_IDS", "Trace", "TriangleOptError",
     "UnsupportedGeometry", "ValidationError", "ZOO_KINDS", "ZooProblem", "alpha_next",
-    "backtrack_iteration", "batch_size", "box", "bregman_divergence",
+    "backtrack_iteration", "batch_size", "box", "bregman_check", "bregman_divergence",
     "check_bounds", "composite_prox_solve", "descent_check", "emit_trace",
     "entropy_setup", "estimate_value", "euclidean_ball", "euclidean_setup",
     "finite_difference_gradient", "fold_estimate", "free_space", "grad",
     "gradient_mapping_residual", "holder_majorant_L", "holder_probe",
-    "init_phase", "initial_estimate", "inner_iterations", "load_experiment",
-    "load_trace", "make_problem", "minibatch_gradient", "mst_step",
+    "image_value_and_grad", "init_phase", "initial_estimate", "inner_iterations",
+    "load_experiment", "load_trace", "make_problem", "minibatch_gradient", "mst_step",
     "precompute_optimum", "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",
     "sample_gradient", "simplex", "soft_threshold", "strong_convexity_probe",

@@ -3,7 +3,7 @@
 Three subcommands:
 
 * ``solve --config FILE [--seed S] [--out PATH]``: run a JSON experiment,
-  one trace per seed.
+  one trace per seed; a seed that fails mid-run writes its partial trace.
 * ``check --trace PATH --theorem ID --L v --R2 v [--mu v] [--D v]
   [--epsilon v]``: grade an emitted trace against a named guarantee.
 * ``zoo list`` / ``zoo describe KIND``: enumerate the benchmark problems.
@@ -71,7 +71,10 @@ def _cmd_solve(args) -> int:
     for res in results:
         if res.error is not None:
             failed += 1
-            print(f"seed {res.seed}: error: {res.error}")
+            line = f"seed {res.seed}: error: {res.error}"
+            if res.path:
+                line += f" (partial trace of {len(res.trace)} rows -> {res.path})"
+            print(line)
             continue
         report = res.report
         line = f"seed {res.seed}: {report.iterations} iterations"

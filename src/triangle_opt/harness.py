@@ -226,8 +226,10 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
     """One solver run per seed; deterministic given the seed list.
 
     Per-seed solver errors are recorded on the result rather than aborting the
-    batch.  Traces are written to the experiment's output path (one file per
-    seed) when an output is configured.
+    batch; a run that fails after recording its first row keeps its partial
+    report and trace, with error set.  Traces, partial ones included, are
+    written to the experiment's output path (one file per seed) when an output
+    is configured.
     """
     problem = experiment.problem
     config = experiment.config
@@ -239,16 +241,20 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
 
     def one_seed(seed: int) -> SeedResult:
         path = _seed_output_path(experiment.output, seed, len(experiment.seeds))
+        error = None
         try:
             report = run(objective, problem.setup, config, rng=seed)
         except Exception as exc:
-            return SeedResult(seed=seed, trace=None, report=None,
-                              error=f"{type(exc).__name__}: {exc}", path=None)
+            # a run that failed after its first row keeps its partial report
+            report = getattr(exc, "report", None)
+            error = f"{type(exc).__name__}: {exc}"
+        if report is None:
+            return SeedResult(seed=seed, trace=None, report=None, error=error, path=None)
         if path is not None:
             fmt = "json" if path.endswith(".json") else "csv"
             emit_trace(report.trace, fmt, path)
         return SeedResult(seed=seed, trace=report.trace, report=report,
-                          error=None, path=path)
+                          error=error, path=path)
 
     seeds = experiment.seeds
     if len(seeds) == 1:

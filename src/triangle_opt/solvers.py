@@ -18,6 +18,14 @@ fold, a single prox step, and triangle interpolation of the next query point.
 The per-iterate certificate A_k F(x^k) <= phi_k(u^k) + A_k * c * eps (with the
 mode's accumulated slack factor c) is recorded in the trace and drives the
 certified-gap stopping rule and the reported gap bound R^2/A_N + c*eps.
+
+An objective with a ``LinearImage``, f(x) = psi(z(x)), runs on cached images:
+the state keeps z(u) (one forward product per trial) and z(x) (a combination
+of images), so z(y) costs no product and f(y), grad f(y) cost one adjoint
+product.  The descent check then takes its Bregman form
+D_psi(z(y), z(x) - z(y)) <= L/2 ||x - y||^2 + slack, which is free of the
+cancellation in f(y) + <g, x - y> - f(x); a trial whose u does not move passes
+it only at an L_trial no smaller than the last accepted one.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BacktrackLimitExceeded, CoefficientOverflow, ConfigError
-from .oracles import (CompositeObjective, EvalCounter, StochasticGradientOracle,
-                      grad, minibatch_gradient, substream, value, value_and_grad)
+from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
+                     TriangleOptError)
+from .oracles import (CompositeObjective, EvalCounter, LinearImage, StochasticGradientOracle,
+                      _checked_value, grad, image_value_and_grad, minibatch_gradient,
+                      substream, value, value_and_grad)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -128,6 +138,10 @@ class SolverState:
     # f at x and y as the method computed them, or None where it computed none
     f_x: float | None = None
     f_y: float | None = None
+    # [u; z(u)] and [x; z(x)] stacked, when the objective has a LinearImage,
+    # so that one combination forms a point and its image together
+    uz: np.ndarray | None = None
+    xz: np.ndarray | None = None
 
 
 @dataclass
@@ -196,13 +210,19 @@ def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: f
 class StepCandidate(NamedTuple):
     y_next: np.ndarray
     u_next: np.ndarray
-    x_next: np.ndarray
+    x_next: np.ndarray | None
     alpha: float
     A_next: float
     phi_next: EstimateFunction
     f_y: float
     g: np.ndarray
     m: int
+    # cached path only: z(y), the stacked [u_next; z(u_next)] and
+    # [x_next; z(x_next)], and the exact grad f(y) (g itself unless stochastic)
+    z_y: np.ndarray | None = None
+    uz: np.ndarray | None = None
+    xz: np.ndarray | None = None
+    g_exact: np.ndarray | None = None
 
 
 def _base_objective(objective) -> CompositeObjective:
@@ -211,46 +231,111 @@ def _base_objective(objective) -> CompositeObjective:
     return objective
 
 
+def _image_oracle(image: LinearImage, z: np.ndarray, counters: EvalCounter,
+                  stochastic: bool) -> tuple[float, np.ndarray]:
+    """f and the exact gradient at the point whose image is z: 1 f + 1 grad
+    call, or in sumst 1 f call with the gradient left for the mini-batch draw
+    that is built on it (and counted) to use."""
+    if not stochastic:
+        return image_value_and_grad(image, z, counters)
+    return _checked_value(image.psi(z), counters), image.adjoint(image.psi_grad(z))
+
+
 def _candidate(state: SolverState, objective, setup: ProxSetup, L_for_step: float,
                draw_batch=None) -> StepCandidate:
     """One trial: coefficients, query point, fold, prox, interpolation.
 
-    The gradient at y is exact, or with draw_batch(y, alpha, A_next) -> (g, m)
-    a mini-batch of size m."""
+    The gradient at y is exact, or with draw_batch(y, alpha, A_next, g_exact)
+    -> (g, m) a mini-batch of size m.  On the cached path the candidate carries
+    z(y) and [u_next; z(u_next)] instead of x_next, which _accept forms with
+    its image for the accepted trial only."""
     obj = _base_objective(objective)
+    counters = state.counters
     alpha, a_next = alpha_next(L_for_step, state.A, state.mu_tilde)
-    y = (alpha * state.u + state.A * state.x) / a_next
-    if draw_batch is None:
-        f_y, g = value_and_grad(obj, y, state.counters)
-        m = 1
+    A = state.A
+    image = obj.linear
+    if image is None:
+        y = (alpha * state.u + A * state.x) / a_next
+        if draw_batch is None:
+            f_y, g = value_and_grad(obj, y, counters)
+            m = 1
+        else:
+            f_y = value(obj, y, counters)
+            g, m = draw_batch(y, alpha, a_next, None)
     else:
-        f_y = value(obj, y, state.counters)
-        g, m = draw_batch(y, alpha, a_next)
+        yz = (alpha * state.uz + A * state.xz) / a_next
+        y, z_y = yz[:state.u.size], yz[state.u.size:]
+        f_y, g_exact = _image_oracle(image, z_y, counters, draw_batch is not None)
+        if draw_batch is None:
+            g, m = g_exact, 1
+        else:
+            g, m = draw_batch(y, alpha, a_next, g_exact)
     phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
     u = composite_prox_solve(setup, phi, obj.h)
-    x = (alpha * u + state.A * state.x) / a_next
-    return StepCandidate(y, u, x, alpha, a_next, phi, f_y, g, m)
+    if image is None:
+        x = (alpha * u + A * state.x) / a_next
+        return StepCandidate(y, u, x, alpha, a_next, phi, f_y, g, m)
+    uz = np.concatenate((u, image.forward(u)))
+    return StepCandidate(y, u, None, alpha, a_next, phi, f_y, g, m, z_y, uz, None, g_exact)
+
+
+def _interpolate(state: SolverState, cand: StepCandidate) -> np.ndarray:
+    """[x_next; z(x_next)] by the triangle step on the cached images."""
+    return (cand.alpha * cand.uz + state.A * state.xz) / cand.A_next
 
 
 def mst_step(state: SolverState, objective, setup: ProxSetup, L_for_step: float) -> StepCandidate:
     """Deterministic candidate triple for the exact-L step (counts 1 f + 1 grad)."""
-    return _candidate(state, objective, setup, L_for_step)
+    cand = _candidate(state, objective, setup, L_for_step)
+    if cand.x_next is None:
+        xz = _interpolate(state, cand)
+        cand = cand._replace(x_next=xz[:state.x.size], xz=xz)
+    return cand
 
 
 def _accept(state: SolverState, cand: StepCandidate, L_trial: float, j: int,
             f_x: float | None = None) -> SolverState:
+    x, xz = cand.x_next, cand.xz
+    if x is None:
+        xz = _interpolate(state, cand)
+        x = xz[:state.x.size]
     return SolverState(k=state.k + 1, A=cand.A_next, alpha=cand.alpha, u=cand.u_next,
-                       x=cand.x_next, y=cand.y_next, phi=cand.phi_next, L_trial=L_trial,
+                       x=x, y=cand.y_next, phi=cand.phi_next, L_trial=L_trial,
                        j=j, m=cand.m, mu_tilde=state.mu_tilde, counters=state.counters,
-                       trace=state.trace, f_x=f_x, f_y=cand.f_y)
+                       trace=state.trace, f_x=f_x, f_y=cand.f_y, uz=cand.uz, xz=xz)
+
+
+def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.ndarray,
+                  r: float, noise, L_trial: float, slack: float, L_floor: float, norms,
+                  counter: EvalCounter | None = None) -> bool:
+    """The descent check on cached images, with x - y = r*du and z(x) - z(y) =
+    r*dz formed from the same u-difference:
+
+        D_psi(z_y, r*dz) - <noise, r*du> <= L_trial/2 * r^2 ||du||^2 + slack,
+
+    where noise = g - grad f(y) for a stochastic g and None otherwise.  The
+    Bregman evaluation counts as the f(x) call it replaces.  A zero step
+    (du == 0) reads 0 <= slack at any L, so it passes only when L_trial >=
+    L_floor, the last accepted constant."""
+    du_sq = norms.primal(du) ** 2
+    bregman = image.psi_bregman(z_y, r * dz)
+    if noise is not None:
+        bregman -= r * float(noise.dot(du))
+    bregman = _checked_value(bregman, counter)
+    if du_sq == 0.0 and L_trial < L_floor:
+        return False
+    return bregman <= 0.5 * L_trial * (r * r * du_sq) + slack
 
 
 def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
                         config: SolverConfig, rng) -> SolverState:
     """One accepted adaptive iteration: doubles L_trial until the slack descent
     check passes, recomputing the whole candidate (and, in sumst, drawing a
-    fresh mini-batch) at every trial.  Warm-starts at half the last accepted L."""
+    fresh mini-batch) at every trial.  Warm-starts at half the last accepted L.
+    On the cached path x_next and its image are formed for the accepted trial
+    only."""
     obj = _base_objective(objective)
+    image = obj.linear
     stochastic = config.mode == "sumst_stochastic_universal"
     seed = 0 if rng is None else int(rng)
     eps = config.epsilon
@@ -260,17 +345,27 @@ def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
     while True:
         draw_batch = None
         if stochastic:
-            def draw_batch(y, alpha, a_next, _j=j, _L=L_trial):
+            def draw_batch(y, alpha, a_next, g_exact, _j=j, _L=L_trial):
                 m = batch_size(config.D, a_next, alpha, _L, eps)
                 stream = substream(seed, state.k + 1, _j)
-                return minibatch_gradient(objective, y, m, stream, state.counters), m
+                return minibatch_gradient(objective, y, m, stream, state.counters, g_exact), m
         cand = _candidate(state, objective, setup, L_trial, draw_batch)
-        f_x = value(obj, cand.x_next, state.counters)
-        dx = cand.x_next - cand.y_next
         slack = 0.0 if factor == 0.0 else factor * eps * cand.alpha / cand.A_next
-        if descent_check(cand.f_y, float(cand.g.dot(dx)),
-                         setup.norms.primal(dx) ** 2, L_trial, slack, f_x):
-            return _accept(state, cand, L_trial, j, f_x)
+        if image is None:
+            f_x = value(obj, cand.x_next, state.counters)
+            dx = cand.x_next - cand.y_next
+            if descent_check(cand.f_y, float(cand.g.dot(dx)),
+                             setup.norms.primal(dx) ** 2, L_trial, slack, f_x):
+                return _accept(state, cand, L_trial, j, f_x)
+        else:
+            duz = cand.uz - state.uz
+            n = state.u.size
+            if bregman_check(image, cand.z_y, duz[n:], duz[:n], cand.alpha / cand.A_next,
+                             cand.g - cand.g_exact if stochastic else None,
+                             L_trial, slack, state.L_trial, setup.norms, state.counters):
+                accepted = _accept(state, cand, L_trial, j)
+                accepted.f_x = _checked_value(image.psi(accepted.xz[n:]), None)
+                return accepted
         j += 1
         if j > config.max_backtracks_per_iter:
             raise BacktrackLimitExceeded(
@@ -282,9 +377,11 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     """k=0 state: x0 = u0 = argmin phi_0 with alpha_0 = A_0 = 1/L, where L is
     L_known (exact mode) or the doubled trial constant (adaptive modes, slack
     ratio alpha_0/A_0 = 1).  f(y0) and the exact gradient at y0 are evaluated
-    once and reused across trials; only f(x0) is recomputed per trial."""
+    once and reused across trials; only f(x0) (or, on the cached path, the
+    Bregman term at y0) is recomputed per trial."""
     config.validate()
     obj = _base_objective(objective)
+    image = obj.linear
     stochastic = config.mode == "sumst_stochastic_universal"
     if stochastic and not isinstance(objective, StochasticGradientOracle):
         raise ConfigError("sumst mode needs a StochasticGradientOracle")
@@ -293,19 +390,28 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     counters = EvalCounter()
     y0 = setup.center
     phi_base = initial_estimate(setup)
-    if stochastic:
-        f0, g0_exact = value(obj, y0, counters), None
+    z0 = g0_exact = None
+    if image is not None:
+        z0 = image.forward(y0)
+        f0, g0_exact = _image_oracle(image, z0, counters, stochastic)
+    elif stochastic:
+        f0 = value(obj, y0, counters)
     else:
         f0, g0_exact = value_and_grad(obj, y0, counters)
 
+    def state0(L_trial, j, m, u0, phi0, uz0, f_x=None):
+        alpha0 = 1.0 / L_trial
+        return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
+                           L_trial=L_trial, j=j, m=m, mu_tilde=mu_tilde,
+                           counters=counters, trace=Trace(), f_x=f_x, f_y=f0,
+                           uz=uz0, xz=uz0)
+
     if config.mode == "mst_exact_L":
         L_trial = config.L_known
-        alpha0 = 1.0 / L_trial
-        phi0 = fold_estimate(phi_base, alpha0, y0, g0_exact, f0, mu_tilde, setup)
+        phi0 = fold_estimate(phi_base, 1.0 / L_trial, y0, g0_exact, f0, mu_tilde, setup)
         u0 = composite_prox_solve(setup, phi0, obj.h)
-        return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
-                           L_trial=L_trial, j=0, m=1, mu_tilde=mu_tilde,
-                           counters=counters, trace=Trace(), f_y=f0)
+        return state0(L_trial, 0, 1, u0, phi0,
+                      None if image is None else np.concatenate((u0, image.forward(u0))))
 
     slack0 = config.slack_factor * (config.epsilon or 0.0)
     L_trial = config.L0
@@ -314,18 +420,29 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
         alpha0 = 1.0 / L_trial
         if stochastic:
             m0 = batch_size(config.D, alpha0, alpha0, L_trial, config.epsilon)
-            g0 = minibatch_gradient(objective, y0, m0, substream(seed, 0, j), counters)
+            g0 = minibatch_gradient(objective, y0, m0, substream(seed, 0, j), counters,
+                                    g0_exact)
         else:
             g0, m0 = g0_exact, 1
         phi0 = fold_estimate(phi_base, alpha0, y0, g0, f0, mu_tilde, setup)
         u0 = composite_prox_solve(setup, phi0, obj.h)
-        f_x0 = value(obj, u0, counters)
-        dx = u0 - y0
-        if descent_check(f0, float(g0.dot(dx)), setup.norms.primal(dx) ** 2,
-                         L_trial, slack0, f_x0):
-            return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
-                               L_trial=L_trial, j=j, m=m0, mu_tilde=mu_tilde,
-                               counters=counters, trace=Trace(), f_x=f_x0, f_y=f0)
+        if image is None:
+            f_x0 = value(obj, u0, counters)
+            dx = u0 - y0
+            passed = descent_check(f0, float(g0.dot(dx)), setup.norms.primal(dx) ** 2,
+                                   L_trial, slack0, f_x0)
+            uz0 = None
+        else:
+            z_u0 = image.forward(u0)
+            # no constant was accepted before k = 0, so a zero step passes
+            passed = bregman_check(image, z0, z_u0 - z0, u0 - y0, 1.0,
+                                   g0 - g0_exact if stochastic else None,
+                                   L_trial, slack0, 0.0, setup.norms, counters)
+            if passed:
+                f_x0 = _checked_value(image.psi(z_u0), None)
+                uz0 = np.concatenate((u0, z_u0))
+        if passed:
+            return state0(L_trial, j, m0, u0, phi0, uz0, f_x0)
         j += 1
         if j > config.max_backtracks_per_iter:
             raise BacktrackLimitExceeded(
@@ -396,8 +513,11 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
     # observer quantities below are uncounted: they are evidence, not method
     # work.  F(x) and F(y) reuse the f values the method computed (state.f_x,
     # state.f_y); only the exact-L mode's f(x), which the method never needs,
-    # is evaluated here.
-    f_x = _composite_value(obj, state.f_x, state.x)
+    # is evaluated here, from the cached image z(x) when there is one.
+    f = state.f_x
+    if f is None and state.xz is not None:
+        f = obj.linear.psi(state.xz[state.x.size:])
+    f_x = _composite_value(obj, f, state.x)
     phi_at_u = estimate_value(setup, state.phi, obj.h, state.u)
     slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
     row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
@@ -420,21 +540,34 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
 
 def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunReport:
     """Run the configured mode until its stopping rule fires or max_iters
-    accepted iterates (including k=0) are recorded."""
+    accepted iterates (including k=0) are recorded.
+
+    A TriangleOptError raised after row k = 0 is recorded leaves with the
+    partial RunReport as its ``report`` attribute: the trace up to the last
+    recorded row, that row's iterate, and the oracle calls spent so far."""
     state = init_phase(objective, setup, config, rng)
     state.trace.meta["x0_y0_sq"] = setup.norms.primal(state.x - setup.center) ** 2
     _record_row(state, objective, setup, config)
-    while len(state.trace) < config.max_iters:
-        if _should_stop(state, objective, setup, config):
-            break
-        if config.mode == "mst_exact_L":
-            cand = mst_step(state, objective, setup, config.L_known)
-            state = _accept(state, cand, config.L_known, 0)
-        else:
-            state = backtrack_iteration(state, objective, setup, config, rng)
-        if not math.isfinite(state.A) or state.A > A_OVERFLOW_LIMIT:
-            raise CoefficientOverflow(f"A_k = {state.A:.3e} past the 1e300 guard at k={state.k}")
-        _record_row(state, objective, setup, config)
+    try:
+        while len(state.trace) < config.max_iters:
+            if _should_stop(state, objective, setup, config):
+                break
+            if config.mode == "mst_exact_L":
+                cand = _candidate(state, objective, setup, config.L_known)
+                nxt = _accept(state, cand, config.L_known, 0)
+            else:
+                nxt = backtrack_iteration(state, objective, setup, config, rng)
+            if not math.isfinite(nxt.A) or nxt.A > A_OVERFLOW_LIMIT:
+                raise CoefficientOverflow(f"A_k = {nxt.A:.3e} past the 1e300 guard at k={nxt.k}")
+            _record_row(nxt, objective, setup, config)
+            state = nxt
+    except TriangleOptError as exc:
+        exc.report = _report(state, config)
+        raise
+    return _report(state, config)
+
+
+def _report(state: SolverState, config: SolverConfig) -> RunReport:
     counters = state.counters
     return RunReport(final_x=state.x, iterations=state.k,
                      total_f_calls=counters.f_calls,

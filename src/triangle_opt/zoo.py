@@ -17,9 +17,10 @@ Five seeded problem families used by the tests, the demos, and the CLI:
   entropy prox; x* is the least-cost vertex.
 
 Every constructed instance is finite-difference checked (value against
-gradient) before it is returned.  The quadratic, lasso and logistic kinds also
-supply a fused value-and-gradient oracle that forms their matrix-vector
-product once.
+gradient) before it is returned.  The quadratic, lasso and logistic kinds are
+f(x) = psi(z(x)) with z affine: they carry that ``LinearImage``, from which
+their value, gradient and fused oracles are built, and which is checked at
+construction against those oracles, for its Bregman term and for its adjoint.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .oracles import CompositeObjective, finite_difference_gradient, grad
+from .oracles import CompositeObjective, LinearImage, finite_difference_gradient, grad
 from .prox_geometry import (ProxSetup, SimpleTerm, box, entropy_setup,
                             euclidean_setup, free_space, two_norm)
 
@@ -98,6 +99,45 @@ def _fd_consistency_check(objective: CompositeObjective, points) -> None:
             raise DomainError(f"value/grad oracles disagree: finite-difference error {err:.3e}")
 
 
+def _imaged_objective(image: LinearImage, **fields) -> CompositeObjective:
+    """The objective f(x) = psi(z(x)), with oracles built from its image."""
+
+    def f_df(x):
+        z = image.forward(x)
+        return image.psi(z), image.adjoint(image.psi_grad(z))
+
+    return CompositeObjective(
+        smooth_value=lambda x: image.psi(image.forward(x)),
+        smooth_grad=lambda x: image.adjoint(image.psi_grad(image.forward(x))),
+        smooth_value_and_grad=f_df, linear=image, **fields)
+
+
+def _image_consistency_check(objective: CompositeObjective, points) -> None:
+    """Construction-time guard on the image, at O(1) matrix products: at each
+    point psi(z(x)) and adjoint(psi_grad(z(x))) must equal the value and
+    gradient oracles to 1e-12 relative; between the two points psi_bregman
+    must match the difference of psi values it stands for, and adjoint must
+    pass a dot-product test against forward."""
+    image = objective.linear
+    images = []
+    for x in points:
+        z = image.forward(x)
+        f, w = image.psi(z), image.psi_grad(z)
+        g = image.adjoint(w)
+        if (abs(f - objective.smooth_value(x)) > 1e-12 * abs(f)
+                or two_norm(g - objective.smooth_grad(x)) > 1e-12 * two_norm(g)):
+            raise DomainError("linear image disagrees with the value/gradient oracles")
+        images.append((z, f, w, g))
+    (z0, f0, w0, g0), (z1, f1, _, _) = images[:2]
+    dz = z1 - z0
+    w0_dz = float(w0 @ dz)
+    if abs(image.psi_bregman(z0, dz) - (f1 - f0 - w0_dz)) > 1e-8 * (abs(f1) + abs(f0) + abs(w0_dz)):
+        raise DomainError("psi_bregman disagrees with the difference of psi values")
+    dx = np.asarray(points[1], dtype=float) - np.asarray(points[0], dtype=float)
+    if abs(w0_dz - float(dx @ g0)) > 1e-10 * two_norm(w0) * (two_norm(z0) + two_norm(z1)):
+        raise DomainError("adjoint fails the dot-product test against forward")
+
+
 def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
                x_star_norm: float, feasible: str) -> ZooProblem:
     if not 0 < lam_min <= lam_max:
@@ -111,18 +151,11 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
     direction = rng.standard_normal(dimension)
     x_star = x_star_norm * direction / np.linalg.norm(direction)
 
-    def f(x):
-        z = q @ (np.asarray(x, dtype=float) - x_star)
-        return 0.5 * float(z @ (lam * z))
-
-    def df(x):
-        z = q @ (np.asarray(x, dtype=float) - x_star)
-        return q.T @ (lam * z)
-
-    def f_df(x):
-        z = q @ (np.asarray(x, dtype=float) - x_star)
-        lam_z = lam * z
-        return 0.5 * float(z @ lam_z), q.T @ lam_z
+    # z = q (x - x*) keeps the value cancellation-free near the optimum
+    image = LinearImage(forward=lambda x: q @ (x - x_star), adjoint=lambda w: q.T @ w,
+                        psi=lambda z: 0.5 * float(z @ (lam * z)),
+                        psi_grad=lambda z: lam * z,
+                        psi_bregman=lambda z, dz: 0.5 * float(dz @ (lam * dz)))
 
     if feasible == "free_space":
         feas = free_space()
@@ -132,16 +165,16 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
     else:
         raise ConfigError(f"quadratic supports feasible in {{free_space, box}}, got {feasible!r}")
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=feas)
-    objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
-        h=SimpleTerm(kind="zero"),
-        known_optimum=(x_star, 0.0),
+    objective = _imaged_objective(
+        image, h=SimpleTerm(kind="zero"), known_optimum=(x_star, 0.0),
         smoothness_meta={"L": lam_max, "mu": lam_min})
     h_matrix = q.T @ (lam[:, None] * q)
     data = {"A_matrix": h_matrix, "b": h_matrix @ x_star, "spectrum": lam, "x_star": x_star}
     spec = ProblemSpec("quadratic", dimension, seed, "analytic")
     probe_rng = np.random.default_rng(seed + 1)
-    _fd_consistency_check(objective, [probe_rng.standard_normal(dimension) for _ in range(2)])
+    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
+    _fd_consistency_check(objective, points)
+    _image_consistency_check(objective, points)
     return ZooProblem(spec, objective, setup, data)
 
 
@@ -156,30 +189,24 @@ def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
     ground_truth[support] = rng.standard_normal(support.size)
     targets = design @ ground_truth + 0.1 * rng.standard_normal(n_rows)
 
-    def f(x):
-        r = design @ np.asarray(x, dtype=float) - targets
-        return 0.5 * float(r @ r)
-
-    def df(x):
-        r = design @ np.asarray(x, dtype=float) - targets
-        return design.T @ r
-
-    def f_df(x):
-        r = design @ np.asarray(x, dtype=float) - targets
-        return 0.5 * float(r @ r), design.T @ r
+    image = LinearImage(forward=lambda x: design @ x - targets,
+                        adjoint=lambda w: design.T @ w,
+                        psi=lambda z: 0.5 * float(z @ z), psi_grad=lambda z: z,
+                        psi_bregman=lambda z, dz: 0.5 * float(dz @ dz))
 
     gram_eigs = np.linalg.eigvalsh(design.T @ design)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
     optimum = _FROZEN_OPTIMA.get(("lasso", dimension, seed, lam))
-    objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
-        h=SimpleTerm(kind="l1", lam=lam),
+    objective = _imaged_objective(
+        image, h=SimpleTerm(kind="l1", lam=lam),
         known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]), "mu": float(max(gram_eigs[0], 0.0))})
     data = {"design": design, "targets": targets, "lam": lam}
     spec = ProblemSpec("lasso", dimension, seed, "precompute_by_long_run")
     probe_rng = np.random.default_rng(seed + 1)
-    _fd_consistency_check(objective, [probe_rng.standard_normal(dimension) for _ in range(2)])
+    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
+    _fd_consistency_check(objective, points)
+    _image_consistency_check(objective, points)
     return ZooProblem(spec, objective, setup, data)
 
 
@@ -225,33 +252,53 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
     flip = rng.random(n_rows) < 0.2
     labels[flip] *= -1.0
 
-    def f(x):
-        t = -labels * (design @ np.asarray(x, dtype=float))
-        # log(1 + exp(t)) without overflow for large |t|
-        return float(np.logaddexp(0.0, t).mean())
+    margin_sign = -labels  # t = -b z, the argument of the softplus s(t) = log(1 + e^t)
+    grad_scale = margin_sign / n_rows
 
-    def df(x):
-        t = -labels * (design @ np.asarray(x, dtype=float))
-        sig = 1.0 / (1.0 + np.exp(-t))
-        return design.T @ (-labels * sig) / n_rows
+    def psi(z):
+        # log(1 + exp(t)) without overflow for large |t|; sum / n is the bits of mean
+        return float(np.logaddexp(0.0, margin_sign * z).sum()) / n_rows
 
-    def f_df(x):
-        t = -labels * (design @ np.asarray(x, dtype=float))
-        sig = 1.0 / (1.0 + np.exp(-t))
-        return float(np.logaddexp(0.0, t).mean()), design.T @ (-labels * sig) / n_rows
+    def psi_grad(z):
+        return grad_scale / (1.0 + np.exp(labels * z))
+
+    def psi_bregman(z, dz):
+        # mean of the per-sample softplus Bregman terms s(t + dt) - s(t) - s'(t) dt
+        # with t = -b z.  Up to |dt| = 30 the closed form
+        # log1p(s' expm1(dt)) - s' dt has a relative rounding error of about
+        # 2e-16 / ((1 - s') |dt|); below |dt| = 1e-8, where that would pass
+        # 1e-8, the leading Taylor term s'' dt^2 / 2 is used, accurate to
+        # |dt| / 3.  Past |dt| = 30 the closed form can overflow or take
+        # log1p(-1), and the difference of softplus values, exact enough
+        # there, is used
+        slope = 1.0 / (1.0 + np.exp(labels * z))
+        dt = margin_sign * dz
+        largest = np.abs(dt).max(initial=0.0)
+        if largest <= 1e-8:
+            return float(((slope - slope * slope) * (dt * dt)).sum()) / (2 * n_rows)
+        if largest <= 30.0:
+            terms = np.log1p(slope * np.expm1(dt)) - slope * dt
+        else:
+            t = margin_sign * z
+            terms = np.logaddexp(0.0, t + dt) - np.logaddexp(0.0, t) - slope * dt
+        return float(terms.sum()) / n_rows
+
+    image = LinearImage(forward=lambda x: design @ x,
+                        adjoint=lambda w: design.T @ w, psi=psi, psi_grad=psi_grad,
+                        psi_bregman=psi_bregman)
 
     gram_eigs = np.linalg.eigvalsh(design.T @ design)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
     optimum = _FROZEN_OPTIMA.get(("logistic", dimension, seed))
-    objective = CompositeObjective(
-        smooth_value=f, smooth_grad=df, smooth_value_and_grad=f_df,
-        h=SimpleTerm(kind="zero"),
-        known_optimum=optimum,
+    objective = _imaged_objective(
+        image, h=SimpleTerm(kind="zero"), known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]) / (4.0 * n_rows)})
     data = {"design": design, "labels": labels}
     spec = ProblemSpec("logistic", dimension, seed, "precompute_by_long_run")
     probe_rng = np.random.default_rng(seed + 1)
-    _fd_consistency_check(objective, [probe_rng.standard_normal(dimension) for _ in range(2)])
+    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
+    _fd_consistency_check(objective, points)
+    _image_consistency_check(objective, points)
     return ZooProblem(spec, objective, setup, data)
 
 

@@ -148,3 +148,15 @@ def test_zoo_list_and_describe(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "describe needs a problem kind" in captured.err
+
+
+def test_solve_writes_the_partial_trace_of_a_failed_run(tmp_path, capsys):
+    config = _write_config(tmp_path, problem={"kind": "simplex_linear"},
+                           solver={"mode": "amst_adaptive"}, max_iters=1200)
+    out = str(tmp_path / "trace.csv")
+    rc = main(["solve", "--config", config, "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "seed 0: error: CoefficientOverflow" in captured.out
+    assert f"partial trace of 995 rows -> {out}" in captured.out
+    assert len(open(out).read().splitlines()) == 1 + 995

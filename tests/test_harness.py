@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from triangle_opt import (THEOREM_IDS, ConfigError, MissingColumn, ParseError,
+from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
+                          MissingColumn, ParseError,
                           SolverConfig, Trace, ValidationError, check_bounds,
                           load_experiment, load_trace, make_problem, run,
                           run_experiment)
@@ -358,3 +359,42 @@ def test_check_bounds_vacuous_on_a_truncated_trace():
     assert check.passed
     assert check.rows == []
     assert check.worst_margin == math.inf
+
+
+def test_run_failure_after_the_first_row_keeps_its_partial_report():
+    # lasso mst with mu > 0: A_k grows geometrically and passes the 1e300
+    # guard at k = 1821, long after the run converged
+    lasso = make_problem("lasso")
+    meta = lasso.objective.smoothness_meta
+    config = SolverConfig(mode="mst_exact_L", L_known=meta["L"], mu=meta["mu"],
+                          max_iters=2000)
+    with pytest.raises(CoefficientOverflow, match="k=1821") as info:
+        run(lasso.objective, lasso.setup, config)
+    report = info.value.report
+    assert len(report.trace) == 1821 and report.iterations == 1820
+    assert list(report.trace.column("k")) == list(range(1821))
+    # the totals include the one f call of the step whose A_k overflowed
+    assert report.total_f_calls == int(report.trace.last("cum_f")) + 1
+    assert report.trace.last("gap") <= 1e-10
+    # amst on the entropy simplex: the trial constant halves every step once
+    # converged, so A_k doubles and overflows at k = 995
+    simplex = make_problem("simplex_linear")
+    with pytest.raises(CoefficientOverflow, match="k=995") as info:
+        run(simplex.objective, simplex.setup,
+            SolverConfig(mode="amst_adaptive", max_iters=1200))
+    report = info.value.report
+    assert len(report.trace) == 995 and report.iterations == 994
+    assert report.trace.last("gap") <= 1e-12
+
+
+def test_run_experiment_keeps_the_partial_trace_of_a_failed_seed(tmp_path):
+    out = str(tmp_path / "trace_{seed}.json")
+    exp = load_experiment(json.dumps({
+        "problem": {"kind": "simplex_linear"}, "solver": {"mode": "amst_adaptive"},
+        "seeds": [0, 1], "max_iters": 1200, "output": out}))
+    results = run_experiment(exp)
+    for res in results:
+        assert "CoefficientOverflow" in res.error
+        assert len(res.trace) == 995 and res.report.trace is res.trace
+        assert res.path == out.replace("{seed}", str(res.seed))
+        assert len(load_trace(res.path)) == 995

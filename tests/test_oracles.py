@@ -182,6 +182,19 @@ def test_minibatch_m1_equals_single_draw():
     np.testing.assert_array_equal(single, batched)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "none"])
+def test_minibatch_centred_on_a_given_exact_gradient_draws_the_same_bits(kind):
+    obj = quadratic_objective()
+    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind=kind),
+                                      variance_bound=2.0)
+    x = np.array([0.3, -0.7, 1.1])
+    counter = EvalCounter()
+    given = minibatch_gradient(oracle, x, 5, substream(2, 3, 1), counter,
+                               exact_grad=obj.smooth_grad(x))
+    np.testing.assert_array_equal(given, minibatch_gradient(oracle, x, 5, substream(2, 3, 1)))
+    assert counter.stochastic_grad_calls == 5 and counter.grad_calls == 0
+
+
 def test_minibatch_noiseless_and_counter():
     obj = quadratic_objective()
     oracle = StochasticGradientOracle(base=obj)

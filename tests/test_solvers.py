@@ -21,7 +21,9 @@ from triangle_opt import (
     StoppingRule,
     UnsupportedGeometry,
     alpha_next,
+    backtrack_iteration,
     batch_size,
+    bregman_check,
     composite_prox_solve,
     descent_check,
     entropy_setup,
@@ -33,8 +35,10 @@ from triangle_opt import (
     initial_estimate,
     make_problem,
     mst_step,
+    recenter,
     run,
 )
+from triangle_opt.solvers import _accept
 
 
 def quadratic_objective(dim=2, scale=1.0):
@@ -513,7 +517,8 @@ def test_observer_reuses_the_methods_f_values():
         calls[0] += 1
         return base.smooth_value(x)
 
-    obj = dataclasses.replace(base, smooth_value=counted_value, smooth_value_and_grad=None)
+    obj = dataclasses.replace(base, smooth_value=counted_value, smooth_value_and_grad=None,
+                              linear=None)
     oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
                                       variance_bound=0.1)
     runs = [
@@ -530,3 +535,192 @@ def test_observer_reuses_the_methods_f_values():
         # evaluated by the observer: one uncounted call per row
         extra = len(report.trace) if observer_evaluates_x else 0
         assert calls[0] == report.total_f_calls + extra, config.mode
+
+
+# --- cached affine images ---------------------------------------------------
+
+def _canonical_amst(kind, dimension, iters):
+    problem = make_problem(kind, dimension=dimension)
+    return problem, run(problem.objective, problem.setup,
+                        SolverConfig(mode="amst_adaptive", max_iters=iters))
+
+
+@pytest.mark.parametrize("kind,dimension", [("lasso", 12), ("logistic", 8), ("quadratic", 50)])
+def test_amst_trial_constant_stays_within_twice_L_on_imaged_zoo(kind, dimension):
+    problem, report = _canonical_amst(kind, dimension, 3000)
+    L = problem.objective.smoothness_meta["L"]
+    l_trials = report.trace.column("L_trial")
+    assert len(l_trials) == 3000
+    # row 0 accepts L0 = 1 as given, which is 2.4 L on the logistic instance;
+    # every doubling after it stops within a factor two of L
+    assert l_trials[0] <= max(2.0 * L, 1.0)
+    assert np.all(l_trials[1:] <= 2.0 * L)
+
+
+def _imaged_configs(kind, L, iters):
+    configs = [SolverConfig(mode="mst_exact_L", L_known=L, max_iters=iters)]
+    if kind != "lasso":
+        # on the lasso the adaptive modes accept L_trial < L, where the iteration
+        # amplifies rounding-level differences between any two evaluations of f
+        # (u drifts 5e-3 apart by k = 265 with the same L sequence), and the
+        # uncached slack-0 check drives L_trial to 2e6 L; see demos/cache_drift.py
+        configs += [SolverConfig(mode="amst_adaptive", max_iters=iters),
+                    SolverConfig(mode="amst_adaptive", epsilon=1e-3, max_iters=iters),
+                    SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=iters)]
+    return configs
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+def test_cached_runs_match_the_uncached_path(kind):
+    problem = make_problem(kind)
+    cached_obj = problem.objective
+    plain_obj = dataclasses.replace(cached_obj, linear=None)
+    f_star = cached_obj.known_optimum[1]
+    for config in _imaged_configs(kind, cached_obj.smoothness_meta["L"], 600):
+        cached = run(cached_obj, problem.setup, config)
+        plain = run(plain_obj, problem.setup, config)
+        gap_c, gap_p = cached.trace.last("gap"), plain.trace.last("gap")
+        assert abs(gap_c - gap_p) <= 1e-10 * max(1.0, abs(f_star)), config.mode
+        margins = cached.trace.column("cert_margin")
+        assert np.all(margins >= -1e-8 * np.maximum(1.0, np.abs(cached.trace.column("A"))))
+
+
+def _counting_image(objective, tally):
+    image = objective.linear
+
+    def forward(x):
+        tally["forward"] += 1
+        return image.forward(x)
+
+    def adjoint(w):
+        tally["adjoint"] += 1
+        return image.adjoint(w)
+
+    def raw(name):
+        def call(x):
+            tally[name] += 1
+            return getattr(objective, name)(x)
+        return call
+
+    return dataclasses.replace(
+        objective, linear=dataclasses.replace(image, forward=forward, adjoint=adjoint),
+        smooth_value=raw("smooth_value"), smooth_grad=raw("smooth_grad"),
+        smooth_value_and_grad=raw("smooth_value_and_grad"))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
+    problem = make_problem(kind, seed=3)
+    L = problem.objective.smoothness_meta["L"]
+    for config in (SolverConfig(mode="mst_exact_L", L_known=L, max_iters=30),
+                   SolverConfig(mode="amst_adaptive", L0=L / 64, max_iters=30),
+                   SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=30),
+                   SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
+                                max_iters=15)):
+        tally = dict.fromkeys(("forward", "adjoint", "smooth_value", "smooth_grad",
+                               "smooth_value_and_grad"), 0)
+        objective = _counting_image(problem.objective, tally)
+        if config.mode == "sumst_stochastic_universal":
+            objective = StochasticGradientOracle(base=objective,
+                                                 noise_model=NoiseModel(kind="gaussian"),
+                                                 variance_bound=config.D)
+        report = run(objective, problem.setup, config, rng=2)
+        trials = report.trace.column("j").astype(int) + 1
+        # one forward product at the center, then one per trial (z(u_next));
+        # one adjoint at the center, then one per trial after k = 0, which
+        # reuses the gradient at the center
+        assert tally["forward"] == 1 + int(trials.sum()), config.mode
+        assert tally["adjoint"] == 1 + int(trials[1:].sum()), config.mode
+        assert tally["smooth_value"] == tally["smooth_grad"] == 0, config.mode
+        assert tally["smooth_value_and_grad"] == 0, config.mode
+        # f(y0), then per trial f(y) (after k = 0) and the Bregman term that
+        # stands for f(x); the exact-L mode makes one f(y) per row
+        if config.mode == "mst_exact_L":
+            assert report.total_f_calls == len(trials)
+        else:
+            assert report.total_f_calls == 1 + int(trials.sum() + trials[1:].sum()), config.mode
+
+
+def test_zero_step_passes_only_at_the_last_accepted_constant():
+    problem = make_problem("quadratic", dimension=6, seed=4)
+    image = problem.objective.linear
+    norms = problem.setup.norms
+    z = image.forward(np.ones(6))
+    zero, step = np.zeros(6), np.full(6, 1e-3)
+    args = dict(noise=None, slack=0.0, norms=norms)
+    # u did not move: 0 <= 0 holds at any L, so only L_floor decides
+    assert not bregman_check(image, z, zero, zero, 0.5, L_trial=0.5, L_floor=1.0, **args)
+    assert bregman_check(image, z, zero, zero, 0.5, L_trial=1.0, L_floor=1.0, **args)
+    # a step that moves is graded by the Bregman term alone
+    dz = image.forward(np.ones(6) + step) - z
+    assert bregman_check(image, z, dz, step, 0.5, L_trial=1.0, L_floor=4.0, **args)
+    assert not bregman_check(image, z, dz, step, 0.5, L_trial=0.01, L_floor=0.0, **args)
+
+
+def test_run_started_at_the_optimum_keeps_its_trial_constant():
+    # y0 = x*: the gradient vanishes, u never moves and every step is a zero
+    # step; without the rule L_trial would halve each iteration until A_k
+    # overflowed near k = 1000
+    problem = make_problem("quadratic", dimension=5, seed=7)
+    setup = recenter(problem.setup, problem.objective.known_optimum[0])
+    report = run(problem.objective, setup,
+                 SolverConfig(mode="amst_adaptive", L0=0.5, max_iters=1500))
+    assert len(report.trace) == 1500
+    assert np.all(report.trace.column("L_trial") == 0.5)
+    assert np.all(report.trace.column("j")[1:] == 1)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+def test_noiseless_sumst_equals_umst_bit_for_bit_on_the_cached_path(kind):
+    problem = make_problem(kind, seed=1)
+    assert problem.objective.linear is not None
+    umst = run(problem.objective, problem.setup,
+               SolverConfig(mode="umst_universal", epsilon=1e-6, max_iters=200), rng=5)
+    for noise in (NoiseModel(kind="none"), NoiseModel(kind="gaussian")):
+        oracle = StochasticGradientOracle(base=problem.objective, noise_model=noise,
+                                          variance_bound=0.0)
+        sumst = run(oracle, problem.setup,
+                    SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-6 / 3.0,
+                                 D=0.0, max_iters=200), rng=5)
+        assert sumst.final_x.tobytes() == umst.final_x.tobytes()
+        for name in ("A", "alpha", "L_trial", "j", "cum_f", "gap", "cert_margin"):
+            assert (sumst.trace.column(name).tobytes()
+                    == umst.trace.column(name).tobytes()), (noise.kind, name)
+
+
+@pytest.mark.parametrize("kind,mode", [("quadratic", "mst_exact_L"),
+                                       ("lasso", "amst_adaptive"),
+                                       ("logistic", "amst_adaptive"),
+                                       ("lasso", "umst_universal")])
+def test_cached_image_drift_stays_at_rounding_level(kind, mode):
+    problem = make_problem(kind)
+    objective, setup = problem.objective, problem.setup
+    L = objective.smoothness_meta["L"]
+    config = SolverConfig(mode=mode, L_known=L, epsilon=1e-3, max_iters=3000)
+    state = init_phase(objective, setup, config)
+    worst = 0.0
+    for k in range(1, 3000):
+        if mode == "mst_exact_L":
+            state = _accept(state, mst_step(state, objective, setup, L), L, 0)
+        else:
+            state = backtrack_iteration(state, objective, setup, config, None)
+        if k % 100 == 0:
+            exact = objective.linear.forward(state.x)
+            cached = state.xz[state.x.size:]
+            worst = max(worst, float(np.max(np.abs(cached - exact)))
+                        / max(1.0, float(np.max(np.abs(exact)))))
+    # measured: at most 2.5e-14 over 10^4 iterations
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kind,options", [
+    ("quadratic", {"dimension": 20}), ("lasso", {}), ("logistic", {})])
+def test_fused_oracle_leaves_uncached_runs_bit_identical(kind, options):
+    # without its image the objective runs on the value/gradient oracles,
+    # where the fused one must give the bits of the separate two
+    problem = make_problem(kind, seed=2, **options)
+    fused = dataclasses.replace(problem.objective, linear=None)
+    separate = dataclasses.replace(fused, smooth_value_and_grad=None)
+    for config, stochastic in _fused_runs(problem):
+        assert (_run_record(fused, problem.setup, config, stochastic)
+                == _run_record(separate, problem.setup, config, stochastic)), config.mode

@@ -1,6 +1,8 @@
 """Tests for the benchmark problem zoo: construction, exact metadata,
 frozen optima, and option validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from triangle_opt import (DESCRIPTIONS, ZOO_KINDS, CompositeObjective,
                           ConfigError, DomainError, ProblemSpec, SimpleTerm,
                           grad, gradient_mapping_residual, make_problem,
                           precompute_optimum, value)
-from triangle_opt.zoo import _fd_consistency_check
+from triangle_opt.zoo import _fd_consistency_check, _image_consistency_check
 
 _DEFAULTS = {"quadratic": 50, "lasso": 12, "holder_norm_power": 5,
              "logistic": 8, "simplex_linear": 6}
@@ -177,6 +179,67 @@ def test_fd_guard_catches_an_inconsistent_gradient():
         h=SimpleTerm(kind="zero"))
     with pytest.raises(DomainError):
         _fd_consistency_check(objective, [np.ones(3)])
+
+
+IMAGED_KINDS = ("quadratic", "lasso", "logistic")
+
+
+@pytest.mark.parametrize("kind", IMAGED_KINDS)
+def test_image_reproduces_the_oracles(kind):
+    problem = make_problem(kind, seed=4)
+    obj = problem.objective
+    image = obj.linear
+    rng = np.random.default_rng(6)
+    for x in [problem.setup.center] + [rng.standard_normal(problem.spec.dimension)
+                                       for _ in range(3)]:
+        z = image.forward(x)
+        assert image.psi(z) == obj.smooth_value(x)
+        np.testing.assert_array_equal(image.adjoint(image.psi_grad(z)), obj.smooth_grad(x))
+
+
+@pytest.mark.parametrize("kind", IMAGED_KINDS)
+def test_psi_bregman_keeps_its_accuracy_as_the_step_shrinks(kind):
+    # the value difference loses ~|psi| * 1e-16 to cancellation; psi_bregman
+    # must track D ~ |dz|^2 down to steps where that difference is all noise
+    problem = make_problem(kind, seed=2)
+    image = problem.objective.linear
+    rng = np.random.default_rng(3)
+    z = image.forward(rng.standard_normal(problem.spec.dimension))
+    direction = image.forward(rng.standard_normal(problem.spec.dimension)) - image.forward(
+        np.zeros(problem.spec.dimension))
+    d_unit = image.psi_bregman(z, 1e-4 * direction) / 1e-8
+    for scale in (1e-6, 1e-8, 1e-10):
+        ratio = image.psi_bregman(z, scale * direction) / (scale * scale * d_unit)
+        assert abs(ratio - 1.0) <= 1e-3, scale
+
+
+def _broken(problem, **fields):
+    obj = problem.objective
+    return dataclasses.replace(obj, linear=dataclasses.replace(obj.linear, **fields))
+
+
+@pytest.mark.parametrize("field,replacement", [
+    ("psi", lambda z: 0.5 * float(z @ z) * (1.0 + 1e-9)),
+    ("psi_bregman", lambda z, dz: 0.6 * float(dz @ dz)),
+    ("adjoint", None),
+])
+def test_image_guard_catches_an_inconsistent_image(field, replacement):
+    problem = make_problem("lasso", seed=1)
+    if field == "adjoint":
+        design = problem.data["design"]
+        # a wrong adjoint paired with oracles that agree with it: only the
+        # dot-product test can tell
+        wrong = lambda w: design.T @ w[::-1]
+        obj = _broken(problem, adjoint=wrong)
+        obj = dataclasses.replace(
+            obj, smooth_grad=lambda x: wrong(obj.linear.psi_grad(obj.linear.forward(x))))
+    else:
+        obj = _broken(problem, **{field: replacement})
+    rng = np.random.default_rng(0)
+    points = [rng.standard_normal(problem.spec.dimension) for _ in range(2)]
+    _image_consistency_check(problem.objective, points)
+    with pytest.raises(DomainError):
+        _image_consistency_check(obj, points)
 
 
 FUSED_PROBLEMS = [("quadratic", {"dimension": 30}),
