@@ -21,9 +21,8 @@ from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             initial_estimate, project_to_simplex, recenter,
                             simplex, soft_threshold, strong_convexity_probe)
 from .solvers import (MODES, RunReport, SolverConfig, SolverState, StoppingRule,
-                      alpha_next, backtrack_iteration, batch_size, bregman_check,
-                      descent_check, fold_estimate, gradient_mapping_residual,
-                      init_phase, mst_step, run)
+                      alpha_next, batch_size, bregman_check, descent_check,
+                      fold_estimate, gradient_mapping_residual, init_phase, run, step)
 from .traces import CSV_COLUMNS, Trace, emit_trace, load_trace
 from .zoo import (DESCRIPTIONS, ZOO_KINDS, ProblemSpec, ZooProblem,
                   make_problem, precompute_optimum)
@@ -39,15 +38,15 @@ __all__ = [
     "SimpleTerm", "SolverConfig", "SolverState", "StochasticGradientOracle",
     "StoppingRule", "THEOREM_IDS", "Trace", "TriangleOptError",
     "UnsupportedGeometry", "ValidationError", "ZOO_KINDS", "ZooProblem", "alpha_next",
-    "backtrack_iteration", "batch_size", "box", "bregman_check", "bregman_divergence",
+    "batch_size", "box", "bregman_check", "bregman_divergence",
     "check_bounds", "composite_prox_solve", "descent_check", "emit_trace",
     "entropy_setup", "estimate_value", "euclidean_ball", "euclidean_setup",
     "finite_difference_gradient", "fold_estimate", "free_space", "grad",
     "gradient_mapping_residual", "holder_majorant_L", "holder_probe",
     "image_value_and_grad", "init_phase", "initial_estimate", "inner_iterations",
-    "load_experiment", "load_trace", "make_problem", "minibatch_gradient", "mst_step",
+    "load_experiment", "load_trace", "make_problem", "minibatch_gradient",
     "precompute_optimum", "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",
-    "sample_gradient", "simplex", "soft_threshold", "strong_convexity_probe",
+    "sample_gradient", "simplex", "soft_threshold", "step", "strong_convexity_probe",
     "substream", "value", "value_and_grad",
 ]

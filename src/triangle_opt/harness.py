@@ -14,12 +14,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, MissingColumn, ParseError, ValidationError
 from .oracles import NoiseModel, StochasticGradientOracle
-from .solvers import RunReport, SolverConfig, StoppingRule, run
+from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
 from .traces import Trace, emit_trace
 from .zoo import ZooProblem, make_problem
 
@@ -29,8 +30,6 @@ _PROBLEM_KEYS = {"kind", "dimension", "seed", "lam", "lam_min", "lam_max",
 _PROX_KEYS = {"omega_tilde", "omega"}
 _SOLVER_KEYS = {"mode", "L", "L0", "mu", "D", "max_backtracks", "stopping"}
 _STOPPING_KEYS = {"kind", "threshold", "r_sq"}
-
-THEOREM_IDS = ("t1", "t2_t3", "c1", "c2", "t6_work", "t9_scaling", "t10_calls", "t5_halving")
 
 
 @dataclass
@@ -147,8 +146,8 @@ def load_experiment(config_text: str) -> Experiment:
         raise ValidationError('"solver" must be an object with a "mode"')
     _require_keys(solver_cfg, _SOLVER_KEYS, "solver")
     mode = solver_cfg["mode"]
-    if mode == "sumst_stochastic_universal" and "D" not in solver_cfg:
-        raise ValidationError('solver mode sumst_stochastic_universal requires "D"')
+    if mode in POLICIES and POLICIES[mode].stochastic and "D" not in solver_cfg:
+        raise ValidationError(f'solver mode {mode} requires "D"')
     stopping_cfg = solver_cfg.get("stopping", {})
     if not isinstance(stopping_cfg, dict):
         raise ValidationError('"stopping" must be an object')
@@ -234,7 +233,7 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
     problem = experiment.problem
     config = experiment.config
     objective = problem.objective
-    if config.mode == "sumst_stochastic_universal":
+    if POLICIES[config.mode].stochastic:
         objective = StochasticGradientOracle(base=problem.objective,
                                              noise_model=NoiseModel(kind="gaussian"),
                                              variance_bound=float(config.D))
@@ -263,7 +262,9 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
         return list(pool.map(one_seed, seeds))
 
 
-def _finite_column(trace: Trace, name: str) -> np.ndarray:
+def _finite_column(trace: Trace | None, name: str) -> np.ndarray:
+    if trace is None:
+        raise ConfigError("bound check needs a trace")
     if not trace.has_column(name):
         raise MissingColumn(f"bound check needs column {name!r}")
     col = trace.column(name)
@@ -272,44 +273,150 @@ def _finite_column(trace: Trace, name: str) -> np.ndarray:
     return col
 
 
-def _need(params: dict, *names):
-    vals = []
-    for name in names:
-        if name not in params or params[name] is None:
-            raise ConfigError(f"bound check needs parameter {name!r}")
-        vals.append(float(params[name]))
-    return vals[0] if len(vals) == 1 else vals
+# bound-check parameters that must be positive; the others may also be 0
+_POSITIVE = ("L", "D", "epsilon", "omega_tilde")
 
 
-def _meta_or_param(trace: Trace, params: dict, name: str) -> float:
-    if name in params and params[name] is not None:
-        return float(params[name])
-    if trace is not None and name in trace.meta:
-        return float(trace.meta[name])
-    raise ConfigError(f"bound check needs parameter {name!r} (not found in trace metadata)")
+def _checked_param(name: str, value) -> float:
+    value = float(value)
+    positive = name in _POSITIVE
+    if not (math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
+        raise ConfigError(f"bound check parameter {name!r} must be finite and "
+                          f"{'>' if positive else '>='} 0, got {value!r}")
+    return value
 
 
-def _finish(theorem_id: str, rows: list) -> BoundCheck:
-    failing = [r["k"] for r in rows if not r["ok"]]
-    worst = min((r["margin"] for r in rows), default=math.inf)
-    return BoundCheck(theorem_id=theorem_id, rows=rows, passed=not failing,
-                      worst_margin=worst, failing_k=failing)
+def _row(k: int, measured: float, bound: float, margin: float) -> dict:
+    return {"k": int(k), "measured": float(measured), "bound": float(bound),
+            "margin": float(margin), "ok": margin >= 0.0}
 
 
-def _check_gap_bound(trace: Trace, bound_fn, tol: float, theorem_id: str) -> BoundCheck:
+def _check_gap_bound(trace: Trace, bound_fn, tol: float, with_gap_y: bool = False) -> list:
+    """Rows gap(k) <= bound_fn(k) + tol, skipping rows with no finite gap and
+    rows where bound_fn gives None; with_gap_y grades max(gap, gap_y) where
+    the trace has a finite gap_y."""
     ks = _finite_column(trace, "k").astype(int)
     gaps = _finite_column(trace, "gap")
+    gap_y = trace.column("gap_y") if with_gap_y and trace.has_column("gap_y") else None
     rows = []
-    for k, gap in zip(ks, gaps):
-        if not math.isfinite(gap):
-            continue
+    for i, (k, gap) in enumerate(zip(ks, gaps)):
         bound = bound_fn(int(k))
-        if bound is None:
+        if bound is None or not math.isfinite(gap):
             continue
-        margin = bound + tol - gap
-        rows.append({"k": int(k), "measured": float(gap), "bound": float(bound),
-                     "margin": float(margin), "ok": margin >= 0.0})
-    return _finish(theorem_id, rows)
+        measured = float(gap)
+        if gap_y is not None and math.isfinite(gap_y[i]):
+            measured = max(measured, float(gap_y[i]))
+        rows.append(_row(k, measured, bound, bound + tol - measured))
+    return rows
+
+
+def _t1(trace, p, tol):
+    return _check_gap_bound(trace, lambda k: 4.0 * p["L"] * p["R2"] / (k + 1) ** 2, tol)
+
+
+def _t2_t3(trace, p, tol):
+    L, r2 = p["L"], p["R2"]
+    omega_tilde = _checked_param("omega_tilde", p.get("omega_tilde", 1.0))
+    rate = 0.5 * math.sqrt(p["mu"] / omega_tilde / L)
+    return _check_gap_bound(
+        trace, lambda k: min(4.0 * L * r2 / (k + 1) ** 2, L * r2 * math.exp(-rate * k)), tol)
+
+
+def _c1(trace, p, tol):
+    ks = _finite_column(trace, "k").astype(int)
+    du = _finite_column(trace, "dist_u_sq")
+    dx = _finite_column(trace, "dist_x_sq")
+    dy = _finite_column(trace, "dist_y_sq")
+    u_bound = 2.0 * p["R2"]
+    xy_bound = 4.0 * p["R2"] + 2.0 * p["x0_y0_sq"]
+    rows = []
+    for k, a, b, c in zip(ks, du, dx, dy):
+        rows.append(_row(k, max(a / 2.0, max(b, c) / 4.0), xy_bound,
+                         min(u_bound + tol - a, xy_bound + tol - max(b, c))))
+    return rows
+
+
+def _c2(trace, p, tol):
+    r_tilde_sq = 4.0 * p["R2"] + 2.0 * p["x0_y0_sq"]
+    return _check_gap_bound(trace, lambda k: p["L"] * r_tilde_sq / k ** 2 if k >= 1 else None,
+                            tol, with_gap_y=True)
+
+
+def _t6_work(trace, p, tol):
+    ks = _finite_column(trace, "k").astype(int)
+    cum_f = _finite_column(trace, "cum_f")
+    cum_grad = _finite_column(trace, "cum_grad")
+    l_trial = _finite_column(trace, "L_trial")
+    j = _finite_column(trace, "j")
+    if len(ks) == 0:
+        return []
+    log_term = math.log2(2.0 * p["L"] / (float(l_trial[0]) / 2.0 ** int(j[0])))
+    rows = []
+    for k, cf, cg in zip(ks, cum_f, cum_grad):
+        f_bound = 4.0 * k + log_term + 4.0
+        g_bound = 2.0 * k + log_term + 2.0
+        rows.append(_row(k, cf, f_bound, min(f_bound - cf, g_bound - cg)))
+    return rows
+
+
+def _t9_scaling(trace, p, tol):
+    points = p["points"]
+    if not points or len(points) < 2:
+        raise ConfigError("t9_scaling needs at least two (epsilon, N) points")
+    eps = np.array([float(pt[0]) for pt in points])
+    iters = np.array([float(pt[1]) for pt in points])
+    if not (np.all(np.isfinite(eps) & (eps > 0.0)) and np.all(np.isfinite(iters) & (iters > 0.0))):
+        raise ConfigError("t9_scaling points need finite, positive epsilon and N")
+    slope = float(np.polyfit(np.log(1.0 / eps), np.log(iters), 1)[0])
+    limit = 2.0 / (1.0 + 3.0 * p["nu"]) + 0.3
+    return [_row(0, slope, limit, limit + tol - slope)]
+
+
+def _t10_calls(trace, p, tol):
+    ks = _finite_column(trace, "k").astype(int)
+    cum_stoch = _finite_column(trace, "cum_stoch")
+    if len(ks) == 0:
+        return []
+    bound = 4.0 * (4.0 * p["D"] * p["R2"] / p["epsilon"] ** 2 + 2.0 * int(ks[-1]))
+    return [_row(ks[-1], cum_stoch[-1], bound, bound + tol - cum_stoch[-1])]
+
+
+def _t5_halving(trace, p, tol):
+    return _check_gap_bound(trace, lambda k: p["mu"] * p["y0_dist_sq"] / 2.0 ** (k + 1), tol)
+
+
+class _Theorem(NamedTuple):
+    tol: float             # default tolerance
+    params: tuple          # parameters the caller must give
+    grade: Callable        # grade(trace, params, tol) -> rows
+    from_meta: tuple = ()  # parameters the trace's meta may give instead
+
+
+_THEOREMS = {
+    "t1": _Theorem(1e-10, ("L", "R2"), _t1),
+    "t2_t3": _Theorem(1e-10, ("L", "R2", "mu"), _t2_t3),
+    "c1": _Theorem(1e-8, ("R2",), _c1, from_meta=("x0_y0_sq",)),
+    "c2": _Theorem(1e-8, ("L", "R2"), _c2, from_meta=("x0_y0_sq",)),
+    "t6_work": _Theorem(0.0, ("L",), _t6_work),
+    "t9_scaling": _Theorem(0.0, ("nu",), _t9_scaling),
+    "t10_calls": _Theorem(0.0, ("D", "R2", "epsilon"), _t10_calls),
+    "t5_halving": _Theorem(1e-9, (), _t5_halving, from_meta=("mu", "y0_dist_sq")),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _gather_params(theorem: _Theorem, trace: Trace | None, params: dict) -> dict:
+    """params, with each one the theorem needs checked against its range."""
+    out = dict(params)
+    for name in theorem.params + theorem.from_meta:
+        value = params.get(name)
+        if value is None and name in theorem.from_meta and trace is not None:
+            value = trace.meta.get(name)
+        if value is None:
+            where = " (not found in trace metadata)" if name in theorem.from_meta else ""
+            raise ConfigError(f"bound check needs parameter {name!r}{where}")
+        out[name] = _checked_param(name, value)
+    return out
 
 
 def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = None) -> BoundCheck:
@@ -329,124 +436,18 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     t10_calls  cum_stoch(N) <= 4*(4*D*R2/eps^2 + 2N)           params: D, R2, epsilon
     t5_halving gap at restart k <= mu*y0_dist_sq/2^(k+1) + tol params: mu, y0_dist_sq (or meta)
 
+    Parameters must be finite, L, D, epsilon and omega_tilde positive and the
+    others nonnegative; a missing or bad one raises ConfigError naming it.
     Margins are bound + tol - measured: nonnegative means pass.  A truncated
     or empty trace passes vacuously.
     """
     params = dict(params or {})
-    if theorem_id not in THEOREM_IDS:
+    theorem = _THEOREMS.get(theorem_id)
+    if theorem is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    tol = float(params.pop("tol", _DEFAULT_TOL[theorem_id]))
-
-    if theorem_id == "t9_scaling":
-        nu = _need(params, "nu")
-        points = params.get("points")
-        if not points or len(points) < 2:
-            raise ConfigError("t9_scaling needs at least two (epsilon, N) points")
-        eps = np.array([float(p[0]) for p in points])
-        iters = np.array([float(p[1]) for p in points])
-        slope = float(np.polyfit(np.log(1.0 / eps), np.log(iters), 1)[0])
-        limit = 2.0 / (1.0 + 3.0 * nu) + 0.3
-        rows = [{"k": i, "measured": slope, "bound": limit,
-                 "margin": limit + tol - slope, "ok": slope <= limit + tol}
-                for i in range(1)]
-        return _finish(theorem_id, rows)
-
-    if trace is None:
-        raise ConfigError(f"{theorem_id} needs a trace")
-
-    if theorem_id == "t1":
-        L, r2 = _need(params, "L", "R2")
-        return _check_gap_bound(trace, lambda k: 4.0 * L * r2 / (k + 1) ** 2, tol, theorem_id)
-
-    if theorem_id == "t2_t3":
-        L, r2, mu = _need(params, "L", "R2", "mu")
-        omega_tilde = float(params.get("omega_tilde", 1.0))
-        mu_tilde = mu / omega_tilde
-        rate = 0.5 * math.sqrt(mu_tilde / L)
-
-        def bound(k):
-            return min(4.0 * L * r2 / (k + 1) ** 2, L * r2 * math.exp(-rate * k))
-
-        return _check_gap_bound(trace, bound, tol, theorem_id)
-
-    if theorem_id == "c1":
-        r2 = _need(params, "R2")
-        x0_y0 = _meta_or_param(trace, params, "x0_y0_sq")
-        ks = _finite_column(trace, "k").astype(int)
-        du = _finite_column(trace, "dist_u_sq")
-        dx = _finite_column(trace, "dist_x_sq")
-        dy = _finite_column(trace, "dist_y_sq")
-        u_bound = 2.0 * r2
-        xy_bound = 4.0 * r2 + 2.0 * x0_y0
-        rows = []
-        for k, a, b, c in zip(ks, du, dx, dy):
-            m1 = u_bound + tol - a
-            m2 = xy_bound + tol - max(b, c)
-            margin = min(m1, m2)
-            rows.append({"k": int(k), "measured": float(max(a / 2.0, max(b, c) / 4.0)),
-                         "bound": float(xy_bound), "margin": float(margin),
-                         "ok": margin >= 0.0})
-        return _finish(theorem_id, rows)
-
-    if theorem_id == "c2":
-        L, r2 = _need(params, "L", "R2")
-        x0_y0 = _meta_or_param(trace, params, "x0_y0_sq")
-        r_tilde_sq = 4.0 * r2 + 2.0 * x0_y0
-        gaps = _finite_column(trace, "gap")
-        ks = _finite_column(trace, "k").astype(int)
-        gap_y = trace.column("gap_y") if trace.has_column("gap_y") else None
-        rows = []
-        for i, (k, gap) in enumerate(zip(ks, gaps)):
-            if k < 1:
-                continue
-            measured = float(gap)
-            if gap_y is not None and math.isfinite(gap_y[i]):
-                measured = max(measured, float(gap_y[i]))
-            if not math.isfinite(measured):
-                continue
-            bound = L * r_tilde_sq / k ** 2
-            margin = bound + tol - measured
-            rows.append({"k": int(k), "measured": measured, "bound": float(bound),
-                         "margin": float(margin), "ok": margin >= 0.0})
-        return _finish(theorem_id, rows)
-
-    if theorem_id == "t6_work":
-        L = _need(params, "L")
-        ks = _finite_column(trace, "k").astype(int)
-        cum_f = _finite_column(trace, "cum_f")
-        cum_grad = _finite_column(trace, "cum_grad")
-        l_trial = _finite_column(trace, "L_trial")
-        j0 = int(_finite_column(trace, "j")[0])
-        l_00 = float(l_trial[0]) / 2.0 ** j0
-        log_term = math.log2(2.0 * L / l_00)
-        rows = []
-        for k, cf, cg in zip(ks, cum_f, cum_grad):
-            f_bound = 4.0 * k + log_term + 4.0
-            g_bound = 2.0 * k + log_term + 2.0
-            margin = min(f_bound - cf, g_bound - cg)
-            rows.append({"k": int(k), "measured": float(cf), "bound": float(f_bound),
-                         "margin": float(margin), "ok": margin >= 0.0})
-        return _finish(theorem_id, rows)
-
-    if theorem_id == "t10_calls":
-        d_var, r2, eps = _need(params, "D", "R2", "epsilon")
-        ks = _finite_column(trace, "k").astype(int)
-        cum_stoch = _finite_column(trace, "cum_stoch")
-        if len(ks) == 0:
-            return _finish(theorem_id, [])
-        n_final = int(ks[-1])
-        measured = float(cum_stoch[-1])
-        bound = 4.0 * (4.0 * d_var * r2 / eps ** 2 + 2.0 * n_final)
-        margin = bound + tol - measured
-        rows = [{"k": n_final, "measured": measured, "bound": float(bound),
-                 "margin": float(margin), "ok": margin >= 0.0}]
-        return _finish(theorem_id, rows)
-
-    # t5_halving
-    mu = _meta_or_param(trace, params, "mu")
-    dist0 = _meta_or_param(trace, params, "y0_dist_sq")
-    return _check_gap_bound(trace, lambda k: mu * dist0 / 2.0 ** (k + 1), tol, theorem_id)
-
-
-_DEFAULT_TOL = {"t1": 1e-10, "t2_t3": 1e-10, "c1": 1e-8, "c2": 1e-8,
-                "t6_work": 0.0, "t9_scaling": 0.0, "t10_calls": 0.0, "t5_halving": 1e-9}
+    tol = float(params.pop("tol", theorem.tol))
+    rows = theorem.grade(trace, _gather_params(theorem, trace, params), tol)
+    failing = [r["k"] for r in rows if not r["ok"]]
+    return BoundCheck(theorem_id=theorem_id, rows=rows, passed=not failing,
+                      worst_margin=min((r["margin"] for r in rows), default=math.inf),
+                      failing_k=failing)

@@ -1,10 +1,14 @@
 """The similar-triangles solver family.
 
-Four modes share one iteration skeleton: coefficient update, estimate-function
-fold, a single prox step, and triangle interpolation of the next query point.
+The four modes are one trial step plus a per-mode policy row (``POLICIES``).
+A trial at a constant L makes the coefficient update, the estimate-function
+fold, a single prox step and the triangle interpolation; ``step`` runs trials
+until one is accepted, and ``init_phase`` is ``step`` from the A = 0 start
+state.  The row says whether the descent check runs, whether the gradient is a
+mini-batch, the slack factor c and the certified target:
 
-* ``mst_exact_L``: the Lipschitz constant is known; no backtracking.  With
-  ``mu > 0`` the strongly convex coefficient recursion is used.
+* ``mst_exact_L``: the Lipschitz constant is known; its one trial is accepted.
+  With ``mu > 0`` the strongly convex coefficient recursion is used.
 * ``amst_adaptive``: per-iteration doubling of a trial constant with a warm
   start at half the previously accepted value; slack 0, or eps*alpha/A when a
   target accuracy is configured.
@@ -45,7 +49,24 @@ from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
 
-MODES = ("mst_exact_L", "amst_adaptive", "umst_universal", "sumst_stochastic_universal")
+
+class Policy(NamedTuple):
+    """What sets one mode apart inside the shared trial step."""
+
+    checks: bool          # back-track on the descent check (else accept L_known)
+    stochastic: bool      # mini-batch gradients, from a StochasticGradientOracle
+    needs_epsilon: bool   # eps is required, not an option
+    slack: float          # c: per-trial slack c*eps*alpha/A_{k+1} when eps is given
+    target: float         # certified_gap stops at the bound <= target*eps
+
+
+POLICIES = {  # checks, stochastic, needs_epsilon, slack, target
+    "mst_exact_L": Policy(False, False, False, 0.0, 1.0),
+    "amst_adaptive": Policy(True, False, False, 1.0, 2.0),
+    "umst_universal": Policy(True, False, True, 0.5, 1.0),
+    "sumst_stochastic_universal": Policy(True, True, True, 1.5, 2.0),
+}
+MODES = tuple(POLICIES)
 A_OVERFLOW_LIMIT = 1e300
 
 
@@ -80,15 +101,15 @@ class SolverConfig:
     stopping: StoppingRule = field(default_factory=StoppingRule)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
+        policy = POLICIES.get(self.mode)
+        if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.mode == "mst_exact_L" and (self.L_known is None or self.L_known <= 0):
-            raise ConfigError("mst_exact_L requires a positive L_known")
-        if self.mode in ("umst_universal", "sumst_stochastic_universal"):
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ConfigError(f"{self.mode} requires a positive epsilon")
-        if self.mode == "sumst_stochastic_universal" and self.D is None:
-            raise ConfigError("sumst_stochastic_universal requires the variance bound D")
+        if not policy.checks and (self.L_known is None or self.L_known <= 0):
+            raise ConfigError(f"{self.mode} requires a positive L_known")
+        if policy.needs_epsilon and (self.epsilon is None or self.epsilon <= 0):
+            raise ConfigError(f"{self.mode} requires a positive epsilon")
+        if policy.stochastic and self.D is None:
+            raise ConfigError(f"{self.mode} requires the variance bound D")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive when given")
         if self.L0 <= 0:
@@ -111,13 +132,7 @@ class SolverConfig:
     @property
     def slack_factor(self) -> float:
         """Accumulated-slack coefficient c: per-trial slack is c*eps*alpha/A."""
-        if self.mode == "umst_universal":
-            return 0.5
-        if self.mode == "sumst_stochastic_universal":
-            return 1.5
-        if self.mode == "amst_adaptive" and self.epsilon is not None:
-            return 1.0
-        return 0.0
+        return POLICIES[self.mode].slack if self.epsilon is not None else 0.0
 
 
 @dataclass
@@ -207,102 +222,36 @@ def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: f
     return max(1, math.ceil(2.0 * D * A_next / (L_trial * alpha * epsilon)))
 
 
-class StepCandidate(NamedTuple):
-    y_next: np.ndarray
-    u_next: np.ndarray
-    x_next: np.ndarray | None
-    alpha: float
-    A_next: float
-    phi_next: EstimateFunction
-    f_y: float
-    g: np.ndarray
-    m: int
-    # cached path only: z(y), the stacked [u_next; z(u_next)] and
-    # [x_next; z(x_next)], and the exact grad f(y) (g itself unless stochastic)
-    z_y: np.ndarray | None = None
-    uz: np.ndarray | None = None
-    xz: np.ndarray | None = None
-    g_exact: np.ndarray | None = None
-
-
 def _base_objective(objective) -> CompositeObjective:
     if isinstance(objective, StochasticGradientOracle):
         return objective.base
     return objective
 
 
-def _image_oracle(image: LinearImage, z: np.ndarray, counters: EvalCounter,
-                  stochastic: bool) -> tuple[float, np.ndarray]:
-    """f and the exact gradient at the point whose image is z: 1 f + 1 grad
-    call, or in sumst 1 f call with the gradient left for the mini-batch draw
-    that is built on it (and counted) to use."""
-    if not stochastic:
-        return image_value_and_grad(image, z, counters)
-    return _checked_value(image.psi(z), counters), image.adjoint(image.psi_grad(z))
+def _triangle(alpha: float, new: np.ndarray, A: float, old: np.ndarray,
+              a_next: float) -> np.ndarray:
+    """(alpha*new + A*old) / A_{k+1}; new itself when A = 0, where the
+    combination is the identity but would not give its bits back."""
+    return new if A == 0.0 else (alpha * new + A * old) / a_next
 
 
-def _candidate(state: SolverState, objective, setup: ProxSetup, L_for_step: float,
-               draw_batch=None) -> StepCandidate:
-    """One trial: coefficients, query point, fold, prox, interpolation.
-
-    The gradient at y is exact, or with draw_batch(y, alpha, A_next, g_exact)
-    -> (g, m) a mini-batch of size m.  On the cached path the candidate carries
-    z(y) and [u_next; z(u_next)] instead of x_next, which _accept forms with
-    its image for the accepted trial only."""
-    obj = _base_objective(objective)
+def _oracle_at_y(state: SolverState, obj: CompositeObjective, alpha: float, a_next: float,
+                 stochastic: bool):
+    """y, z(y) (None without an image), f(y) and the exact grad f(y): 1 f +
+    1 grad call, or in sumst 1 f call, with the exact gradient left for the
+    mini-batch draw to use (None without an image: the draw evaluates it)."""
     counters = state.counters
-    alpha, a_next = alpha_next(L_for_step, state.A, state.mu_tilde)
-    A = state.A
     image = obj.linear
     if image is None:
-        y = (alpha * state.u + A * state.x) / a_next
-        if draw_batch is None:
-            f_y, g = value_and_grad(obj, y, counters)
-            m = 1
-        else:
-            f_y = value(obj, y, counters)
-            g, m = draw_batch(y, alpha, a_next, None)
-    else:
-        yz = (alpha * state.uz + A * state.xz) / a_next
-        y, z_y = yz[:state.u.size], yz[state.u.size:]
-        f_y, g_exact = _image_oracle(image, z_y, counters, draw_batch is not None)
-        if draw_batch is None:
-            g, m = g_exact, 1
-        else:
-            g, m = draw_batch(y, alpha, a_next, g_exact)
-    phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
-    u = composite_prox_solve(setup, phi, obj.h)
-    if image is None:
-        x = (alpha * u + A * state.x) / a_next
-        return StepCandidate(y, u, x, alpha, a_next, phi, f_y, g, m)
-    uz = np.concatenate((u, image.forward(u)))
-    return StepCandidate(y, u, None, alpha, a_next, phi, f_y, g, m, z_y, uz, None, g_exact)
-
-
-def _interpolate(state: SolverState, cand: StepCandidate) -> np.ndarray:
-    """[x_next; z(x_next)] by the triangle step on the cached images."""
-    return (cand.alpha * cand.uz + state.A * state.xz) / cand.A_next
-
-
-def mst_step(state: SolverState, objective, setup: ProxSetup, L_for_step: float) -> StepCandidate:
-    """Deterministic candidate triple for the exact-L step (counts 1 f + 1 grad)."""
-    cand = _candidate(state, objective, setup, L_for_step)
-    if cand.x_next is None:
-        xz = _interpolate(state, cand)
-        cand = cand._replace(x_next=xz[:state.x.size], xz=xz)
-    return cand
-
-
-def _accept(state: SolverState, cand: StepCandidate, L_trial: float, j: int,
-            f_x: float | None = None) -> SolverState:
-    x, xz = cand.x_next, cand.xz
-    if x is None:
-        xz = _interpolate(state, cand)
-        x = xz[:state.x.size]
-    return SolverState(k=state.k + 1, A=cand.A_next, alpha=cand.alpha, u=cand.u_next,
-                       x=x, y=cand.y_next, phi=cand.phi_next, L_trial=L_trial,
-                       j=j, m=cand.m, mu_tilde=state.mu_tilde, counters=state.counters,
-                       trace=state.trace, f_x=f_x, f_y=cand.f_y, uz=cand.uz, xz=xz)
+        y = _triangle(alpha, state.u, state.A, state.x, a_next)
+        if stochastic:
+            return y, None, value(obj, y, counters), None
+        return (y, None) + value_and_grad(obj, y, counters)
+    yz = _triangle(alpha, state.uz, state.A, state.xz, a_next)
+    y, z = yz[:state.u.size], yz[state.u.size:]
+    if stochastic:
+        return y, z, _checked_value(image.psi(z), counters), image.adjoint(image.psi_grad(z))
+    return (y, z) + image_value_and_grad(image, z, counters)
 
 
 def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.ndarray,
@@ -327,127 +276,87 @@ def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.nd
     return bregman <= 0.5 * L_trial * (r * r * du_sq) + slack
 
 
-def backtrack_iteration(state: SolverState, objective, setup: ProxSetup,
-                        config: SolverConfig, rng) -> SolverState:
-    """One accepted adaptive iteration: doubles L_trial until the slack descent
-    check passes, recomputing the whole candidate (and, in sumst, drawing a
-    fresh mini-batch) at every trial.  Warm-starts at half the last accepted L.
-    On the cached path x_next and its image are formed for the accepted trial
-    only."""
+def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
+         rng=None) -> SolverState:
+    """One accepted iteration, as the mode's row in POLICIES sets it.
+
+    The exact-L mode accepts its one trial at L_known.  The checking modes
+    double L from half the last accepted constant (from L0 in the A = 0 start
+    state, where y is the center and f, grad f at y are evaluated once) until
+    the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
+    draws its mini-batch from substream(rng, k + 1, j).  On the cached path x
+    and z(x) are formed for the accepted trial only."""
+    policy = POLICIES[config.mode]
     obj = _base_objective(objective)
     image = obj.linear
-    stochastic = config.mode == "sumst_stochastic_universal"
-    seed = 0 if rng is None else int(rng)
-    eps = config.epsilon
-    factor = config.slack_factor
-    L_trial = state.L_trial / 2.0
-    j = 0
-    while True:
-        draw_batch = None
-        if stochastic:
-            def draw_batch(y, alpha, a_next, g_exact, _j=j, _L=L_trial):
-                m = batch_size(config.D, a_next, alpha, _L, eps)
-                stream = substream(seed, state.k + 1, _j)
-                return minibatch_gradient(objective, y, m, stream, state.counters, g_exact), m
-        cand = _candidate(state, objective, setup, L_trial, draw_batch)
-        slack = 0.0 if factor == 0.0 else factor * eps * cand.alpha / cand.A_next
+    counters = state.counters
+    A, n = state.A, state.u.size
+    c_eps = config.slack_factor * (config.epsilon or 0.0)
+    L_floor = state.L_trial  # 0 in the start state, which has no accepted constant
+    if not policy.checks:
+        L_trial = config.L_known
+    else:
+        L_trial = state.L_trial / 2.0 if A > 0.0 else config.L0
+    at_y = None
+    for j in range(config.max_backtracks_per_iter + 1):
+        alpha, a_next = alpha_next(L_trial, A, state.mu_tilde)
+        if at_y is None or A > 0.0:  # from the start state y is the center at every trial
+            at_y = _oracle_at_y(state, obj, alpha, a_next, policy.stochastic)
+        y, z_y, f_y, g_exact = at_y
+        g, m = g_exact, 1
+        if policy.stochastic:
+            m = batch_size(config.D, a_next, alpha, L_trial, config.epsilon)
+            stream = substream(0 if rng is None else int(rng), state.k + 1, j)
+            g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
+        phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
+        u = composite_prox_solve(setup, phi, obj.h)
+        slack = c_eps if A == 0.0 else c_eps * alpha / a_next
+        f_x = uz = xz = None
+        passed = True
         if image is None:
-            f_x = value(obj, cand.x_next, state.counters)
-            dx = cand.x_next - cand.y_next
-            if descent_check(cand.f_y, float(cand.g.dot(dx)),
-                             setup.norms.primal(dx) ** 2, L_trial, slack, f_x):
-                return _accept(state, cand, L_trial, j, f_x)
+            x = _triangle(alpha, u, A, state.x, a_next)
+            if policy.checks:
+                f_x = value(obj, x, counters)
+                dx = x - y
+                passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
+                                       L_trial, slack, f_x)
         else:
-            duz = cand.uz - state.uz
-            n = state.u.size
-            if bregman_check(image, cand.z_y, duz[n:], duz[:n], cand.alpha / cand.A_next,
-                             cand.g - cand.g_exact if stochastic else None,
-                             L_trial, slack, state.L_trial, setup.norms, state.counters):
-                accepted = _accept(state, cand, L_trial, j)
-                accepted.f_x = _checked_value(image.psi(accepted.xz[n:]), None)
-                return accepted
-        j += 1
-        if j > config.max_backtracks_per_iter:
-            raise BacktrackLimitExceeded(
-                f"no acceptable L after {config.max_backtracks_per_iter} doublings at k={state.k + 1}")
+            uz = np.concatenate((u, image.forward(u)))
+            if policy.checks:
+                duz = uz - state.uz
+                passed = bregman_check(image, z_y, duz[n:], duz[:n], alpha / a_next,
+                                       g - g_exact if policy.stochastic else None,
+                                       L_trial, slack, L_floor, setup.norms, counters)
+        if passed:
+            if image is not None:
+                xz = _triangle(alpha, uz, A, state.xz, a_next)
+                x = xz[:n]
+                if policy.checks:
+                    f_x = _checked_value(image.psi(xz[n:]), None)
+            return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=x, y=y, phi=phi,
+                               L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
+                               counters=counters, trace=state.trace, f_x=f_x, f_y=f_y,
+                               uz=uz, xz=xz)
         L_trial *= 2.0
+    raise BacktrackLimitExceeded(f"no acceptable L after {config.max_backtracks_per_iter} "
+                                 f"doublings at k={state.k + 1}")
 
 
 def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> SolverState:
-    """k=0 state: x0 = u0 = argmin phi_0 with alpha_0 = A_0 = 1/L, where L is
-    L_known (exact mode) or the doubled trial constant (adaptive modes, slack
-    ratio alpha_0/A_0 = 1).  f(y0) and the exact gradient at y0 are evaluated
-    once and reused across trials; only f(x0) (or, on the cached path, the
-    Bregman term at y0) is recomputed per trial."""
+    """The k = 0 state: ``step`` from the A = 0 start state u = x = y = center,
+    phi_0 = d, whose first trial gives alpha_0 = A_0 = 1/L with L the known
+    constant (exact mode) or L0, doubled until the check passes."""
     config.validate()
-    obj = _base_objective(objective)
-    image = obj.linear
-    stochastic = config.mode == "sumst_stochastic_universal"
-    if stochastic and not isinstance(objective, StochasticGradientOracle):
-        raise ConfigError("sumst mode needs a StochasticGradientOracle")
-    seed = 0 if rng is None else int(rng)
-    mu_tilde = config.mu_tilde
-    counters = EvalCounter()
-    y0 = setup.center
-    phi_base = initial_estimate(setup)
-    z0 = g0_exact = None
-    if image is not None:
-        z0 = image.forward(y0)
-        f0, g0_exact = _image_oracle(image, z0, counters, stochastic)
-    elif stochastic:
-        f0 = value(obj, y0, counters)
-    else:
-        f0, g0_exact = value_and_grad(obj, y0, counters)
-
-    def state0(L_trial, j, m, u0, phi0, uz0, f_x=None):
-        alpha0 = 1.0 / L_trial
-        return SolverState(k=0, A=alpha0, alpha=alpha0, u=u0, x=u0, y=y0, phi=phi0,
-                           L_trial=L_trial, j=j, m=m, mu_tilde=mu_tilde,
-                           counters=counters, trace=Trace(), f_x=f_x, f_y=f0,
-                           uz=uz0, xz=uz0)
-
-    if config.mode == "mst_exact_L":
-        L_trial = config.L_known
-        phi0 = fold_estimate(phi_base, 1.0 / L_trial, y0, g0_exact, f0, mu_tilde, setup)
-        u0 = composite_prox_solve(setup, phi0, obj.h)
-        return state0(L_trial, 0, 1, u0, phi0,
-                      None if image is None else np.concatenate((u0, image.forward(u0))))
-
-    slack0 = config.slack_factor * (config.epsilon or 0.0)
-    L_trial = config.L0
-    j = 0
-    while True:
-        alpha0 = 1.0 / L_trial
-        if stochastic:
-            m0 = batch_size(config.D, alpha0, alpha0, L_trial, config.epsilon)
-            g0 = minibatch_gradient(objective, y0, m0, substream(seed, 0, j), counters,
-                                    g0_exact)
-        else:
-            g0, m0 = g0_exact, 1
-        phi0 = fold_estimate(phi_base, alpha0, y0, g0, f0, mu_tilde, setup)
-        u0 = composite_prox_solve(setup, phi0, obj.h)
-        if image is None:
-            f_x0 = value(obj, u0, counters)
-            dx = u0 - y0
-            passed = descent_check(f0, float(g0.dot(dx)), setup.norms.primal(dx) ** 2,
-                                   L_trial, slack0, f_x0)
-            uz0 = None
-        else:
-            z_u0 = image.forward(u0)
-            # no constant was accepted before k = 0, so a zero step passes
-            passed = bregman_check(image, z0, z_u0 - z0, u0 - y0, 1.0,
-                                   g0 - g0_exact if stochastic else None,
-                                   L_trial, slack0, 0.0, setup.norms, counters)
-            if passed:
-                f_x0 = _checked_value(image.psi(z_u0), None)
-                uz0 = np.concatenate((u0, z_u0))
-        if passed:
-            return state0(L_trial, j, m0, u0, phi0, uz0, f_x0)
-        j += 1
-        if j > config.max_backtracks_per_iter:
-            raise BacktrackLimitExceeded(
-                f"no acceptable L0 after {config.max_backtracks_per_iter} doublings at k=0")
-        L_trial *= 2.0
+    if POLICIES[config.mode].stochastic and not isinstance(objective, StochasticGradientOracle):
+        raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
+    image = _base_objective(objective).linear
+    center = setup.center
+    uz = None if image is None else np.concatenate((center, image.forward(center)))
+    start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
+                        phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
+                        mu_tilde=config.mu_tilde, counters=EvalCounter(), trace=Trace(),
+                        uz=uz, xz=uz)
+    return step(start, objective, setup, config, rng)
 
 
 def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: float,
@@ -478,20 +387,14 @@ def _certified_bound(config: SolverConfig, A: float) -> float | None:
     return r_sq / A + config.slack_factor * (config.epsilon or 0.0)
 
 
-def _certified_target(config: SolverConfig) -> float:
-    # total-budget reading: plain modes certify eps; the eps-slack modes
-    # (amst-with-eps, sumst) certify 2*eps
-    if config.mode in ("amst_adaptive", "sumst_stochastic_universal"):
-        return 2.0 * config.epsilon
-    return config.epsilon
-
-
 def _should_stop(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> bool:
     rule = config.stopping
     if rule.kind == "iterations_only":
         return False
     if rule.kind == "certified_gap":
-        return _certified_bound(config, state.A) <= _certified_target(config)
+        # total-budget reading: the eps-slack modes (amst-with-eps, sumst) certify 2*eps
+        return (_certified_bound(config, state.A)
+                <= POLICIES[config.mode].target * config.epsilon)
     residual = gradient_mapping_residual(objective, setup, state.x, state.L_trial,
                                          state.counters)
     return residual <= rule.threshold
@@ -552,11 +455,7 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
         while len(state.trace) < config.max_iters:
             if _should_stop(state, objective, setup, config):
                 break
-            if config.mode == "mst_exact_L":
-                cand = _candidate(state, objective, setup, config.L_known)
-                nxt = _accept(state, cand, config.L_known, 0)
-            else:
-                nxt = backtrack_iteration(state, objective, setup, config, rng)
+            nxt = step(state, objective, setup, config, rng)
             if not math.isfinite(nxt.A) or nxt.A > A_OVERFLOW_LIMIT:
                 raise CoefficientOverflow(f"A_k = {nxt.A:.3e} past the 1e300 guard at k={nxt.k}")
             _record_row(nxt, objective, setup, config)

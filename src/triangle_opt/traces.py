@@ -133,7 +133,8 @@ def load_trace(path: str) -> Trace:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read trace from {path}: {exc}") from exc
-    trace = Trace()
+    # the schema columns exist even with no rows, so an empty trace grades vacuously
+    trace = Trace(data={name: [] for name in CSV_COLUMNS})
     if str(path).endswith(".json"):
         try:
             rows = json.loads(text)

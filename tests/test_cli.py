@@ -107,6 +107,19 @@ def test_check_missing_parameter_is_an_error(tmp_path, capsys):
     assert "ConfigError" in captured.err
 
 
+def test_check_out_of_range_parameter_is_an_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = str(tmp_path / "trace.csv")
+    assert main(["solve", "--config", config, "--out", out]) == 0
+    capsys.readouterr()
+    for bad in ("0", "nan", "-1", "inf"):
+        rc = main(["check", "--trace", out, "--theorem", "t2_t3",
+                   "--L", bad, "--R2", "1", "--mu", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 1, bad
+        assert "error: ConfigError" in captured.err and "'L'" in captured.err, bad
+
+
 def test_check_unreadable_trace_is_an_error(tmp_path, capsys):
     rc = main(["check", "--trace", str(tmp_path / "none.csv"),
                "--theorem", "t1", "--L", "1", "--R2", "1"])

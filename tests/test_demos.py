@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from triangle_opt import ZOO_KINDS
+from triangle_opt import ZOO_KINDS, make_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,8 +35,10 @@ def test_trace_digest_is_reproducible_with_one_line_per_case():
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    # five modes per zoo kind, plus sumst on the quadratic
-    assert len(lines) == 5 * len(ZOO_KINDS) + 1
+    # eight configurations per zoo kind, and again for each kind with a
+    # linear image run without it
+    imaged = sum(make_problem(kind).objective.linear is not None for kind in ZOO_KINDS)
+    assert len(lines) == 8 * (len(ZOO_KINDS) + imaged)
     assert len({line.split()[0] for line in lines}) == len(lines)
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
 

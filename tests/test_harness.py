@@ -9,7 +9,7 @@ import pytest
 
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
                           MissingColumn, ParseError,
-                          SolverConfig, Trace, ValidationError, check_bounds,
+                          SolverConfig, Trace, ValidationError, check_bounds, emit_trace,
                           load_experiment, load_trace, make_problem, run,
                           run_experiment)
 from triangle_opt.harness import _seed_output_path, _worker_count
@@ -359,6 +359,53 @@ def test_check_bounds_vacuous_on_a_truncated_trace():
     assert check.passed
     assert check.rows == []
     assert check.worst_margin == math.inf
+
+
+# the theorems that need only the serialized schema columns, with parameters
+_SCHEMA_ONLY = {"t1": {"L": 1.0, "R2": 1.0}, "t2_t3": {"L": 1.0, "R2": 1.0, "mu": 0.1},
+                "c2": {"L": 1.0, "R2": 1.0, "x0_y0_sq": 0.0}, "t6_work": {"L": 1.0},
+                "t10_calls": {"D": 1.0, "R2": 1.0, "epsilon": 0.1},
+                "t5_halving": {"mu": 1.0, "y0_dist_sq": 1.0}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_empty_trace_round_trip_passes_every_schema_only_theorem(tmp_path, fmt):
+    path = str(tmp_path / f"empty.{fmt}")
+    emit_trace(Trace(), fmt, path)
+    loaded = load_trace(path)
+    assert len(loaded) == 0
+    for theorem_id, params in _SCHEMA_ONLY.items():
+        check = check_bounds(loaded, theorem_id, params)
+        assert check.passed and check.rows == [], theorem_id
+
+
+@pytest.mark.parametrize("theorem_id,params,bad", [
+    ("t2_t3", {"L": 0.0, "R2": 1.0, "mu": 0.1}, "L"),
+    ("t1", {"L": math.nan, "R2": 1.0}, "L"),
+    ("t1", {"L": 1.0, "R2": -1.0}, "R2"),
+    ("t2_t3", {"L": 1.0, "R2": 1.0, "mu": math.inf}, "mu"),
+    ("t2_t3", {"L": 1.0, "R2": 1.0, "mu": 0.1, "omega_tilde": 0.0}, "omega_tilde"),
+    ("c2", {"L": 1.0, "R2": 1.0, "x0_y0_sq": -math.inf}, "x0_y0_sq"),
+    ("t6_work", {"L": -1.0}, "L"),
+    ("t10_calls", {"D": 0.0, "R2": 1.0, "epsilon": 0.1}, "D"),
+    ("t10_calls", {"D": 1.0, "R2": 1.0, "epsilon": -0.1}, "epsilon"),
+    ("t5_halving", {"mu": math.nan, "y0_dist_sq": 1.0}, "mu"),
+    ("t9_scaling", {"nu": -0.5, "points": [(0.1, 10), (0.01, 100)]}, "nu"),
+])
+def test_check_bounds_rejects_out_of_range_parameters(theorem_id, params, bad):
+    _, report = _mst_report(iters=5)
+    with pytest.raises(ConfigError, match=f"'{bad}'"):
+        check_bounds(report.trace, theorem_id, params)
+
+
+def test_check_bounds_checks_meta_parameters_and_accepts_zero_where_allowed():
+    _, report = _mst_report(iters=5)
+    assert check_bounds(report.trace, "t2_t3", {"L": 1.0, "R2": 0.0, "mu": 0.0}).rows
+    report.trace.meta["x0_y0_sq"] = math.nan
+    with pytest.raises(ConfigError, match="'x0_y0_sq'"):
+        check_bounds(report.trace, "c1", {"R2": 1.0})
+    with pytest.raises(ConfigError, match="points"):
+        check_bounds(None, "t9_scaling", {"nu": 0.5, "points": [(0.0, 10), (0.01, 100)]})
 
 
 def test_run_failure_after_the_first_row_keeps_its_partial_report():

@@ -21,7 +21,6 @@ from triangle_opt import (
     StoppingRule,
     UnsupportedGeometry,
     alpha_next,
-    backtrack_iteration,
     batch_size,
     bregman_check,
     composite_prox_solve,
@@ -34,11 +33,10 @@ from triangle_opt import (
     init_phase,
     initial_estimate,
     make_problem,
-    mst_step,
     recenter,
     run,
+    step,
 )
-from triangle_opt.solvers import _accept
 
 
 def quadratic_objective(dim=2, scale=1.0):
@@ -234,10 +232,10 @@ def test_mst_step_fixed_point_at_optimum():
     setup = euclidean_setup(center=np.zeros(2))
     config = SolverConfig(mode="mst_exact_L", L_known=1.0)
     state = init_phase(obj, setup, config)
-    cand = mst_step(state, obj, setup, 1.0)
-    np.testing.assert_allclose(cand.y_next, np.zeros(2), atol=1e-15)
-    np.testing.assert_allclose(cand.u_next, np.zeros(2), atol=1e-15)
-    np.testing.assert_allclose(cand.x_next, np.zeros(2), atol=1e-15)
+    nxt = step(state, obj, setup, config)
+    np.testing.assert_allclose(nxt.y, np.zeros(2), atol=1e-15)
+    np.testing.assert_allclose(nxt.u, np.zeros(2), atol=1e-15)
+    np.testing.assert_allclose(nxt.x, np.zeros(2), atol=1e-15)
 
 
 def test_mst_matches_straight_line_transliteration():
@@ -262,13 +260,12 @@ def test_mst_matches_straight_line_transliteration():
         lin = lin + alpha_new * y_ref  # accumulate alpha * grad f(y)
         u_ref = y0 - lin
         x_ref = (alpha_new * u_ref + a_ref * x_ref) / a_new
-        cand = mst_step(state, obj, setup, L)
-        np.testing.assert_allclose(cand.y_next, y_ref, atol=1e-12)
-        np.testing.assert_allclose(cand.u_next, u_ref, atol=1e-12)
-        np.testing.assert_allclose(cand.x_next, x_ref, atol=1e-12)
-        assert obj.composite_value(cand.x_next) < obj.composite_value(state.x)
-        from triangle_opt.solvers import _accept
-        state = _accept(state, cand, L, 0)
+        nxt = step(state, obj, setup, config)
+        np.testing.assert_allclose(nxt.y, y_ref, atol=1e-12)
+        np.testing.assert_allclose(nxt.u, u_ref, atol=1e-12)
+        np.testing.assert_allclose(nxt.x, x_ref, atol=1e-12)
+        assert obj.composite_value(nxt.x) < obj.composite_value(state.x)
+        state = nxt
         alpha_ref, a_ref = alpha_new, a_new
 
 
@@ -279,12 +276,10 @@ def test_triangle_identity_along_run():
     state = init_phase(problem.objective, setup, config)
     for _ in range(25):
         u_prev = state.u.copy()
-        cand = mst_step(state, problem.objective, setup, 1.0)
-        lhs = cand.A_next * (cand.x_next - cand.y_next)
-        rhs = cand.alpha * (cand.u_next - u_prev)
+        state = step(state, problem.objective, setup, config)
+        lhs = state.A * (state.x - state.y)
+        rhs = state.alpha * (state.u - u_prev)
         assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
-        from triangle_opt.solvers import _accept
-        state = _accept(state, cand, 1.0, 0)
 
 
 def test_estimate_function_structure_invariants():
@@ -296,9 +291,7 @@ def test_estimate_function_structure_invariants():
     for _ in range(20):
         assert state.phi.d_scale == pytest.approx(1.0 + mu_tilde * state.A, rel=1e-12)
         assert state.phi.h_scale == pytest.approx(state.A, rel=1e-12)
-        cand = mst_step(state, problem.objective, problem.setup, 1.0)
-        from triangle_opt.solvers import _accept
-        state = _accept(state, cand, 1.0, 0)
+        state = step(state, problem.objective, problem.setup, config)
 
 
 def test_run_theorem_rate_on_sphere():
@@ -700,10 +693,7 @@ def test_cached_image_drift_stays_at_rounding_level(kind, mode):
     state = init_phase(objective, setup, config)
     worst = 0.0
     for k in range(1, 3000):
-        if mode == "mst_exact_L":
-            state = _accept(state, mst_step(state, objective, setup, L), L, 0)
-        else:
-            state = backtrack_iteration(state, objective, setup, config, None)
+        state = step(state, objective, setup, config)
         if k % 100 == 0:
             exact = objective.linear.forward(state.x)
             cached = state.xz[state.x.size:]
@@ -724,3 +714,32 @@ def test_fused_oracle_leaves_uncached_runs_bit_identical(kind, options):
     for config, stochastic in _fused_runs(problem):
         assert (_run_record(fused, problem.setup, config, stochastic)
                 == _run_record(separate, problem.setup, config, stochastic)), config.mode
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+def test_uncached_path_evaluates_f_and_grad_at_y0_once_across_the_k0_trials(kind):
+    problem = make_problem(kind, seed=3)
+    objective = dataclasses.replace(problem.objective, linear=None)
+    L = objective.smoothness_meta["L"]
+    for config in (SolverConfig(mode="amst_adaptive", L0=L / 64, max_iters=30),
+                   SolverConfig(mode="umst_universal", L0=L / 64, epsilon=1e-3, max_iters=30),
+                   SolverConfig(mode="sumst_stochastic_universal", L0=L / 64, epsilon=1e-2,
+                                D=0.1, max_iters=15)):
+        stochastic = config.mode == "sumst_stochastic_universal"
+        solved = objective
+        if stochastic:
+            solved = StochasticGradientOracle(base=objective,
+                                              noise_model=NoiseModel(kind="gaussian"),
+                                              variance_bound=config.D)
+        trace = run(solved, problem.setup, config, rng=2).trace
+        trials = trace.column("j").astype(int) + 1
+        assert trials[0] > 1, config.mode
+        # row 0: f(y0), then f(x0) per trial; the gradient at y0 once (in
+        # sumst the mini-batch draws are counted apart)
+        assert trace.column("cum_f")[0] == 1 + trials[0], config.mode
+        assert trace.column("cum_grad")[0] == (0 if stochastic else 1), config.mode
+        # later rows: f(y) and f(x) per trial, and one gradient per trial
+        after_k0 = np.cumsum(trials) - trials[0]
+        np.testing.assert_array_equal(trace.column("cum_f"), 1 + np.cumsum(trials) + after_k0)
+        np.testing.assert_array_equal(trace.column("cum_grad"),
+                                      np.zeros_like(trials) if stochastic else 1 + after_k0)
