@@ -11,9 +11,10 @@ from .harness import (THEOREM_IDS, BoundCheck, Experiment, SeedResult,
 from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
                               regularize, restart_run, restarts_for_target)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
-                      StochasticGradientOracle, finite_difference_gradient,
-                      grad, holder_probe, image_value_and_grad, minibatch_gradient,
-                      sample_gradient, substream, value, value_and_grad)
+                      QuadraticForm, StochasticGradientOracle,
+                      finite_difference_gradient, grad, holder_probe,
+                      minibatch_gradient, sample_gradient, substream, value,
+                      value_and_grad)
 from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             SimpleTerm, box, bregman_divergence,
                             composite_prox_solve, entropy_setup, estimate_value,
@@ -34,16 +35,16 @@ __all__ = [
     "CompositeObjective", "ConfigError", "DESCRIPTIONS", "DomainError",
     "EstimateFunction", "EvalCounter", "Experiment", "FeasibleSet", "IoError",
     "LinearImage", "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
-    "ProblemSpec", "ProxSetup", "RestartPlan", "RunReport", "SeedResult",
-    "SimpleTerm", "SolverConfig", "SolverState", "StochasticGradientOracle",
-    "StoppingRule", "THEOREM_IDS", "Trace", "TriangleOptError",
+    "ProblemSpec", "ProxSetup", "QuadraticForm", "RestartPlan", "RunReport",
+    "SeedResult", "SimpleTerm", "SolverConfig", "SolverState",
+    "StochasticGradientOracle", "StoppingRule", "THEOREM_IDS", "Trace", "TriangleOptError",
     "UnsupportedGeometry", "ValidationError", "ZOO_KINDS", "ZooProblem", "alpha_next",
     "batch_size", "box", "bregman_check", "bregman_divergence",
     "check_bounds", "composite_prox_solve", "descent_check", "emit_trace",
     "entropy_setup", "estimate_value", "euclidean_ball", "euclidean_setup",
     "finite_difference_gradient", "fold_estimate", "free_space", "grad",
     "gradient_mapping_residual", "holder_majorant_L", "holder_probe",
-    "image_value_and_grad", "init_phase", "initial_estimate", "inner_iterations",
+    "init_phase", "initial_estimate", "inner_iterations",
     "load_experiment", "load_trace", "make_problem", "minibatch_gradient",
     "precompute_optimum", "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",

@@ -34,7 +34,9 @@ class BacktrackLimitExceeded(TriangleOptError):
 
 
 class CoefficientOverflow(TriangleOptError):
-    """Coefficient growth left double range (A_k past 1e300)."""
+    """Coefficient growth left double range (A_k past 1e300), or a work count
+    would leave the int64 range of the trace (more than 2**63 - 1 stochastic
+    draws, once sumst's batch size follows a vanishing trial constant)."""
 
 
 class IoError(TriangleOptError):

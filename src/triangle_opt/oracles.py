@@ -23,6 +23,16 @@ class EvalCounter:
 
 
 @dataclass(frozen=True)
+class QuadraticForm:
+    """f(x) = value + 1/2 <x - center, hessian(x - center)>, so grad f(x) =
+    hessian(x - center); hessian is a Hessian-vector-product callable."""
+
+    hessian: callable
+    center: np.ndarray
+    value: float
+
+
+@dataclass(frozen=True)
 class LinearImage:
     """f(x) = psi(z(x)) with z an affine map, so that a solver can keep the
     image z of each iterate and form the images of combinations of iterates
@@ -32,6 +42,11 @@ class LinearImage:
     grad f(x) = adjoint(psi_grad(z(x))).  psi_bregman(z, dz) is the Bregman
     term psi(z + dz) - psi(z) - <psi_grad(z), dz>, computed directly rather
     than as that difference, so it keeps its relative accuracy as dz -> 0.
+
+    quadratic, when psi is quadratic, is the same f as a QuadraticForm.  Then
+    grad f is affine, and a solver keeps grad f of each iterate instead of its
+    image: the gradient at a combination of iterates is the same combination
+    of their gradients, and a new point costs one Hessian product.
     """
 
     forward: callable
@@ -39,6 +54,7 @@ class LinearImage:
     psi: callable
     psi_grad: callable
     psi_bregman: callable
+    quadratic: QuadraticForm | None = None
 
 
 @dataclass
@@ -105,14 +121,6 @@ def value_and_grad(obj: CompositeObjective, x: np.ndarray,
         return value(obj, x, counter), grad(obj, x, counter)
     f, g = obj.smooth_value_and_grad(x)
     return _checked_value(f, counter), _checked_grad(g, counter)
-
-
-def image_value_and_grad(image: LinearImage, z: np.ndarray,
-                         counter: EvalCounter | None = None) -> tuple[float, np.ndarray]:
-    """(f(x), grad f(x)) from the image z = z(x), counted as 1 f + 1 grad call
-    with the checks of value and grad.  Costs one adjoint product."""
-    return (_checked_value(image.psi(z), counter),
-            _checked_grad(image.adjoint(image.psi_grad(z)), counter))
 
 
 @dataclass(frozen=True)
@@ -239,8 +247,7 @@ def holder_probe(obj: CompositeObjective, dimension: int, n_pairs: int,
 
 
 __all__ = [
-    "EvalCounter", "LinearImage", "CompositeObjective", "value", "grad", "value_and_grad",
-    "image_value_and_grad", "NoiseModel",
-    "StochasticGradientOracle", "substream", "sample_gradient",
+    "EvalCounter", "QuadraticForm", "LinearImage", "CompositeObjective", "value", "grad",
+    "value_and_grad", "NoiseModel", "StochasticGradientOracle", "substream", "sample_gradient",
     "minibatch_gradient", "finite_difference_gradient", "holder_probe",
 ]

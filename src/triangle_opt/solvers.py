@@ -30,6 +30,13 @@ product.  The descent check then takes its Bregman form
 D_psi(z(y), z(x) - z(y)) <= L/2 ||x - y||^2 + slack, which is free of the
 cancellation in f(y) + <g, x - y> - f(x); a trial whose u does not move passes
 it only at an L_trial no smaller than the last accepted one.
+
+When the image also carries a ``QuadraticForm`` (f(x) = value + 1/2 <x - c,
+H(x - c)>), grad f is affine and the state keeps grad f(u) and grad f(x) in
+place of the images.  grad f(y) is then the combination that forms y, f(v) =
+value + 1/2 <v - c, grad f(v)> at any cached point, and a trial makes one
+product, H(u' - c).  The Bregman term of the check is 1/2 r^2 <du, d grad f>
+with x' - y = r du.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ import numpy as np
 from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
                      TriangleOptError)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, StochasticGradientOracle,
-                      _checked_value, grad, image_value_and_grad, minibatch_gradient,
-                      substream, value, value_and_grad)
+                      _checked_grad, _checked_value, grad, minibatch_gradient, substream,
+                      value, value_and_grad)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -68,6 +75,7 @@ POLICIES = {  # checks, stochastic, needs_epsilon, slack, target
 }
 MODES = tuple(POLICIES)
 A_OVERFLOW_LIMIT = 1e300
+COUNT_LIMIT = 2**63 - 1  # the int64 range of the trace's count columns
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,8 @@ class SolverState:
     f_x: float | None = None
     f_y: float | None = None
     # [u; z(u)] and [x; z(x)] stacked, when the objective has a LinearImage,
-    # so that one combination forms a point and its image together
+    # so that one combination forms a point and its image together; under a
+    # QuadraticForm, [u; grad f(u)] and [x; grad f(x)] instead
     uz: np.ndarray | None = None
     xz: np.ndarray | None = None
 
@@ -235,11 +244,27 @@ def _triangle(alpha: float, new: np.ndarray, A: float, old: np.ndarray,
     return new if A == 0.0 else (alpha * new + A * old) / a_next
 
 
+def _cached(image: LinearImage, v: np.ndarray) -> np.ndarray:
+    """[v; grad f(v)] under a QuadraticForm, else [v; z(v)]: one product."""
+    form = image.quadratic
+    w = image.forward(v) if form is None else form.hessian(v - form.center)
+    return np.concatenate((v, w))
+
+
+def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
+    """f(v) from a cached [v; z(v)], or from [v; grad f(v)] under a QuadraticForm."""
+    form = image.quadratic
+    if form is None:
+        return image.psi(vz[n:])
+    return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
+
+
 def _oracle_at_y(state: SolverState, obj: CompositeObjective, alpha: float, a_next: float,
                  stochastic: bool):
-    """y, z(y) (None without an image), f(y) and the exact grad f(y): 1 f +
-    1 grad call, or in sumst 1 f call, with the exact gradient left for the
-    mini-batch draw to use (None without an image: the draw evaluates it)."""
+    """y, its cached part (z(y) or grad f(y); None without an image), f(y) and
+    the exact grad f(y): 1 f + 1 grad call, or in sumst 1 f call, with the
+    exact gradient left for the mini-batch draw to use (None without an image:
+    the draw evaluates it)."""
     counters = state.counters
     image = obj.linear
     if image is None:
@@ -247,11 +272,13 @@ def _oracle_at_y(state: SolverState, obj: CompositeObjective, alpha: float, a_ne
         if stochastic:
             return y, None, value(obj, y, counters), None
         return (y, None) + value_and_grad(obj, y, counters)
+    n = state.u.size
     yz = _triangle(alpha, state.uz, state.A, state.xz, a_next)
-    y, z = yz[:state.u.size], yz[state.u.size:]
-    if stochastic:
-        return y, z, _checked_value(image.psi(z), counters), image.adjoint(image.psi_grad(z))
-    return (y, z) + image_value_and_grad(image, z, counters)
+    y, z = yz[:n], yz[n:]
+    f_y = _checked_value(_cached_value(image, yz, n), counters)
+    # under a QuadraticForm z is grad f(y) already, at no product
+    g = z if image.quadratic is not None else image.adjoint(image.psi_grad(z))
+    return y, z, f_y, (g if stochastic else _checked_grad(g, counters))
 
 
 def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.ndarray,
@@ -266,8 +293,14 @@ def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.nd
     Bregman evaluation counts as the f(x) call it replaces.  A zero step
     (du == 0) reads 0 <= slack at any L, so it passes only when L_trial >=
     L_floor, the last accepted constant."""
+    return _bregman_passes(image.psi_bregman(z_y, r * dz), du, r, noise, L_trial, slack,
+                           L_floor, norms, counter)
+
+
+def _bregman_passes(bregman: float, du: np.ndarray, r: float, noise, L_trial: float,
+                    slack: float, L_floor: float, norms, counter: EvalCounter | None) -> bool:
+    """The comparison of ``bregman_check``, given its Bregman term."""
     du_sq = norms.primal(du) ** 2
-    bregman = image.psi_bregman(z_y, r * dz)
     if noise is not None:
         bregman -= r * float(noise.dot(du))
     bregman = _checked_value(bregman, counter)
@@ -285,7 +318,9 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
     state, where y is the center and f, grad f at y are evaluated once) until
     the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
     draws its mini-batch from substream(rng, k + 1, j).  On the cached path x
-    and z(x) are formed for the accepted trial only."""
+    and its cached part are formed for the accepted trial only.  A sumst trial
+    whose draws would take the stochastic count past 2**63 - 1 raises
+    CoefficientOverflow."""
     policy = POLICIES[config.mode]
     obj = _base_objective(objective)
     image = obj.linear
@@ -306,6 +341,9 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
         g, m = g_exact, 1
         if policy.stochastic:
             m = batch_size(config.D, a_next, alpha, L_trial, config.epsilon)
+            if counters.stochastic_grad_calls + m > COUNT_LIMIT:
+                raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
+                                          f"past 2**63 - 1 at k={state.k + 1}")
             stream = substream(0 if rng is None else int(rng), state.k + 1, j)
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
@@ -321,18 +359,24 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
                 passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
                                        L_trial, slack, f_x)
         else:
-            uz = np.concatenate((u, image.forward(u)))
+            uz = _cached(image, u)
             if policy.checks:
                 duz = uz - state.uz
-                passed = bregman_check(image, z_y, duz[n:], duz[:n], alpha / a_next,
-                                       g - g_exact if policy.stochastic else None,
-                                       L_trial, slack, L_floor, setup.norms, counters)
+                du, r = duz[:n], alpha / a_next
+                noise = g - g_exact if policy.stochastic else None
+                if image.quadratic is None:
+                    passed = bregman_check(image, z_y, duz[n:], du, r, noise, L_trial, slack,
+                                           L_floor, setup.norms, counters)
+                else:  # f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, d grad f>
+                    passed = _bregman_passes(0.5 * (r * r * float(du.dot(duz[n:]))), du, r,
+                                             noise, L_trial, slack, L_floor, setup.norms,
+                                             counters)
         if passed:
             if image is not None:
                 xz = _triangle(alpha, uz, A, state.xz, a_next)
                 x = xz[:n]
                 if policy.checks:
-                    f_x = _checked_value(image.psi(xz[n:]), None)
+                    f_x = _checked_value(_cached_value(image, xz, n), None)
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=x, y=y, phi=phi,
                                L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
                                counters=counters, trace=state.trace, f_x=f_x, f_y=f_y,
@@ -351,7 +395,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
         raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
     image = _base_objective(objective).linear
     center = setup.center
-    uz = None if image is None else np.concatenate((center, image.forward(center)))
+    uz = None if image is None else _cached(image, center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
                         mu_tilde=config.mu_tilde, counters=EvalCounter(), trace=Trace(),
@@ -416,10 +460,10 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
     # observer quantities below are uncounted: they are evidence, not method
     # work.  F(x) and F(y) reuse the f values the method computed (state.f_x,
     # state.f_y); only the exact-L mode's f(x), which the method never needs,
-    # is evaluated here, from the cached image z(x) when there is one.
+    # is evaluated here, from the cached part of x when there is one.
     f = state.f_x
     if f is None and state.xz is not None:
-        f = obj.linear.psi(state.xz[state.x.size:])
+        f = _cached_value(obj.linear, state.xz, state.x.size)
     f_x = _composite_value(obj, f, state.x)
     phi_at_u = estimate_value(setup, state.phi, obj.h, state.u)
     slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)

@@ -21,6 +21,8 @@ gradient) before it is returned.  The quadratic, lasso and logistic kinds are
 f(x) = psi(z(x)) with z affine: they carry that ``LinearImage``, from which
 their value, gradient and fused oracles are built, and which is checked at
 construction against those oracles, for its Bregman term and for its adjoint.
+The quadratic and the lasso also carry f as a ``QuadraticForm`` (Hessian
+product, center, value), which is checked against the image.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .oracles import CompositeObjective, LinearImage, finite_difference_gradient, grad
+from .oracles import (CompositeObjective, LinearImage, QuadraticForm,
+                      finite_difference_gradient, grad)
 from .prox_geometry import (ProxSetup, SimpleTerm, box, entropy_setup,
                             euclidean_setup, free_space, two_norm)
 
@@ -115,10 +118,12 @@ def _imaged_objective(image: LinearImage, **fields) -> CompositeObjective:
 def _image_consistency_check(objective: CompositeObjective, points) -> None:
     """Construction-time guard on the image, at O(1) matrix products: at each
     point psi(z(x)) and adjoint(psi_grad(z(x))) must equal the value and
-    gradient oracles to 1e-12 relative; between the two points psi_bregman
-    must match the difference of psi values it stands for, and adjoint must
-    pass a dot-product test against forward."""
+    gradient oracles to 1e-12 relative, and so must value + 1/2 <x - c,
+    hessian(x - c)> and hessian(x - c) of a quadratic form; between the two
+    points psi_bregman must match the difference of psi values it stands for,
+    and adjoint must pass a dot-product test against forward."""
     image = objective.linear
+    form = image.quadratic
     images = []
     for x in points:
         z = image.forward(x)
@@ -127,6 +132,13 @@ def _image_consistency_check(objective: CompositeObjective, points) -> None:
         if (abs(f - objective.smooth_value(x)) > 1e-12 * abs(f)
                 or two_norm(g - objective.smooth_grad(x)) > 1e-12 * two_norm(g)):
             raise DomainError("linear image disagrees with the value/gradient oracles")
+        if form is not None:
+            dx = np.asarray(x, dtype=float) - form.center
+            hv = form.hessian(dx)
+            if two_norm(hv - g) > 1e-12 * two_norm(g):
+                raise DomainError("quadratic form's Hessian product disagrees with the image")
+            if abs(form.value + 0.5 * float(dx @ hv) - f) > 1e-12 * abs(f):
+                raise DomainError("quadratic form's value disagrees with the image")
         images.append((z, f, w, g))
     (z0, f0, w0, g0), (z1, f1, _, _) = images[:2]
     dz = z1 - z0
@@ -152,10 +164,12 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
     x_star = x_star_norm * direction / np.linalg.norm(direction)
 
     # z = q (x - x*) keeps the value cancellation-free near the optimum
+    h_matrix = q.T @ (lam[:, None] * q)
     image = LinearImage(forward=lambda x: q @ (x - x_star), adjoint=lambda w: q.T @ w,
                         psi=lambda z: 0.5 * float(z @ (lam * z)),
                         psi_grad=lambda z: lam * z,
-                        psi_bregman=lambda z, dz: 0.5 * float(dz @ (lam * dz)))
+                        psi_bregman=lambda z, dz: 0.5 * float(dz @ (lam * dz)),
+                        quadratic=QuadraticForm(h_matrix.dot, x_star, 0.0))
 
     if feasible == "free_space":
         feas = free_space()
@@ -168,7 +182,6 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
     objective = _imaged_objective(
         image, h=SimpleTerm(kind="zero"), known_optimum=(x_star, 0.0),
         smoothness_meta={"L": lam_max, "mu": lam_min})
-    h_matrix = q.T @ (lam[:, None] * q)
     data = {"A_matrix": h_matrix, "b": h_matrix @ x_star, "spectrum": lam, "x_star": x_star}
     spec = ProblemSpec("quadratic", dimension, seed, "analytic")
     probe_rng = np.random.default_rng(seed + 1)
@@ -189,12 +202,19 @@ def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
     ground_truth[support] = rng.standard_normal(support.size)
     targets = design @ ground_truth + 0.1 * rng.standard_normal(n_rows)
 
+    # f(x) = f(x_ls) + 1/2 <x - x_ls, X'X (x - x_ls)> about the least-squares
+    # point x_ls, where the residual is orthogonal to the columns of X
+    gram = design.T @ design
+    x_ls = np.linalg.solve(gram, design.T @ targets)
+    residual = design @ x_ls - targets
     image = LinearImage(forward=lambda x: design @ x - targets,
                         adjoint=lambda w: design.T @ w,
                         psi=lambda z: 0.5 * float(z @ z), psi_grad=lambda z: z,
-                        psi_bregman=lambda z, dz: 0.5 * float(dz @ dz))
+                        psi_bregman=lambda z, dz: 0.5 * float(dz @ dz),
+                        quadratic=QuadraticForm(gram.dot, x_ls,
+                                                0.5 * float(residual @ residual)))
 
-    gram_eigs = np.linalg.eigvalsh(design.T @ design)
+    gram_eigs = np.linalg.eigvalsh(gram)
     setup = euclidean_setup(center=np.zeros(dimension), feasible_set=free_space())
     optimum = _FROZEN_OPTIMA.get(("lasso", dimension, seed, lam))
     objective = _imaged_objective(

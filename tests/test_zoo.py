@@ -222,10 +222,19 @@ def _broken(problem, **fields):
     ("psi", lambda z: 0.5 * float(z @ z) * (1.0 + 1e-9)),
     ("psi_bregman", lambda z, dz: 0.6 * float(dz @ dz)),
     ("adjoint", None),
+    # the lasso's quadratic form, off in its Hessian product, center or value
+    pytest.param("quadratic", lambda q: dataclasses.replace(
+        q, hessian=lambda v: q.hessian(v) * (1 + 1e-9)), id="quadratic-hessian"),
+    pytest.param("quadratic", lambda q: dataclasses.replace(q, center=q.center + 1e-6),
+                 id="quadratic-center"),
+    pytest.param("quadratic", lambda q: dataclasses.replace(q, value=q.value + 1e-6),
+                 id="quadratic-value"),
 ])
 def test_image_guard_catches_an_inconsistent_image(field, replacement):
     problem = make_problem("lasso", seed=1)
-    if field == "adjoint":
+    if field == "quadratic":
+        obj = _broken(problem, quadratic=replacement(problem.objective.linear.quadratic))
+    elif field == "adjoint":
         design = problem.data["design"]
         # a wrong adjoint paired with oracles that agree with it: only the
         # dot-product test can tell
