@@ -2,7 +2,7 @@
 
 An experiment is a JSON document naming a zoo problem, a solver configuration,
 a list of seeds, and an optional output path.  ``run_experiment`` produces one
-trace per seed (concurrently, capped by TRIANGLE_OPT_THREADS) and
+trace per seed, running the seeds one after another, and
 ``check_bounds`` grades a trace row-by-row against one of the guarantees the
 solver family carries.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -93,6 +92,12 @@ def _number(where: str, key: str, value) -> float:
     return value
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f'"{name}" must be an integer >= {minimum}, got {value!r}')
+    return value
+
+
 def _optional_number(where: str, section: dict, key: str, default=None):
     if key not in section or section[key] is None:
         return default
@@ -123,9 +128,11 @@ def load_experiment(config_text: str) -> Experiment:
         raise ValidationError('"problem" must be an object with a "kind"')
     _require_keys(problem_cfg, _PROBLEM_KEYS, "problem")
     options = {k: v for k, v in problem_cfg.items() if k not in ("kind", "dimension", "seed")}
+    for key, low in (("dimension", 1), ("seed", 0)):
+        if key in problem_cfg:
+            options[key] = _integer(f"problem.{key}", problem_cfg[key], low)
     try:
-        problem = make_problem(problem_cfg["kind"], problem_cfg.get("dimension"),
-                               problem_cfg.get("seed", 0), **options)
+        problem = make_problem(problem_cfg["kind"], **options)
     except ConfigError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -164,16 +171,12 @@ def load_experiment(config_text: str) -> Experiment:
     if repeated is not None:
         # each seed writes its own trace file, so a repeat would race on it
         raise ValidationError(f'"seeds" lists seed {repeated} more than once')
-    max_iters = raw["max_iters"]
-    if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
-        raise ValidationError('"max_iters" must be a positive integer')
+    max_iters = _integer("max_iters", raw["max_iters"], 1)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a path string')
 
-    max_backtracks = solver_cfg.get("max_backtracks", 60)
-    if isinstance(max_backtracks, bool) or not isinstance(max_backtracks, int):
-        raise ValidationError('"solver.max_backtracks" must be an integer')
+    max_backtracks = _integer("solver.max_backtracks", solver_cfg.get("max_backtracks", 60), 1)
 
     try:
         config = SolverConfig(
@@ -206,19 +209,6 @@ def _seed_output_path(output: str | None, seed: int, n_seeds: int) -> str | None
     if not dot:
         return f"{output}_seed{seed}"
     return f"{stem}_seed{seed}.{ext}"
-
-
-def _worker_count(n_seeds: int) -> int:
-    cap = os.environ.get("TRIANGLE_OPT_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise ConfigError(f"TRIANGLE_OPT_THREADS must be an integer, got {cap!r}") from exc
-        if cap < 1:
-            raise ConfigError("TRIANGLE_OPT_THREADS must be >= 1")
-        return min(n_seeds, cap)
-    return min(n_seeds, os.cpu_count() or 1)
 
 
 def run_experiment(experiment: Experiment) -> list[SeedResult]:
@@ -258,7 +248,9 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
     seeds = experiment.seeds
     if len(seeds) == 1:
         return [one_seed(seeds[0])]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
+    # one worker, in seed order: interpreter-bound seed runs on two threads
+    # only contend for the GIL, and ran slower than one after another
+    with ThreadPoolExecutor(max_workers=1) as pool:
         return list(pool.map(one_seed, seeds))
 
 

@@ -147,8 +147,8 @@ class StochasticGradientOracle:
     def __post_init__(self):
         if self.noise_model.kind == "gaussian" and self.variance_bound is None:
             raise ConfigError("gaussian noise model requires the variance bound D")
-        if self.variance_bound is not None and self.variance_bound < 0:
-            raise ConfigError("variance bound D must be nonnegative")
+        if self.variance_bound is not None and not 0 <= self.variance_bound < math.inf:
+            raise ConfigError("variance bound D must be finite and nonnegative")
 
 
 def substream(seed: int, iteration: int, draw_index: int) -> np.random.Generator:

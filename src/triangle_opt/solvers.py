@@ -112,6 +112,10 @@ class SolverConfig:
         policy = POLICIES.get(self.mode)
         if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
+        for name in ("L_known", "L0", "mu", "omega_tilde", "epsilon", "D"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not policy.checks and (self.L_known is None or self.L_known <= 0):
             raise ConfigError(f"{self.mode} requires a positive L_known")
         if policy.needs_epsilon and (self.epsilon is None or self.epsilon <= 0):
@@ -120,6 +124,8 @@ class SolverConfig:
             raise ConfigError(f"{self.mode} requires the variance bound D")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive when given")
+        if self.D is not None and self.D < 0:
+            raise ConfigError("D must be nonnegative")
         if self.L0 <= 0:
             raise ConfigError("L0 must be positive")
         if self.mu < 0:

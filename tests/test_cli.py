@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from triangle_opt.cli import main
 
 
@@ -50,6 +52,20 @@ def test_solve_repeated_seed_is_a_validation_error(tmp_path, capsys):
     assert "seed 0 more than once" in captured.err
     assert captured.out == ""
     assert not list(tmp_path.glob("trace*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                        ("dimension", 2.5), ("dimension", "x")])
+def test_solve_bad_problem_seed_or_dimension_is_a_validation_error(tmp_path, capsys, key,
+                                                                   value):
+    problem = {"kind": "quadratic", "dimension": 6, "seed": 2, key: value}
+    rc = main(["solve", "--config", _write_config(tmp_path, problem=problem)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: ValidationError" in captured.err
+    assert f'"problem.{key}"' in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_solve_bad_config_is_an_error(tmp_path, capsys):

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
-                          MissingColumn, ParseError,
-                          SolverConfig, Trace, ValidationError, check_bounds, emit_trace,
-                          load_experiment, load_trace, make_problem, run,
-                          run_experiment)
-from triangle_opt.harness import _seed_output_path, _worker_count
+                          MissingColumn, NoiseModel, ParseError,
+                          SolverConfig, StochasticGradientOracle, Trace, ValidationError,
+                          check_bounds, emit_trace, load_experiment, load_trace, make_problem,
+                          run, run_experiment)
+from triangle_opt import harness
+from triangle_opt.harness import _seed_output_path
 
 
 def _config_dict(**overrides):
@@ -112,6 +113,16 @@ def test_load_experiment_validates_seeds_and_iters():
         _load(output=7)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", "a"), ("seed", 1e30), ("seed", True),
+    ("dimension", 2.5), ("dimension", "x"), ("dimension", True), ("dimension", 0),
+])
+def test_load_experiment_requires_an_integer_problem_seed_and_dimension(key, value):
+    problem = {"kind": "quadratic", "dimension": 6, "seed": 2, key: value}
+    with pytest.raises(ValidationError, match=f'"problem.{key}" must be an integer'):
+        _load(problem=problem)
+
+
 def test_load_experiment_rejects_non_numeric_fields():
     with pytest.raises(ValidationError, match="solver.L"):
         _load(solver={"mode": "mst_exact_L", "L": "meta"})
@@ -153,20 +164,6 @@ def test_seed_output_path():
     assert _seed_output_path("outfile", 7, 2) == "outfile_seed7"
 
 
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("TRIANGLE_OPT_THREADS", "2")
-    assert _worker_count(5) == 2
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("TRIANGLE_OPT_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        _worker_count(5)
-    monkeypatch.setenv("TRIANGLE_OPT_THREADS", "0")
-    with pytest.raises(ConfigError):
-        _worker_count(5)
-    monkeypatch.delenv("TRIANGLE_OPT_THREADS")
-    assert _worker_count(3) >= 1
-
-
 def test_run_experiment_single_seed_writes_trace(tmp_path):
     out = tmp_path / "trace.csv"
     exp = _load(output=str(out))
@@ -204,6 +201,47 @@ def test_run_experiment_multi_seed_deterministic(tmp_path):
     for seed in (0, 1):
         loaded = load_trace(str(tmp_path / f"s{seed}.json"))
         assert len(loaded) == 10
+
+
+def test_run_experiment_runs_the_seeds_in_order_one_at_a_time(monkeypatch):
+    cfg = {
+        "problem": {"kind": "quadratic", "dimension": 5, "seed": 1},
+        "solver": {"mode": "sumst_stochastic_universal", "L0": 1.0, "D": 0.5},
+        "epsilon": 1e-2,
+        "seeds": [2, 0, 1],
+        "max_iters": 12,
+    }
+    exp = load_experiment(json.dumps(cfg))
+    in_flight = []
+    most = []
+
+    def counted_run(*args, **kwargs):
+        in_flight.append(None)
+        most.append(len(in_flight))
+        try:
+            return run(*args, **kwargs)
+        finally:
+            in_flight.pop()
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    results = run_experiment(exp)
+    assert [r.seed for r in results] == [2, 0, 1]
+    assert most == [1, 1, 1]
+    oracle = StochasticGradientOracle(base=exp.problem.objective,
+                                      noise_model=NoiseModel(kind="gaussian"),
+                                      variance_bound=0.5)
+    for res in results:
+        alone = run(oracle, exp.problem.setup, exp.config, rng=res.seed)
+        assert res.error is None
+        assert res.trace.data.keys() == alone.trace.data.keys()
+        for name in alone.trace.data:
+            got, want = res.trace.column(name), alone.trace.column(name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert res.report.final_x.tobytes() == alone.final_x.tobytes()
+        assert ((res.report.iterations, res.report.total_f_calls,
+                 res.report.total_grad_calls, res.report.total_stoch_calls)
+                == (alone.iterations, alone.total_f_calls,
+                    alone.total_grad_calls, alone.total_stoch_calls))
 
 
 def test_run_experiment_records_per_seed_errors():

@@ -1,6 +1,8 @@
 """Unit tests for the first-order oracles: exact access with counting,
 stochastic draws, mini-batching, and the validation probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,9 @@ def test_noise_model_validation():
                                  noise_model=NoiseModel(kind="gaussian"))
     with pytest.raises(ConfigError):
         StochasticGradientOracle(base=quadratic_objective(), variance_bound=-1.0)
+    for bound in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            StochasticGradientOracle(base=quadratic_objective(), variance_bound=bound)
 
 
 def test_substream_reproducible_and_keyed():

@@ -176,6 +176,27 @@ def test_solver_config_validation():
         StoppingRule(kind="certified_gap")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("L_known", math.nan, "L_known must be finite"),
+    ("L0", math.inf, "L0 must be finite"),
+    ("mu", math.nan, "mu must be finite"),
+    ("omega_tilde", math.inf, "omega_tilde must be finite"),
+    ("epsilon", math.nan, "epsilon must be finite"),
+    ("D", math.nan, "D must be finite"),
+    ("D", math.inf, "D must be finite"),
+    ("D", -1.0, "D must be nonnegative"),
+])
+def test_run_rejects_a_non_finite_or_negative_config_field(field, value, message):
+    oracle = StochasticGradientOracle(base=quadratic_objective(),
+                                      noise_model=NoiseModel(kind="gaussian"),
+                                      variance_bound=1.0)
+    config = SolverConfig(mode="sumst_stochastic_universal", L0=1.0, epsilon=0.1, D=1.0,
+                          max_iters=3)
+    config = dataclasses.replace(config, **{field: value})
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        run(oracle, euclidean_setup(center=np.zeros(2)), config, rng=0)
+
+
 def test_init_phase_exact_mode_lands_at_optimum():
     obj = quadratic_objective(dim=1)
     setup = euclidean_setup(center=np.array([1.0]))
