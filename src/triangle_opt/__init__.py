@@ -11,7 +11,7 @@ from .harness import (THEOREM_IDS, BoundCheck, Experiment, SeedResult,
 from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
                               regularize, restart_run, restarts_for_target)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
-                      QuadraticForm, StochasticGradientOracle,
+                      QuadraticForm, StochasticGradientOracle, TrialStreams,
                       finite_difference_gradient, grad, holder_probe,
                       minibatch_gradient, sample_gradient, substream, value,
                       value_and_grad)
@@ -37,7 +37,8 @@ __all__ = [
     "LinearImage", "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
     "ProblemSpec", "ProxSetup", "QuadraticForm", "RestartPlan", "RunReport",
     "SeedResult", "SimpleTerm", "SolverConfig", "SolverState",
-    "StochasticGradientOracle", "StoppingRule", "THEOREM_IDS", "Trace", "TriangleOptError",
+    "StochasticGradientOracle", "StoppingRule", "THEOREM_IDS", "Trace", "TrialStreams",
+    "TriangleOptError",
     "UnsupportedGeometry", "ValidationError", "ZOO_KINDS", "ZooProblem", "alpha_next",
     "batch_size", "box", "bregman_check", "bregman_divergence",
     "check_bounds", "composite_prox_solve", "descent_check", "emit_trace",

@@ -14,16 +14,19 @@ Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
-from .errors import TriangleOptError
+from .errors import TriangleOptError, ValidationError
 from .harness import THEOREM_IDS, check_bounds, load_experiment, run_experiment
 from .traces import load_trace
 from .zoo import DESCRIPTIONS, ZOO_KINDS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(prog="triangle-opt",
                                      description="Similar-triangles solver family: "
                                                  "run experiments and check bounds.")
@@ -63,6 +66,8 @@ def _cmd_solve(args) -> int:
         return 1
     experiment = load_experiment(text)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f'"--seed" must be an integer >= 0, got {args.seed}')
         experiment.seeds = [args.seed]
     if args.out is not None:
         experiment.output = args.out
@@ -127,7 +132,7 @@ def _cmd_zoo(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
             return _cmd_solve(args)

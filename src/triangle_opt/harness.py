@@ -171,6 +171,10 @@ def load_experiment(config_text: str) -> Experiment:
     if repeated is not None:
         # each seed writes its own trace file, so a repeat would race on it
         raise ValidationError(f'"seeds" lists seed {repeated} more than once')
+    negative = next((s for s in seeds if s < 0), None)
+    if negative is not None:
+        # sumst keys its stream from the seed, which SeedSequence needs >= 0
+        raise ValidationError(f'"seeds" must be integers >= 0, got {negative}')
     max_iters = _integer("max_iters", raw["max_iters"], 1)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):

@@ -17,7 +17,9 @@ mini-batch, the slack factor c and the certified target:
   knowing the exponent.
 * ``sumst_stochastic_universal``: slack 3*eps*alpha/(2A) and mini-batched
   stochastic gradients with the batch size tied to the trial constant; a fresh
-  batch is drawn at every backtracking trial.
+  batch is drawn at every backtracking trial.  Trial j of iteration k draws from
+  the counter block (0, 0, j, k) of one Philox that the run keys from its seed
+  (``oracles.substream``).
 
 The per-iterate certificate A_k F(x^k) <= phi_k(u^k) + A_k * c * eps (with the
 mode's accumulated slack factor c) is recorded in the trace and drives the
@@ -50,8 +52,8 @@ import numpy as np
 from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
                      TriangleOptError)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, StochasticGradientOracle,
-                      _checked_grad, _checked_value, grad, minibatch_gradient, substream,
-                      value, value_and_grad)
+                      TrialStreams, _checked_grad, _checked_value, grad, minibatch_gradient,
+                      substream, value, value_and_grad)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -172,6 +174,8 @@ class SolverState:
     # QuadraticForm, [u; grad f(u)] and [x; grad f(x)] instead
     uz: np.ndarray | None = None
     xz: np.ndarray | None = None
+    # in sumst, the run's one keyed Philox, re-positioned for each trial
+    streams: TrialStreams | None = None
 
 
 @dataclass
@@ -323,10 +327,12 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
     double L from half the last accepted constant (from L0 in the A = 0 start
     state, where y is the center and f, grad f at y are evaluated once) until
     the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
-    draws its mini-batch from substream(rng, k + 1, j).  On the cached path x
-    and its cached part are formed for the accepted trial only.  A sumst trial
-    whose draws would take the stochastic count past 2**63 - 1 raises
-    CoefficientOverflow."""
+    draws its mini-batch from substream(rng, k + 1, j): the state's keyed
+    Philox (``state.streams``, from ``init_phase``) set to the counter block
+    (0, 0, j, k + 1), or a fresh one keyed from rng if the state has none for
+    that seed.  On the cached path x and its cached part are formed for the
+    accepted trial only.  A sumst trial whose draws would take the stochastic
+    count past 2**63 - 1 raises CoefficientOverflow."""
     policy = POLICIES[config.mode]
     obj = _base_objective(objective)
     image = obj.linear
@@ -350,7 +356,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
             if counters.stochastic_grad_calls + m > COUNT_LIMIT:
                 raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
                                           f"past 2**63 - 1 at k={state.k + 1}")
-            stream = substream(0 if rng is None else int(rng), state.k + 1, j)
+            stream = substream(0 if rng is None else int(rng), state.k + 1, j, state.streams)
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
         u = composite_prox_solve(setup, phi, obj.h)
@@ -386,7 +392,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=x, y=y, phi=phi,
                                L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
                                counters=counters, trace=state.trace, f_x=f_x, f_y=f_y,
-                               uz=uz, xz=xz)
+                               uz=uz, xz=xz, streams=state.streams)
         L_trial *= 2.0
     raise BacktrackLimitExceeded(f"no acceptable L after {config.max_backtracks_per_iter} "
                                  f"doublings at k={state.k + 1}")
@@ -395,17 +401,24 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
 def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> SolverState:
     """The k = 0 state: ``step`` from the A = 0 start state u = x = y = center,
     phi_0 = d, whose first trial gives alpha_0 = A_0 = 1/L with L the known
-    constant (exact mode) or L0, doubled until the check passes."""
+    constant (exact mode) or L0, doubled until the check passes.  In sumst it
+    keys the run's Philox from rng (default 0), which must be an integer >= 0."""
     config.validate()
-    if POLICIES[config.mode].stochastic and not isinstance(objective, StochasticGradientOracle):
-        raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
+    streams = None
+    if POLICIES[config.mode].stochastic:
+        if not isinstance(objective, StochasticGradientOracle):
+            raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
+        seed = 0 if rng is None else rng
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"{config.mode} needs an integer seed >= 0, got {rng!r}")
+        streams = TrialStreams(seed)
     image = _base_objective(objective).linear
     center = setup.center
     uz = None if image is None else _cached(image, center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
                         mu_tilde=config.mu_tilde, counters=EvalCounter(), trace=Trace(),
-                        uz=uz, xz=uz)
+                        uz=uz, xz=uz, streams=streams)
     return step(start, objective, setup, config, rng)
 
 

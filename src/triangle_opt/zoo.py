@@ -386,11 +386,16 @@ _FROZEN_OPTIMA: dict = {
 
 def make_problem(kind: str, dimension: int | None = None, seed: int = 0,
                  **options) -> ZooProblem:
-    """Construct a zoo instance.  Unknown kinds and options raise ConfigError."""
+    """Construct a zoo instance.  Unknown kinds and options, a dimension that is
+    not an integer >= 1 and a seed that is not an integer >= 0 raise ConfigError
+    before anything is built."""
     if kind not in ZOO_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}; known: {', '.join(ZOO_KINDS)}")
     if dimension is None:
         dimension = _DEFAULT_DIMENSIONS[kind]
+    for name, value, minimum in (("dimension", dimension, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     allowed = {"quadratic": {"lam_min", "lam_max", "x_star_norm", "feasible"},
                "lasso": {"lam"}, "holder_norm_power": {"p"}, "logistic": set(),
                "simplex_linear": set()}[kind]

@@ -42,6 +42,28 @@ def test_solve_seed_override_limits_the_batch(tmp_path, capsys):
     assert "seed 0:" not in captured.out
 
 
+def test_solve_negative_seed_is_a_validation_error(tmp_path, capsys):
+    config = _write_config(tmp_path, solver={"mode": "sumst_stochastic_universal", "D": 0.1},
+                           epsilon=0.01, seeds=[0, 1])
+    rc = main(["solve", "--config", config, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert 'error: ValidationError: "--seed" must be an integer >= 0, got -1' in captured.err
+    assert captured.out == ""
+
+
+def test_the_parser_is_reused_without_carrying_state_between_calls(tmp_path, capsys):
+    config = _write_config(tmp_path, seeds=[0, 1, 2])
+    assert main(["solve", "--config", config, "--seed", "3"]) == 0
+    assert main(["solve", "--config", config]) == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["solve", "--config", config, "--seed", "three"])
+    assert rejected.value.code == 2
+    assert main(["solve", "--config", config]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["seed 3"] + ["seed 0", "seed 1", "seed 2"] * 2
+
+
 def test_solve_repeated_seed_is_a_validation_error(tmp_path, capsys):
     config = _write_config(tmp_path, seeds=[0, 0])
     out = tmp_path / "trace.csv"

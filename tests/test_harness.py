@@ -105,6 +105,8 @@ def test_load_experiment_validates_seeds_and_iters():
         _load(seeds=[0, True])
     with pytest.raises(ValidationError):
         _load(seeds=[0, 1.5])
+    with pytest.raises(ValidationError, match='"seeds" must be integers >= 0, got -1'):
+        _load(seeds=[0, -1])
     with pytest.raises(ValidationError):
         _load(max_iters=0)
     with pytest.raises(ValidationError):

@@ -14,6 +14,7 @@ from triangle_opt import (
     NoiseModel,
     SimpleTerm,
     StochasticGradientOracle,
+    TrialStreams,
     finite_difference_gradient,
     grad,
     holder_probe,
@@ -145,6 +146,32 @@ def test_substream_reproducible_and_keyed():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_substreams_differ_across_trials_and_seeds():
+    draws = {(seed, k, j): substream(seed, k, j).standard_normal(4).tobytes()
+             for seed in (0, 1, 7) for k in range(4) for j in range(3)}
+    assert len(set(draws.values())) == len(draws)
+
+
+def test_substream_is_philox_keyed_from_the_seed_at_counter_0_0_j_k():
+    keyed = np.random.Philox(np.random.SeedSequence(3), counter=[0, 0, 2, 5])
+    np.testing.assert_array_equal(substream(3, 5, 2).standard_normal(4),
+                                  np.random.Generator(keyed).standard_normal(4))
+
+
+def test_a_repositioned_run_stream_gives_the_fresh_substream_bits():
+    streams = TrialStreams(5)
+    # out of order, with 32-bit draws that leave a spare half buffered
+    for k, j in ((1, 0), (1, 1), (0, 0), (3, 2), (1, 0), (2, 7)):
+        fresh = substream(5, k, j)
+        reused = substream(5, k, j, streams)
+        assert reused.integers(10, size=3).tolist() == fresh.integers(10, size=3).tolist()
+        assert reused.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+        assert reused.integers(2**40, size=2).tolist() == fresh.integers(2**40, size=2).tolist()
+    # streams keyed from another seed are not used for this one
+    np.testing.assert_array_equal(substream(6, 2, 1, streams).standard_normal(4),
+                                  substream(6, 2, 1).standard_normal(4))
 
 
 def test_sample_gradient_degenerate_oracles_are_exact():

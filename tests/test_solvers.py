@@ -4,6 +4,8 @@ and the per-iterate certificate."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from triangle_opt import (
     recenter,
     run,
     step,
+    substream,
 )
+from triangle_opt import solvers
 
 
 def quadratic_objective(dim=2, scale=1.0):
@@ -491,6 +495,96 @@ def test_sumst_determinism_and_seed_sensitivity():
     np.testing.assert_array_equal(rep_a.trace.column("A"), rep_b.trace.column("A"))
     assert (not np.array_equal(rep_a.trace.column("m"), rep_c.trace.column("m"))
             or not np.array_equal(rep_a.final_x, rep_c.final_x))
+
+
+def _noisy_quadratic(kind):
+    problem = make_problem("quadratic", dimension=5, seed=3)
+    obj = problem.objective
+    if kind == "gaussian":
+        noise = NoiseModel(kind="gaussian")
+    else:  # components grad f + v_i with the v_i summing to zero
+        shifts = np.random.default_rng(1).standard_normal((4, 5))
+        shifts -= shifts.mean(axis=0)
+        noise = NoiseModel(kind="finite_sum",
+                           components=tuple((lambda x, v=v: obj.smooth_grad(x) + v)
+                                            for v in shifts))
+    return problem, StochasticGradientOracle(base=obj, noise_model=noise, variance_bound=1.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "finite_sum"])
+def test_each_sumst_trial_draws_the_substream_of_its_k_and_j(monkeypatch, kind):
+    problem, oracle = _noisy_quadratic(kind)
+    drawn = []
+    real = solvers.minibatch_gradient
+
+    def recording(oracle, x, m, rng, counter=None, exact_grad=None):
+        out = real(oracle, x, m, rng, counter, exact_grad)
+        drawn.append((x.copy(), m, exact_grad, out))
+        return out
+
+    monkeypatch.setattr(solvers, "minibatch_gradient", recording)
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0, max_iters=20)
+    trace = run(oracle, problem.setup, config, rng=4).trace
+    trials = [(k, j) for k, last in zip(trace.column("k").astype(int),
+                                        trace.column("j").astype(int))
+              for j in range(last + 1)]
+    assert len(trials) == len(drawn) and max(j for _, j in trials) >= 1
+    for (k, j), (x, m, exact_grad, out) in zip(trials, drawn):
+        again = real(oracle, x, m, substream(4, k, j), None, exact_grad)
+        assert again.tobytes() == out.tobytes(), (k, j)
+
+
+def test_sumst_runs_on_threads_match_the_same_runs_one_after_another():
+    problem, oracle = _noisy_quadratic("gaussian")
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0,
+                          max_iters=200)
+    seeds = (1, 2, 3, 4)  # more threads than the two cores of a small runner
+    alone = [run(oracle, problem.setup, config, rng=seed) for seed in seeds]
+    together = [None] * len(seeds)
+    barrier = threading.Barrier(len(seeds))
+
+    def one(i):
+        barrier.wait()
+        together[i] = run(oracle, problem.setup, config, rng=seeds[i])
+
+    threads = [threading.Thread(target=one, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(alone, together):
+        assert a.final_x.tobytes() == b.final_x.tobytes()
+        assert a.trace.data.keys() == b.trace.data.keys()
+        for name in a.trace.data:
+            assert a.trace.column(name).tobytes() == b.trace.column(name).tobytes(), name
+
+
+@pytest.mark.parametrize("rng", [-1, 2.5, "3", True])
+def test_init_phase_sumst_rejects_a_bad_seed_before_any_draw(monkeypatch, rng):
+    problem, oracle = _noisy_quadratic("gaussian")
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the seed was checked")
+
+    monkeypatch.setattr(solvers, "minibatch_gradient", no_draw)
+    with pytest.raises(ConfigError, match="integer seed >= 0"):
+        init_phase(oracle, problem.setup, config, rng=rng)
+
+
+def test_init_phase_sumst_takes_the_default_and_numpy_integer_seeds():
+    problem, oracle = _noisy_quadratic("gaussian")
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0)
+    for rng, same_as in ((None, 0), (np.int64(3), 3)):
+        got = init_phase(oracle, problem.setup, config, rng=rng)
+        expected = init_phase(oracle, problem.setup, config, rng=same_as)
+        assert got.x.tobytes() == expected.x.tobytes()
 
 
 def test_deterministic_modes_record_unit_batch():

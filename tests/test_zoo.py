@@ -31,6 +31,24 @@ def test_default_dimensions():
         assert problem.setup.center.shape == (dim,)
 
 
+@pytest.mark.parametrize("kind", ZOO_KINDS)
+@pytest.mark.parametrize("key, bad", [
+    ("dimension", -1), ("dimension", 0), ("dimension", 2.5), ("dimension", "5"),
+    ("dimension", True), ("seed", -1), ("seed", 1.5), ("seed", "0"), ("seed", False),
+])
+def test_make_problem_checks_dimension_and_seed_before_building(kind, key, bad):
+    args = {"dimension": _DEFAULTS[kind], "seed": 0, key: bad}
+    with pytest.raises(ConfigError, match=f"{key} must be an integer >= "):
+        make_problem(kind, **args)
+
+
+def test_make_problem_takes_numpy_integers():
+    a = make_problem("quadratic", np.int64(4), np.int64(1))
+    b = make_problem("quadratic", 4, 1)
+    assert a.setup.center.shape == (4,)
+    np.testing.assert_array_equal(a.objective.known_optimum[0], b.objective.known_optimum[0])
+
+
 def test_make_problem_rejects_bad_requests():
     with pytest.raises(ConfigError):
         make_problem("cubic")
