@@ -4,7 +4,9 @@ For each zoo kind with a linear image (quadratic, lasso, logistic) and each of
 mst, amst, amst+eps, umst and sumst, runs the solver twice: on the cached
 path (cached gradients on the quadratic and lasso, which carry a quadratic
 form; cached images on the logistic), and on the same objective with
-``linear=None``, which evaluates f and grad f at every point.  Prints one line per case: the largest difference
+``linear=None``, which runs on the identity image z = x: it evaluates f and
+grad f at every point and checks descent with the difference of f values.
+Prints one line per case: the largest difference
 between the two runs in the trace columns gap, A and L_trial and in final_x,
 each relative to the largest magnitude of that quantity in the uncached run,
 and the largest L_trial / L of each run.

@@ -3,7 +3,10 @@
 Runs every zoo kind under mst, mst+mu, amst, amst from L0 = L/1024 (several
 trials at k = 0), amst+eps, umst and sumst with gaussian and with noiseless
 ("none") mini-batches; the kinds with a linear image run a second time with
-``linear=None`` (the uncached path, named ``<kind>:plain``).  Prints one line
+``linear=None``, which runs on the identity image z = x with the difference
+descent check (named ``<kind>:plain``), like the kinds without one.  Run with
+``--iters 2000`` too: only the long runs reach the k = 995 and k = 1821
+overflows, which show bit identity in the error lines.  Prints one line
 per case: the case name and a sha256 over every in-memory trace column (name,
 dtype and values), the trace meta, final_x and the counters.  A run that
 raises after its first row digests the partial report it carries and names the

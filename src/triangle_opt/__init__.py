@@ -13,8 +13,7 @@ from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
                       QuadraticForm, StochasticGradientOracle, TrialStreams,
                       finite_difference_gradient, grad, holder_probe,
-                      minibatch_gradient, sample_gradient, substream, value,
-                      value_and_grad)
+                      minibatch_gradient, sample_gradient, substream, value)
 from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
                             SimpleTerm, box, bregman_divergence,
                             composite_prox_solve, entropy_setup, estimate_value,
@@ -50,5 +49,5 @@ __all__ = [
     "precompute_optimum", "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",
     "sample_gradient", "simplex", "soft_threshold", "step", "strong_convexity_probe",
-    "substream", "value", "value_and_grad",
+    "substream", "value",
 ]

@@ -26,7 +26,7 @@ from .zoo import ZooProblem, make_problem
 _TOP_KEYS = {"problem", "prox", "solver", "epsilon", "seeds", "max_iters", "output"}
 _PROBLEM_KEYS = {"kind", "dimension", "seed", "lam", "lam_min", "lam_max",
                  "x_star_norm", "feasible", "p"}
-_PROX_KEYS = {"omega_tilde", "omega"}
+_PROX_KEYS = {"omega_tilde"}
 _SOLVER_KEYS = {"mode", "L", "L0", "mu", "D", "max_backtracks", "stopping"}
 _STOPPING_KEYS = {"kind", "threshold", "r_sq"}
 
@@ -108,7 +108,7 @@ def load_experiment(config_text: str) -> Experiment:
     """Parse and validate a JSON experiment description.
 
     Required: problem (with kind), solver (with mode), seeds, max_iters.
-    Optional: prox (omega_tilde/omega overrides), epsilon, output.
+    Optional: prox (an omega_tilde override), epsilon, output.
     Unknown or duplicate keys are rejected.
     """
     try:
@@ -142,10 +142,8 @@ def load_experiment(config_text: str) -> Experiment:
     _require_keys(prox_cfg, _PROX_KEYS, "prox")
     setup = problem.setup
     if prox_cfg:
-        setup = replace(
-            setup,
-            omega_tilde=_optional_number("prox", prox_cfg, "omega_tilde", setup.omega_tilde),
-            omega=_optional_number("prox", prox_cfg, "omega", setup.omega))
+        setup = replace(setup, omega_tilde=_optional_number("prox", prox_cfg, "omega_tilde",
+                                                            setup.omega_tilde))
         problem.setup = setup
 
     solver_cfg = raw["solver"]
@@ -346,7 +344,12 @@ def _t6_work(trace, p, tol):
     j = _finite_column(trace, "j")
     if len(ks) == 0:
         return []
-    log_term = math.log2(2.0 * p["L"] / (float(l_trial[0]) / 2.0 ** int(j[0])))
+    # L00 = L_trial / 2^j of row 0; ldexp stays finite where 2.0 ** j overflows
+    l00 = math.ldexp(float(l_trial[0]), -int(j[0]))
+    if not (math.isfinite(l00) and l00 > 0.0):
+        raise ConfigError(f"t6_work needs L_trial / 2^j of row 0 finite and > 0, got "
+                          f"L_trial = {float(l_trial[0])!r}, j = {int(j[0])}")
+    log_term = math.log2(2.0 * p["L"] / l00)
     rows = []
     for k, cf, cg in zip(ks, cum_f, cum_grad):
         f_bound = 4.0 * k + log_term + 4.0
@@ -363,6 +366,8 @@ def _t9_scaling(trace, p, tol):
     iters = np.array([float(pt[1]) for pt in points])
     if not (np.all(np.isfinite(eps) & (eps > 0.0)) and np.all(np.isfinite(iters) & (iters > 0.0))):
         raise ConfigError("t9_scaling points need finite, positive epsilon and N")
+    if np.unique(eps).size < 2:
+        raise ConfigError("t9_scaling needs at least two distinct epsilon values")
     slope = float(np.polyfit(np.log(1.0 / eps), np.log(iters), 1)[0])
     limit = 2.0 / (1.0 + 3.0 * p["nu"]) + 0.3
     return [_row(0, slope, limit, limit + tol - slope)]

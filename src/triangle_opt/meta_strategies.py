@@ -64,9 +64,8 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     R_sq is a user-supplied upper bound on V(x*, y0).  Solving the regularized
     problem to epsilon/2 then solves the original to epsilon, because the added
     term is at most mu*R_sq = epsilon/2 at x*.  The returned objective adds the
-    exact Bregman term to both oracles, and to the fused one when the base has
-    it (for the euclidean geometry the added gradient is mu*(x - y0), vanishing
-    at the center).
+    exact Bregman term to both oracles (for the euclidean geometry the added
+    gradient is mu*(x - y0), vanishing at the center).
     """
     if R_sq is None:
         raise ConfigError("regularize needs R_sq, an upper bound on V(x*, y0)")
@@ -75,7 +74,6 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     mu_reg = epsilon / (2.0 * R_sq)
     base_value = objective.smooth_value
     base_grad = objective.smooth_grad
-    base_value_and_grad = objective.smooth_value_and_grad
     center = setup.center
     grad_d_center = setup.d_grad(center)
 
@@ -91,18 +89,13 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     def reg_grad(x):
         return np.asarray(base_grad(x), dtype=float) + added_grad(x)
 
-    def reg_value_and_grad(x):
-        f, g = base_value_and_grad(x)
-        return float(f) + added_value(x), np.asarray(g, dtype=float) + added_grad(x)
-
     meta = dict(objective.smoothness_meta or {})
     if "L" in meta:
         meta["L"] = meta["L"] + mu_reg
     meta["mu"] = meta.get("mu", 0.0) + mu_reg
     regularized = CompositeObjective(
-        smooth_value=reg_value, smooth_grad=reg_grad,
-        smooth_value_and_grad=None if base_value_and_grad is None else reg_value_and_grad,
-        h=objective.h, known_optimum=None, smoothness_meta=meta)
+        smooth_value=reg_value, smooth_grad=reg_grad, h=objective.h, known_optimum=None,
+        smoothness_meta=meta)
     return regularized, mu_reg
 
 

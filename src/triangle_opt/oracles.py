@@ -39,9 +39,11 @@ class LinearImage:
     without a matrix product.
 
     forward(x) is z(x); adjoint(w) applies the adjoint of z's linear part, so
-    grad f(x) = adjoint(psi_grad(z(x))).  psi_bregman(z, dz) is the Bregman
-    term psi(z + dz) - psi(z) - <psi_grad(z), dz>, computed directly rather
-    than as that difference, so it keeps its relative accuracy as dz -> 0.
+    grad f(x) = adjoint(psi_grad(z(x))).  psi_bregman(z, dz), when given, is
+    the Bregman term psi(z + dz) - psi(z) - <psi_grad(z), dz>, computed
+    directly rather than as that difference, so it keeps its relative accuracy
+    as dz -> 0; None means no such closed form exists, and a solver then checks
+    descent with the difference of f values.
 
     quadratic, when psi is quadratic, is the same f as a QuadraticForm.  Then
     grad f is affine, and a solver keeps grad f of each iterate instead of its
@@ -53,7 +55,7 @@ class LinearImage:
     adjoint: callable
     psi: callable
     psi_grad: callable
-    psi_bregman: callable
+    psi_bregman: callable | None = None
     quadratic: QuadraticForm | None = None
 
 
@@ -64,10 +66,9 @@ class CompositeObjective:
     known_optimum, when present, is (x_star, F_star); x_star may be None for
     problems where only the optimal value was precomputed.  smoothness_meta
     carries whatever constants are known: keys among "L", "mu", "L_nu", "nu".
-    smooth_value_and_grad, when present, returns (f(x), grad f(x)) with the
-    same bits as the two separate callables, computing their shared work once.
     linear, when present, describes the same f as psi(z(x)); the solvers then
     run on cached images and call neither smooth_value nor smooth_grad.
+    Without it they run on the identity image z = x, psi = f.
     """
 
     smooth_value: callable
@@ -75,7 +76,6 @@ class CompositeObjective:
     h: SimpleTerm = field(default_factory=SimpleTerm)
     known_optimum: tuple | None = None
     smoothness_meta: dict | None = None
-    smooth_value_and_grad: callable | None = None
     linear: LinearImage | None = None
 
     def composite_value(self, x: np.ndarray) -> float:
@@ -109,18 +109,6 @@ def value(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = 
 def grad(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
     """grad f(x), counted."""
     return _checked_grad(obj.smooth_grad(x), counter)
-
-
-def value_and_grad(obj: CompositeObjective, x: np.ndarray,
-                   counter: EvalCounter | None = None) -> tuple[float, np.ndarray]:
-    """(f(x), grad f(x)), counted as 1 f + 1 grad call.
-
-    Uses the fused smooth_value_and_grad when the objective has one, else the
-    two separate oracles; the checks and counts are those of value and grad."""
-    if obj.smooth_value_and_grad is None:
-        return value(obj, x, counter), grad(obj, x, counter)
-    f, g = obj.smooth_value_and_grad(x)
-    return _checked_value(f, counter), _checked_grad(g, counter)
 
 
 @dataclass(frozen=True)
@@ -278,6 +266,6 @@ def holder_probe(obj: CompositeObjective, dimension: int, n_pairs: int,
 
 __all__ = [
     "EvalCounter", "QuadraticForm", "LinearImage", "CompositeObjective", "value", "grad",
-    "value_and_grad", "NoiseModel", "StochasticGradientOracle", "TrialStreams", "substream",
+    "NoiseModel", "StochasticGradientOracle", "TrialStreams", "substream",
     "sample_gradient", "minibatch_gradient", "finite_difference_gradient", "holder_probe",
 ]

@@ -25,13 +25,17 @@ The per-iterate certificate A_k F(x^k) <= phi_k(u^k) + A_k * c * eps (with the
 mode's accumulated slack factor c) is recorded in the trace and drives the
 certified-gap stopping rule and the reported gap bound R^2/A_N + c*eps.
 
-An objective with a ``LinearImage``, f(x) = psi(z(x)), runs on cached images:
-the state keeps z(u) (one forward product per trial) and z(x) (a combination
-of images), so z(y) costs no product and f(y), grad f(y) cost one adjoint
-product.  The descent check then takes its Bregman form
+Every run sees f as psi(z(x)) with z affine: the objective's own
+``LinearImage``, or, when it has none, the identity image z = x, psi = f,
+psi' = grad f, which ``init_phase`` builds once per run.  The state keeps z(u)
+(one forward product per trial) and z(x) (a combination of images), so z(y)
+costs no product and f(y), grad f(y) cost one adjoint product.  When the image
+has a ``psi_bregman``, the descent check takes its Bregman form
 D_psi(z(y), z(x) - z(y)) <= L/2 ||x - y||^2 + slack, which is free of the
 cancellation in f(y) + <g, x - y> - f(x); a trial whose u does not move passes
-it only at an L_trial no smaller than the last accepted one.
+it only at an L_trial no smaller than the last accepted one.  Without one (the
+identity image among others) the check is that difference, f(y) + <g, x - y> +
+L/2 ||x - y||^2 + slack >= f(x).
 
 When the image also carries a ``QuadraticForm`` (f(x) = value + 1/2 <x - c,
 H(x - c)>), grad f is affine and the state keeps grad f(u) and grad f(x) in
@@ -53,7 +57,7 @@ from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
                      TriangleOptError)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, StochasticGradientOracle,
                       TrialStreams, _checked_grad, _checked_value, grad, minibatch_gradient,
-                      substream, value, value_and_grad)
+                      substream)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -166,14 +170,16 @@ class SolverState:
     mu_tilde: float
     counters: EvalCounter
     trace: Trace
+    # the run's image of f: the objective's LinearImage, or the identity image
+    image: LinearImage
+    # [u; z(u)] and [x; z(x)] stacked, so that one combination forms a point
+    # and its image together; under a QuadraticForm, [u; grad f(u)] and
+    # [x; grad f(x)] instead
+    uz: np.ndarray
+    xz: np.ndarray
     # f at x and y as the method computed them, or None where it computed none
     f_x: float | None = None
     f_y: float | None = None
-    # [u; z(u)] and [x; z(x)] stacked, when the objective has a LinearImage,
-    # so that one combination forms a point and its image together; under a
-    # QuadraticForm, [u; grad f(u)] and [x; grad f(x)] instead
-    uz: np.ndarray | None = None
-    xz: np.ndarray | None = None
     # in sumst, the run's one keyed Philox, re-positioned for each trial
     streams: TrialStreams | None = None
 
@@ -254,6 +260,13 @@ def _triangle(alpha: float, new: np.ndarray, A: float, old: np.ndarray,
     return new if A == 0.0 else (alpha * new + A * old) / a_next
 
 
+def _identity_image(obj: CompositeObjective) -> LinearImage:
+    """f as psi(z) with z = x: psi and psi' are the objective's value and
+    gradient oracles as they are now, and there is no Bregman form."""
+    return LinearImage(forward=lambda v: v, adjoint=lambda w: np.asarray(w, dtype=float),
+                       psi=obj.smooth_value, psi_grad=obj.smooth_grad)
+
+
 def _cached(image: LinearImage, v: np.ndarray) -> np.ndarray:
     """[v; grad f(v)] under a QuadraticForm, else [v; z(v)]: one product."""
     form = image.quadratic
@@ -269,19 +282,12 @@ def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
     return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
 
 
-def _oracle_at_y(state: SolverState, obj: CompositeObjective, alpha: float, a_next: float,
-                 stochastic: bool):
-    """y, its cached part (z(y) or grad f(y); None without an image), f(y) and
-    the exact grad f(y): 1 f + 1 grad call, or in sumst 1 f call, with the
-    exact gradient left for the mini-batch draw to use (None without an image:
-    the draw evaluates it)."""
+def _oracle_at_y(state: SolverState, alpha: float, a_next: float, stochastic: bool):
+    """y, its cached part (z(y) or grad f(y)), f(y) and the exact grad f(y):
+    1 f + 1 grad call, or in sumst 1 f call, with the exact gradient left
+    uncounted for the mini-batch draw to use."""
     counters = state.counters
-    image = obj.linear
-    if image is None:
-        y = _triangle(alpha, state.u, state.A, state.x, a_next)
-        if stochastic:
-            return y, None, value(obj, y, counters), None
-        return (y, None) + value_and_grad(obj, y, counters)
+    image = state.image
     n = state.u.size
     yz = _triangle(alpha, state.uz, state.A, state.xz, a_next)
     y, z = yz[:n], yz[n:]
@@ -330,12 +336,13 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
     draws its mini-batch from substream(rng, k + 1, j): the state's keyed
     Philox (``state.streams``, from ``init_phase``) set to the counter block
     (0, 0, j, k + 1), or a fresh one keyed from rng if the state has none for
-    that seed.  On the cached path x and its cached part are formed for the
-    accepted trial only.  A sumst trial whose draws would take the stochastic
-    count past 2**63 - 1 raises CoefficientOverflow."""
+    that seed.  Under a Bregman check x and its cached part are formed for the
+    accepted trial only; the difference check forms them at every trial.  A
+    sumst trial whose draws would take the stochastic count past 2**63 - 1
+    raises CoefficientOverflow."""
     policy = POLICIES[config.mode]
     obj = _base_objective(objective)
-    image = obj.linear
+    image = state.image
     counters = state.counters
     A, n = state.A, state.u.size
     c_eps = config.slack_factor * (config.epsilon or 0.0)
@@ -348,7 +355,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
     for j in range(config.max_backtracks_per_iter + 1):
         alpha, a_next = alpha_next(L_trial, A, state.mu_tilde)
         if at_y is None or A > 0.0:  # from the start state y is the center at every trial
-            at_y = _oracle_at_y(state, obj, alpha, a_next, policy.stochastic)
+            at_y = _oracle_at_y(state, alpha, a_next, policy.stochastic)
         y, z_y, f_y, g_exact = at_y
         g, m = g_exact, 1
         if policy.stochastic:
@@ -361,38 +368,35 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
         phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
         u = composite_prox_solve(setup, phi, obj.h)
         slack = c_eps if A == 0.0 else c_eps * alpha / a_next
-        f_x = uz = xz = None
+        uz = _cached(image, u)
+        f_x = xz = None
         passed = True
-        if image is None:
-            x = _triangle(alpha, u, A, state.x, a_next)
-            if policy.checks:
-                f_x = value(obj, x, counters)
-                dx = x - y
-                passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
-                                       L_trial, slack, f_x)
-        else:
-            uz = _cached(image, u)
-            if policy.checks:
-                duz = uz - state.uz
-                du, r = duz[:n], alpha / a_next
-                noise = g - g_exact if policy.stochastic else None
-                if image.quadratic is None:
-                    passed = bregman_check(image, z_y, duz[n:], du, r, noise, L_trial, slack,
-                                           L_floor, setup.norms, counters)
-                else:  # f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, d grad f>
-                    passed = _bregman_passes(0.5 * (r * r * float(du.dot(duz[n:]))), du, r,
-                                             noise, L_trial, slack, L_floor, setup.norms,
-                                             counters)
+        if policy.checks and image.quadratic is None and image.psi_bregman is None:
+            # no Bregman form: the difference check at x' from the stacked combination
+            xz = _triangle(alpha, uz, A, state.xz, a_next)
+            f_x = _checked_value(_cached_value(image, xz, n), counters)
+            dx = xz[:n] - y
+            passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
+                                   L_trial, slack, f_x)
+        elif policy.checks:
+            duz = uz - state.uz
+            du, r = duz[:n], alpha / a_next
+            noise = g - g_exact if policy.stochastic else None
+            if image.quadratic is None:
+                passed = bregman_check(image, z_y, duz[n:], du, r, noise, L_trial, slack,
+                                       L_floor, setup.norms, counters)
+            else:  # f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, d grad f>
+                passed = _bregman_passes(0.5 * (r * r * float(du.dot(duz[n:]))), du, r,
+                                         noise, L_trial, slack, L_floor, setup.norms, counters)
         if passed:
-            if image is not None:
+            if xz is None:
                 xz = _triangle(alpha, uz, A, state.xz, a_next)
-                x = xz[:n]
                 if policy.checks:
                     f_x = _checked_value(_cached_value(image, xz, n), None)
-            return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=x, y=y, phi=phi,
-                               L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
-                               counters=counters, trace=state.trace, f_x=f_x, f_y=f_y,
-                               uz=uz, xz=xz, streams=state.streams)
+            return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=xz[:n], y=y,
+                               phi=phi, L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
+                               counters=counters, trace=state.trace, image=image, uz=uz,
+                               xz=xz, f_x=f_x, f_y=f_y, streams=state.streams)
         L_trial *= 2.0
     raise BacktrackLimitExceeded(f"no acceptable L after {config.max_backtracks_per_iter} "
                                  f"doublings at k={state.k + 1}")
@@ -412,13 +416,14 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(f"{config.mode} needs an integer seed >= 0, got {rng!r}")
         streams = TrialStreams(seed)
-    image = _base_objective(objective).linear
+    obj = _base_objective(objective)
+    image = obj.linear if obj.linear is not None else _identity_image(obj)
     center = setup.center
-    uz = None if image is None else _cached(image, center)
+    uz = _cached(image, center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
                         mu_tilde=config.mu_tilde, counters=EvalCounter(), trace=Trace(),
-                        uz=uz, xz=uz, streams=streams)
+                        image=image, uz=uz, xz=uz, streams=streams)
     return step(start, objective, setup, config, rng)
 
 
@@ -463,11 +468,6 @@ def _should_stop(state: SolverState, objective, setup: ProxSetup, config: Solver
     return residual <= rule.threshold
 
 
-def _composite_value(obj: CompositeObjective, f: float | None, x: np.ndarray) -> float:
-    """F(x), reusing f(x) when the method computed it (the sum composite_value forms)."""
-    return obj.composite_value(x) if f is None else f + obj.h.value(x)
-
-
 def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> None:
     obj = _base_objective(objective)
     counters = state.counters
@@ -479,18 +479,18 @@ def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverC
     # observer quantities below are uncounted: they are evidence, not method
     # work.  F(x) and F(y) reuse the f values the method computed (state.f_x,
     # state.f_y); only the exact-L mode's f(x), which the method never needs,
-    # is evaluated here, from the cached part of x when there is one.
+    # is evaluated here, from the cached part of x.
     f = state.f_x
-    if f is None and state.xz is not None:
-        f = _cached_value(obj.linear, state.xz, state.x.size)
-    f_x = _composite_value(obj, f, state.x)
+    if f is None:
+        f = _cached_value(state.image, state.xz, state.x.size)
+    f_x = f + obj.h.value(state.x)
     phi_at_u = estimate_value(setup, state.phi, obj.h, state.u)
     slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
     row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
     if obj.known_optimum is not None:
         x_star, f_star = obj.known_optimum
         row["gap"] = f_x - f_star
-        row["gap_y"] = _composite_value(obj, state.f_y, state.y) - f_star
+        row["gap_y"] = state.f_y + obj.h.value(state.y) - f_star
         if x_star is not None:
             row["dist_u_sq"] = setup.norms.primal(state.u - x_star) ** 2
             row["dist_x_sq"] = setup.norms.primal(state.x - x_star) ** 2

@@ -19,7 +19,7 @@ Five seeded problem families used by the tests, the demos, and the CLI:
 Every constructed instance is finite-difference checked (value against
 gradient) before it is returned.  The quadratic, lasso and logistic kinds are
 f(x) = psi(z(x)) with z affine: they carry that ``LinearImage``, from which
-their value, gradient and fused oracles are built, and which is checked at
+their value and gradient oracles are built, and which is checked at
 construction against those oracles, for its Bregman term and for its adjoint.
 The quadratic and the lasso also carry f as a ``QuadraticForm`` (Hessian
 product, center, value), which is checked against the image.
@@ -104,15 +104,10 @@ def _fd_consistency_check(objective: CompositeObjective, points) -> None:
 
 def _imaged_objective(image: LinearImage, **fields) -> CompositeObjective:
     """The objective f(x) = psi(z(x)), with oracles built from its image."""
-
-    def f_df(x):
-        z = image.forward(x)
-        return image.psi(z), image.adjoint(image.psi_grad(z))
-
     return CompositeObjective(
         smooth_value=lambda x: image.psi(image.forward(x)),
         smooth_grad=lambda x: image.adjoint(image.psi_grad(image.forward(x))),
-        smooth_value_and_grad=f_df, linear=image, **fields)
+        linear=image, **fields)
 
 
 def _image_consistency_check(objective: CompositeObjective, points) -> None:

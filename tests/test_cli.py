@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from triangle_opt import CSV_COLUMNS
 from triangle_opt.cli import main
 
 
@@ -156,6 +157,37 @@ def test_check_out_of_range_parameter_is_an_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1, bad
         assert "error: ConfigError" in captured.err and "'L'" in captured.err, bad
+
+
+def _t6_trace(tmp_path, l_trial, j):
+    row0 = dict.fromkeys(CSV_COLUMNS, "nan")
+    row0.update(k="0", A="1.0", alpha="1.0", L_trial=l_trial, j=str(j), m="1", cum_f="2",
+                cum_grad="1", cum_stoch="0")
+    row1 = dict(row0, k="1", L_trial="1.0", j="0", cum_f="4", cum_grad="2")
+    path = tmp_path / "t6.csv"
+    path.write_text("\n".join([",".join(CSV_COLUMNS)]
+                              + [",".join(row[name] for name in CSV_COLUMNS)
+                                 for row in (row0, row1)]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("l_trial", ["0", "-1", "nan", "inf"])
+def test_check_t6_work_rejects_a_bad_row_0_trial_constant(tmp_path, capsys, l_trial):
+    rc = main(["check", "--trace", _t6_trace(tmp_path, l_trial, 1),
+               "--theorem", "t6_work", "--L", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: ConfigError" in captured.err and "L_trial" in captured.err
+    assert "row 0" in captured.err and "Traceback" not in captured.err
+
+
+def test_check_t6_work_grades_a_row_0_past_1024_doublings(tmp_path, capsys):
+    # 2.0 ** 1100 overflows; L00 = 1e31 / 2^1100 is a finite, positive double
+    rc = main(["check", "--trace", _t6_trace(tmp_path, "1e31", 1100),
+               "--theorem", "t6_work", "--L", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "t6_work: pass" in captured.out and captured.err == ""
 
 
 def test_check_unreadable_trace_is_an_error(tmp_path, capsys):

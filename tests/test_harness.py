@@ -158,6 +158,13 @@ def test_load_experiment_prox_override_reaches_setup_and_solver():
     assert exp.config.omega_tilde == 2.0
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_load_experiment_rejects_the_prox_omega_key(omega):
+    # no solve, check or wrapper reads ProxSetup.omega, so the key is unknown
+    with pytest.raises(ValidationError, match="unknown prox keys: omega"):
+        _load(prox={"omega": omega})
+
+
 def test_seed_output_path():
     assert _seed_output_path(None, 3, 5) is None
     assert _seed_output_path("runs/s{seed}.csv", 3, 5) == "runs/s3.csv"
@@ -343,6 +350,15 @@ def test_check_bounds_t9_scaling():
         check_bounds(None, "t9_scaling", {"nu": 0.5, "points": points[:1]})
     with pytest.raises(ConfigError):
         check_bounds(None, "t9_scaling", {"points": points})
+
+
+@pytest.mark.parametrize("points", [[(1, 1), (1, 1)], [(1e-2, 10), (1e-2, 20)],
+                                    [(1e-2, 10), (1e-2, 20), (1e-2, 40)]])
+def test_check_bounds_t9_scaling_needs_two_distinct_epsilons(points):
+    # one epsilon value leaves the slope undetermined: numpy's fit would
+    # raise LinAlgError or grade a rank-deficient fit
+    with pytest.raises(ConfigError, match="two distinct epsilon"):
+        check_bounds(None, "t9_scaling", {"nu": 0.5, "points": points})
 
 
 def test_check_bounds_t10_calls():

@@ -22,7 +22,6 @@ from triangle_opt import (
     sample_gradient,
     substream,
     value,
-    value_and_grad,
 )
 
 
@@ -61,59 +60,20 @@ def test_value_rejects_nonfinite():
         grad(bad, np.zeros(2))
 
 
-def test_value_and_grad_counts_one_of_each_with_or_without_fusion():
-    obj = quadratic_objective()
-    fused = CompositeObjective(smooth_value=obj.smooth_value, smooth_grad=obj.smooth_grad,
-                               smooth_value_and_grad=lambda x: (obj.smooth_value(x),
-                                                                obj.smooth_grad(x)))
-    x = np.array([3.0, 4.0])
-    for objective in (obj, fused):
-        counter = EvalCounter()
-        f, g = value_and_grad(objective, x, counter)
-        assert f == 12.5 and isinstance(f, float)
-        np.testing.assert_array_equal(g, [3.0, 4.0])
-        assert (counter.f_calls, counter.grad_calls) == (1, 1)
-
-
-def test_fused_oracle_rejects_nonfinite_like_the_separate_ones():
-    finite = lambda x: np.zeros_like(x)
-    bad_value = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=finite,
-                                   smooth_value_and_grad=lambda x: (float("inf"), finite(x)))
-    bad_grad = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=finite,
-                                  smooth_value_and_grad=lambda x: (0.0, np.full_like(x, np.nan)))
-    counter = EvalCounter()
-    with pytest.raises(DomainError, match="objective value is not finite"):
-        value_and_grad(bad_value, np.zeros(2), counter)
-    assert (counter.f_calls, counter.grad_calls) == (0, 0)
-    with pytest.raises(DomainError, match="gradient is not finite"):
-        value_and_grad(bad_grad, np.zeros(2), counter)
-    assert (counter.f_calls, counter.grad_calls) == (1, 0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lone_nonfinite_value_or_gradient_entry_is_rejected(bad):
     x = np.zeros(4)
     ok_grad = lambda x: np.ones(4)
     for f_out in (float(bad), np.float64(bad)):
-        separate = CompositeObjective(smooth_value=lambda x: f_out, smooth_grad=ok_grad)
-        fused = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=ok_grad,
-                                   smooth_value_and_grad=lambda x: (f_out, ok_grad(x)))
+        obj = CompositeObjective(smooth_value=lambda x: f_out, smooth_grad=ok_grad)
         with pytest.raises(DomainError, match="objective value is not finite"):
-            value(separate, x)
-        for obj in (separate, fused):
-            with pytest.raises(DomainError, match="objective value is not finite"):
-                value_and_grad(obj, x)
+            value(obj, x)
     for position in range(x.size):
         g_out = np.ones(4)
         g_out[position] = bad
-        separate = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=lambda x: g_out)
-        fused = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=lambda x: g_out,
-                                   smooth_value_and_grad=lambda x: (0.0, g_out))
+        obj = CompositeObjective(smooth_value=lambda x: 0.0, smooth_grad=lambda x: g_out)
         with pytest.raises(DomainError, match="gradient is not finite"):
-            grad(separate, x)
-        for obj in (separate, fused):
-            with pytest.raises(DomainError, match="gradient is not finite"):
-                value_and_grad(obj, x)
+            grad(obj, x)
 
 
 def test_composite_value_is_uncounted():

@@ -36,6 +36,7 @@ from triangle_opt import (
     initial_estimate,
     make_problem,
     recenter,
+    regularize,
     run,
     step,
     substream,
@@ -595,44 +596,6 @@ def test_deterministic_modes_record_unit_batch():
         assert np.all(report.trace.column("m") == 1)
 
 
-def _fused_runs(problem):
-    obj = problem.objective
-    L = obj.smoothness_meta["L"]
-    return [
-        (SolverConfig(mode="mst_exact_L", L_known=L, max_iters=25), False),
-        (SolverConfig(mode="amst_adaptive", L0=L / 16, max_iters=25), False),
-        (SolverConfig(mode="amst_adaptive", L0=L / 16, epsilon=1e-3, max_iters=25), False),
-        (SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=25), False),
-        (SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
-                      max_iters=12), True),
-    ]
-
-
-def _run_record(objective, setup, config, stochastic):
-    if stochastic:
-        objective = StochasticGradientOracle(base=objective,
-                                             noise_model=NoiseModel(kind="gaussian"),
-                                             variance_bound=config.D)
-    report = run(objective, setup, config, rng=4)
-    columns = {name: np.asarray(col, dtype=float).tobytes()
-               for name, col in report.trace.data.items()}
-    return (columns, report.final_x.tobytes(), report.iterations, report.total_f_calls,
-            report.total_grad_calls, report.total_stoch_calls)
-
-
-@pytest.mark.parametrize("kind,options", [
-    ("quadratic", {"dimension": 20}), ("quadratic", {"dimension": 20, "feasible": "box"}),
-    ("lasso", {}), ("logistic", {})])
-def test_fused_oracle_leaves_runs_bit_identical(kind, options):
-    problem = make_problem(kind, seed=2, **options)
-    fused = problem.objective
-    assert fused.smooth_value_and_grad is not None
-    separate = dataclasses.replace(fused, smooth_value_and_grad=None)
-    for config, stochastic in _fused_runs(problem):
-        assert (_run_record(fused, problem.setup, config, stochastic)
-                == _run_record(separate, problem.setup, config, stochastic)), config.mode
-
-
 def test_observer_reuses_the_methods_f_values():
     problem = make_problem("quadratic", dimension=8, seed=6)
     base = problem.objective
@@ -642,8 +605,7 @@ def test_observer_reuses_the_methods_f_values():
         calls[0] += 1
         return base.smooth_value(x)
 
-    obj = dataclasses.replace(base, smooth_value=counted_value, smooth_value_and_grad=None,
-                              linear=None)
+    obj = dataclasses.replace(base, smooth_value=counted_value, linear=None)
     oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
                                       variance_bound=0.1)
     runs = [
@@ -737,8 +699,7 @@ def _counting_image(objective, tally):
     return dataclasses.replace(
         objective, linear=dataclasses.replace(image, forward=forward, adjoint=adjoint,
                                               quadratic=form),
-        smooth_value=raw("smooth_value"), smooth_grad=raw("smooth_grad"),
-        smooth_value_and_grad=raw("smooth_value_and_grad"))
+        smooth_value=raw("smooth_value"), smooth_grad=raw("smooth_grad"))
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
@@ -750,8 +711,8 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
                    SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=30),
                    SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
                                 max_iters=15)):
-        tally = dict.fromkeys(("forward", "adjoint", "hessian", "smooth_value", "smooth_grad",
-                               "smooth_value_and_grad"), 0)
+        tally = dict.fromkeys(("forward", "adjoint", "hessian", "smooth_value", "smooth_grad"),
+                              0)
         objective = _counting_image(problem.objective, tally)
         if config.mode == "sumst_stochastic_universal":
             objective = StochasticGradientOracle(base=objective,
@@ -771,7 +732,6 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
             assert tally["hessian"] == 1 + int(trials.sum()), config.mode
             assert tally["forward"] == tally["adjoint"] == 0, config.mode
         assert tally["smooth_value"] == tally["smooth_grad"] == 0, config.mode
-        assert tally["smooth_value_and_grad"] == 0, config.mode
         # f(y0), then per trial f(y) (after k = 0) and the Bregman term that
         # stands for f(x); the exact-L mode makes one f(y) per row
         if config.mode == "mst_exact_L":
@@ -853,19 +813,6 @@ def test_cached_image_drift_stays_at_rounding_level(kind, mode):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("kind,options", [
-    ("quadratic", {"dimension": 20}), ("lasso", {}), ("logistic", {})])
-def test_fused_oracle_leaves_uncached_runs_bit_identical(kind, options):
-    # without its image the objective runs on the value/gradient oracles,
-    # where the fused one must give the bits of the separate two
-    problem = make_problem(kind, seed=2, **options)
-    fused = dataclasses.replace(problem.objective, linear=None)
-    separate = dataclasses.replace(fused, smooth_value_and_grad=None)
-    for config, stochastic in _fused_runs(problem):
-        assert (_run_record(fused, problem.setup, config, stochastic)
-                == _run_record(separate, problem.setup, config, stochastic)), config.mode
-
-
 @pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
 def test_uncached_path_evaluates_f_and_grad_at_y0_once_across_the_k0_trials(kind):
     problem = make_problem(kind, seed=3)
@@ -893,3 +840,40 @@ def test_uncached_path_evaluates_f_and_grad_at_y0_once_across_the_k0_trials(kind
         np.testing.assert_array_equal(trace.column("cum_f"), 1 + np.cumsum(trials) + after_k0)
         np.testing.assert_array_equal(trace.column("cum_grad"),
                                       np.zeros_like(trials) if stochastic else 1 + after_k0)
+
+
+def _without_image(name):
+    if name == "regularized_quadratic":
+        quad = make_problem("quadratic", dimension=6, seed=2)
+        regularized, _ = regularize(quad.objective, quad.setup, epsilon=0.1, R_sq=2.0)
+        return regularized, quad.setup
+    problem = make_problem(name)
+    return problem.objective, problem.setup
+
+
+@pytest.mark.parametrize("name", ["holder_norm_power", "simplex_linear", "regularized_quadratic"])
+def test_identity_image_evaluates_f_and_grad_once_per_counted_call(name):
+    # objectives without a LinearImage run on the identity image: every raw
+    # oracle call is a counted one, except the exact-L mode's F(x), which
+    # the observer evaluates once per row
+    base, setup = _without_image(name)
+    assert base.linear is None
+    tally = {"smooth_value": 0, "smooth_grad": 0}
+
+    def raw(oracle):
+        def call(x):
+            tally[oracle] += 1
+            return getattr(base, oracle)(x)
+        return call
+
+    objective = dataclasses.replace(base, smooth_value=raw("smooth_value"),
+                                    smooth_grad=raw("smooth_grad"))
+    for config in (SolverConfig(mode="mst_exact_L", L_known=2.0, max_iters=40),
+                   SolverConfig(mode="amst_adaptive", L0=1.0 / 64, max_iters=40),
+                   SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=40)):
+        tally.update(smooth_value=0, smooth_grad=0)
+        report = run(objective, setup, config)
+        extra = len(report.trace) if config.mode == "mst_exact_L" else 0
+        assert tally["smooth_grad"] == report.total_grad_calls, config.mode
+        assert tally["smooth_value"] == report.total_f_calls + extra, config.mode
+
