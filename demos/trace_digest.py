@@ -8,10 +8,12 @@ descent check (named ``<kind>:plain``), like the kinds without one.  Run with
 ``--iters 2000`` too: only the long runs reach the k = 995 and k = 1821
 overflows, which show bit identity in the error lines.  Prints one line
 per case: the case name and a sha256 over every in-memory trace column (name,
-dtype and values), the trace meta, final_x and the counters.  A run that
-raises after its first row digests the partial report it carries and names the
-error after the digest; a run that raises before prints the error alone.  Run
-it on two versions of the code and diff the output:
+dtype and values), the trace meta, final_x, the counters, and the CSV and
+JSON text that emit_trace writes for the trace, so that a change to the
+writer's bytes shows as well.  A run that raises after its first row digests
+the partial report it carries and names the error after the digest; a run
+that raises before prints the error alone.  Run it on two versions of the
+code and diff the output:
 
     PYTHONPATH=src python demos/trace_digest.py > after.txt
 
@@ -21,12 +23,14 @@ Usage: python demos/trace_digest.py [--iters 300]
 import argparse
 import dataclasses
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 
 from triangle_opt import (ZOO_KINDS, NoiseModel, SolverConfig,
-                          StochasticGradientOracle, TriangleOptError, make_problem,
-                          run)
+                          StochasticGradientOracle, TriangleOptError, emit_trace,
+                          make_problem, run)
 
 EPSILON = 1e-3
 SUMST_D = 0.1
@@ -74,7 +78,7 @@ def _column_bytes(col: np.ndarray) -> bytes:
     return col.tobytes()
 
 
-def digest(report) -> str:
+def digest(report, workdir: str) -> str:
     h = hashlib.sha256()
     for name in sorted(report.trace.data):
         col = np.asarray(report.trace.data[name])
@@ -84,6 +88,10 @@ def digest(report) -> str:
     h.update(np.ascontiguousarray(report.final_x).tobytes())
     h.update(repr((report.iterations, report.total_f_calls, report.total_grad_calls,
                    report.total_stoch_calls, report.certified_gap)).encode())
+    for fmt in ("csv", "json"):
+        with open(emit_trace(report.trace, fmt, os.path.join(workdir, f"trace.{fmt}")),
+                  "rb") as fh:
+            h.update(fh.read())
     return h.hexdigest()
 
 
@@ -91,15 +99,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--iters", type=int, default=300)
     args = parser.parse_args()
-    for name, objective, setup, config, rng in _cases(args.iters):
-        try:
-            line = digest(run(objective, setup, config, rng))
-        except TriangleOptError as exc:
-            line = f"error: {type(exc).__name__}: {exc}"
-            report = getattr(exc, "report", None)
-            if report is not None:
-                line = f"{digest(report)} {line}"
-        print(f"{name} {line}", flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, objective, setup, config, rng in _cases(args.iters):
+            try:
+                line = digest(run(objective, setup, config, rng), workdir)
+            except TriangleOptError as exc:
+                line = f"error: {type(exc).__name__}: {exc}"
+                report = getattr(exc, "report", None)
+                if report is not None:
+                    line = f"{digest(report, workdir)} {line}"
+            print(f"{name} {line}", flush=True)
 
 
 if __name__ == "__main__":

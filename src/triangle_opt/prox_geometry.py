@@ -59,17 +59,6 @@ class FeasibleSet:
     ball_center: np.ndarray | None = None
     radius: float | None = None
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        if self.kind == "free_space":
-            return True
-        if self.kind == "box":
-            return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-        if self.kind == "simplex":
-            return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
-        if self.kind == "euclidean_ball":
-            return float(np.linalg.norm(x - self.ball_center)) <= self.radius + tol
-        raise UnsupportedGeometry(f"unknown feasible set kind {self.kind!r}")
-
 
 def free_space() -> FeasibleSet:
     return FeasibleSet(kind="free_space")
@@ -219,9 +208,6 @@ class EstimateFunction:
     linear: np.ndarray
     h_scale: float
     constant: float
-
-    def copy(self) -> "EstimateFunction":
-        return replace(self, linear=self.linear.copy())
 
 
 def initial_estimate(setup: ProxSetup) -> EstimateFunction:

@@ -282,18 +282,21 @@ def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
     return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
 
 
-def _oracle_at_y(state: SolverState, alpha: float, a_next: float, stochastic: bool):
+def _oracle_at_y(state: SolverState, alpha: float, a_next: float, stochastic: bool,
+                 exact: bool):
     """y, its cached part (z(y) or grad f(y)), f(y) and the exact grad f(y):
     1 f + 1 grad call, or in sumst 1 f call, with the exact gradient left
-    uncounted for the mini-batch draw to use."""
+    uncounted for the mini-batch draw to use; None for it when not exact."""
     counters = state.counters
     image = state.image
     n = state.u.size
     yz = _triangle(alpha, state.uz, state.A, state.xz, a_next)
     y, z = yz[:n], yz[n:]
     f_y = _checked_value(_cached_value(image, yz, n), counters)
-    # under a QuadraticForm z is grad f(y) already, at no product
-    g = z if image.quadratic is not None else image.adjoint(image.psi_grad(z))
+    if image.quadratic is not None:  # z is grad f(y) already, at no product
+        g = z
+    else:
+        g = image.adjoint(image.psi_grad(z)) if exact else None
     return y, z, f_y, (g if stochastic else _checked_grad(g, counters))
 
 
@@ -351,11 +354,16 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
         L_trial = config.L_known
     else:
         L_trial = state.L_trial / 2.0 if A > 0.0 else config.L0
+    difference_check = policy.checks and image.quadratic is None and image.psi_bregman is None
+    # a finite_sum draw graded by the difference check never reads the exact
+    # gradient: only the gaussian and none centres and the Bregman noise term do
+    exact = not (difference_check and policy.stochastic
+                 and objective.noise_model.kind == "finite_sum")
     at_y = None
     for j in range(config.max_backtracks_per_iter + 1):
         alpha, a_next = alpha_next(L_trial, A, state.mu_tilde)
         if at_y is None or A > 0.0:  # from the start state y is the center at every trial
-            at_y = _oracle_at_y(state, alpha, a_next, policy.stochastic)
+            at_y = _oracle_at_y(state, alpha, a_next, policy.stochastic, exact)
         y, z_y, f_y, g_exact = at_y
         g, m = g_exact, 1
         if policy.stochastic:
@@ -371,7 +379,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
         uz = _cached(image, u)
         f_x = xz = None
         passed = True
-        if policy.checks and image.quadratic is None and image.psi_bregman is None:
+        if difference_check:
             # no Bregman form: the difference check at x' from the stacked combination
             xz = _triangle(alpha, uz, A, state.xz, a_next)
             f_x = _checked_value(_cached_value(image, xz, n), counters)

@@ -5,13 +5,23 @@ cum_stoch,gap with a mandatory header, '.' decimal separator, '\\n' newlines,
 and floats printed to 17 significant digits so a round trip is exact.  An
 in-memory trace may carry extra columns (squared distances to the optimum,
 certificate margins) that bound checks consume; those never reach the files.
+
+In memory every column is a numpy array, 8 bytes a cell: int64 for the
+schema's count columns k, j, m, cum_f, cum_grad and cum_stoch, float64 for
+every other column.  An integer cell that is not integral or lies outside
+int64 raises ParseError; it is never truncated or wrapped.  An appended row
+is packed into its 8-byte cells at once and waits in a short buffer; a read,
+or a full buffer, moves the buffered rows into the column arrays with one
+slice per column.  The arrays grow geometrically, so ``column``, ``last`` and
+``len`` are O(1) reads of the filled part.  CSV and JSON are written and
+read one column at a time as well.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import struct
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,40 +30,132 @@ from .errors import IoError, MissingColumn, ParseError
 CSV_COLUMNS = ("k", "A", "alpha", "L_trial", "j", "m",
                "cum_f", "cum_grad", "cum_stoch", "gap")
 _INT_COLUMNS = frozenset(("k", "j", "m", "cum_f", "cum_grad", "cum_stoch"))
+_SCHEMA = frozenset(CSV_COLUMNS)
+_INT64 = np.iinfo(np.int64)
+_BLOCK = 256  # rows buffered before they are stored column by column
 
 
-@dataclass
+def _dtype(name: str) -> np.dtype:
+    return np.dtype(np.int64 if name in _INT_COLUMNS else np.float64)
+
+
+def _cell(name: str, value):
+    """value as an exact int (integer columns) or float; ParseError if the
+    column's type cannot hold it exactly."""
+    dtype = _dtype(name)
+    try:
+        cell = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        cell = None
+    # the int64 cast truncates 1.5 and parses "3": only an exact integer compares equal
+    if cell is None or cell.ndim or (dtype.kind == "i" and cell.item() != value):
+        kind = "integers in the int64 range" if dtype.kind == "i" else "numbers"
+        raise ParseError(f"column {name!r} takes {kind}, got {value!r}")
+    return cell.item()
+
+
+def _typed(name: str, values) -> np.ndarray:
+    """A new int64 or float64 array of the values of column name."""
+    dtype = _dtype(name)
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1:
+        return values.copy()
+    return np.array([_cell(name, value) for value in values], dtype=dtype)
+
+
 class Trace:
-    """Columnar evidence rows; extra columns allowed beyond the CSV schema."""
+    """Columnar evidence rows; extra columns allowed beyond the CSV schema.
 
-    data: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)  # run-level scalars (not serialized)
+    ``Trace(data={name: sequence}, meta={...})`` starts from whole columns of
+    equal length; ``append``/``append_row`` add one row carrying the same
+    column set as the first.  ``meta`` holds run-level scalars that are not
+    serialized.
+    """
+
+    def __init__(self, data: dict | None = None, meta: dict | None = None):
+        self.meta = {} if meta is None else meta
+        self._cols = {}      # name -> array; the first self._n cells are the stored rows
+        self._n = 0
+        self._pending = []   # rows not stored yet, each packed as its 8-byte cells
+        if data:
+            cols = {name: _typed(name, values) for name, values in data.items()}
+            lengths = {col.size for col in cols.values()}
+            if len(lengths) != 1:
+                raise ParseError("trace columns must have equal lengths")
+            self._start(cols)
+            self._n = lengths.pop()
+
+    def _start(self, cols: dict) -> None:
+        self._cols = cols
+        self._width = len(cols)
+        # a packed row holds the integer columns first, then the float ones
+        ints = [name for name in cols if name in _INT_COLUMNS]
+        self._n_int = len(ints)
+        self._order = (*ints, *(name for name in cols if name not in _INT_COLUMNS))
+        self._row = _row_getter(self._order)
+        self._pack = struct.Struct("=" + "q" * len(ints) + "d" * (len(cols) - len(ints))).pack
 
     def __len__(self) -> int:
-        if not self.data:
-            return 0
-        return len(next(iter(self.data.values())))
+        return self._n + len(self._pending)
 
     def append(self, **fields) -> None:
         self.append_row(fields)
 
     def append_row(self, fields: dict) -> None:
         """append, with the row as a dict {column: value}."""
-        if not self.data:
-            self.data = {name: [] for name in fields}
-        elif fields.keys() != self.data.keys():
+        if not self._cols:  # the first row names the columns
+            if not fields:
+                raise ParseError("a trace row needs at least one column")
+            self._start({name: np.empty(0, _dtype(name)) for name in fields})
+        try:
+            row = self._row(fields)
+        except KeyError:
+            row = None
+        if row is None or len(fields) != self._width:
             raise ParseError("trace rows must carry a consistent column set")
-        data = self.data
-        for name, value in fields.items():
-            data[name].append(value)
+        try:
+            row = self._pack(*row)
+        except (struct.error, OverflowError):  # a float count, a string, None, ...
+            row = self._pack(*map(_cell, self._order, row))
+        pending = self._pending
+        pending.append(row)
+        if len(pending) >= _BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Move the packed rows into the columns, one slice per column."""
+        rows, self._pending = self._pending, []
+        ints = np.frombuffer(b"".join(rows), np.int64).reshape(len(rows), self._width)
+        floats = ints.view(np.float64)
+        n = self._n
+        end = n + len(rows)
+        cols = self._cols
+        for i, name in enumerate(self._order):
+            col = cols[name]
+            if end > col.size:
+                # a quarter more: at most a fifth of the cells idle, about 4 copies a cell
+                grown = np.empty(max(end, col.size + col.size // 4), col.dtype)
+                grown[:n] = col[:n]
+                cols[name] = col = grown
+            col[n:end] = ints[:, i] if i < self._n_int else floats[:, i]
+        self._n = end
+
+    @property
+    def data(self) -> dict:
+        """{name: read-only array} of every column, each exactly len(self) long."""
+        return {name: self.column(name) for name in self._cols}
 
     def has_column(self, name: str) -> bool:
-        return name in self.data
+        return name in self._cols
 
     def column(self, name: str) -> np.ndarray:
-        if name not in self.data:
+        """A read-only view of the column's cells."""
+        if name not in self._cols:
             raise MissingColumn(f"trace has no column {name!r}")
-        return np.asarray(self.data[name])
+        if self._pending:
+            self._flush()
+        view = self._cols[name][:self._n]
+        view.flags.writeable = False
+        return view
 
     def last(self, name: str):
         col = self.column(name)
@@ -62,13 +164,35 @@ class Trace:
         return col[-1]
 
 
-def _format_cell(name: str, value) -> str:
+def _row_getter(names: tuple):
+    """names -> a function from a row dict to the tuple of its values in that order."""
+    if len(names) == 1:
+        name = names[0]
+        return lambda fields: (fields[name],)
+    return itemgetter(*names)
+
+
+def _csv_cells(name: str, col: np.ndarray) -> list:
     if name in _INT_COLUMNS:
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
+        return list(map(str, col.tolist()))
+    return list(map("%.17g".__mod__, col.tolist()))  # nan prints as 'nan' whatever its sign
+
+
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(name: str, col: np.ndarray) -> list:
+    """The text json.dump gives each cell, with nan written as null."""
+    if name in _INT_COLUMNS:
+        return list(map(int.__repr__, col.tolist()))
+    cells = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = _JSON_NON_FINITE[cells[i]]
+    return cells
+
+
+# one row as json.dump(rows, indent=1) lays it out
+_JSON_ROW = " {\n" + ",\n".join(f"  {json.dumps(name)}: %s" for name in CSV_COLUMNS) + "\n }"
 
 
 def emit_trace(trace: Trace, fmt: str, path: str) -> str:
@@ -78,39 +202,32 @@ def emit_trace(trace: Trace, fmt: str, path: str) -> str:
     for name in CSV_COLUMNS:
         if len(trace) and not trace.has_column(name):
             raise MissingColumn(f"cannot emit trace without column {name!r}")
+    cells = _csv_cells if fmt == "csv" else _json_cells
+    rows = zip(*(cells(name, trace.column(name)) for name in CSV_COLUMNS)) if len(trace) else ()
+    if fmt == "csv":
+        text = "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
+    elif len(trace):
+        text = "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n]\n"
+    else:
+        text = "[]\n"
     try:
-        if fmt == "csv":
-            lines = [",".join(CSV_COLUMNS)]
-            for i in range(len(trace)):
-                lines.append(",".join(_format_cell(name, trace.data[name][i])
-                                      for name in CSV_COLUMNS))
-            text = "\n".join(lines) + "\n"
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            rows = []
-            for i in range(len(trace)):
-                row = {}
-                for name in CSV_COLUMNS:
-                    v = trace.data[name][i]
-                    if name in _INT_COLUMNS:
-                        row[name] = int(v)
-                    else:
-                        fv = float(v)
-                        row[name] = None if math.isnan(fv) else fv
-                rows.append(row)
-            with open(path, "w") as fh:
-                json.dump(rows, fh, indent=1)
-                fh.write("\n")
+        with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write trace to {path}: {exc}") from exc
     return path
 
 
+def _int64_cell(value: int, where: str, name: str) -> int:
+    if not _INT64.min <= value <= _INT64.max:
+        raise ParseError(f"{where}: value {value!r} for column {name!r} is outside int64")
+    return value
+
+
 def _parse_cell(name: str, text: str, lineno: int):
     try:
         if name in _INT_COLUMNS:
-            return int(text)
+            return _int64_cell(int(text), f"line {lineno}", name)
         return float(text)  # accepts 'nan'
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad value {text!r} for column {name!r}") from exc
@@ -120,10 +237,59 @@ def _json_cell(name: str, value, index: int):
     """A JSON cell: integer columns take JSON integers, float columns numbers or null."""
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if name in _INT_COLUMNS and isinstance(value, int) and is_number:
-        return value
+        return _int64_cell(value, f"row {index}", name)
     if name not in _INT_COLUMNS and (value is None or is_number):
-        return math.nan if value is None else float(value)
+        try:
+            return np.nan if value is None else float(value)
+        except OverflowError:
+            pass
     raise ParseError(f"row {index}: bad value {value!r} for column {name!r}")
+
+
+# the Python types json.loads gives the cells each column takes
+_JSON_TYPES = {name: {int} if name in _INT_COLUMNS else {int, float, type(None)}
+               for name in CSV_COLUMNS}
+
+
+def _json_columns(rows: list) -> list:
+    """The schema columns of JSON rows, each read in one pass.  When a row or
+    a cell is bad, the rows are checked again one cell at a time, so the error
+    names the first bad one in file order."""
+    if not set(map(type, rows)) - {dict} and all(row.keys() == _SCHEMA for row in rows):
+        columns = {name: list(map(itemgetter(name), rows)) for name in CSV_COLUMNS}
+        if all(set(map(type, values)) <= _JSON_TYPES[name] for name, values in columns.items()):
+            try:  # None reads as nan
+                return [np.array(values, dtype=_dtype(name)) for name, values in columns.items()]
+            except OverflowError:
+                pass
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(f"row {index}: JSON trace row {row!r} is not an object")
+        if set(row) != _SCHEMA:
+            raise ParseError(f"row {index}: JSON trace row keys {sorted(row)} "
+                             "do not match the schema")
+        for name in CSV_COLUMNS:
+            _json_cell(name, row[name], index)
+    raise ParseError("bad JSON trace")  # not reached: the loop names the bad cell
+
+
+def _csv_columns(rows: list) -> list:
+    """The columns of split CSV lines, each parsed in one pass.  When a line
+    or a cell is bad, the lines are parsed again one cell at a time, so the
+    error names the first bad one in file order."""
+    if not set(map(len, rows)) - {len(CSV_COLUMNS)}:
+        try:
+            return [np.array(list(map(int if name in _INT_COLUMNS else float, cells)),
+                             dtype=_dtype(name))
+                    for name, cells in zip(CSV_COLUMNS, zip(*rows))]
+        except (ValueError, OverflowError):
+            pass
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != len(CSV_COLUMNS):
+            raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+        for name, cell in zip(CSV_COLUMNS, cells):
+            _parse_cell(name, cell, lineno)
+    raise ParseError("bad CSV trace")  # not reached: the loop names the bad cell
 
 
 def load_trace(path: str) -> Trace:
@@ -133,8 +299,6 @@ def load_trace(path: str) -> Trace:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read trace from {path}: {exc}") from exc
-    # the schema columns exist even with no rows, so an empty trace grades vacuously
-    trace = Trace(data={name: [] for name in CSV_COLUMNS})
     if str(path).endswith(".json"):
         try:
             rows = json.loads(text)
@@ -142,28 +306,19 @@ def load_trace(path: str) -> Trace:
             raise ParseError(f"bad JSON trace: {exc}") from exc
         if not isinstance(rows, list):
             raise ParseError("JSON trace must be an array of row objects")
-        for index, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise ParseError(f"row {index}: JSON trace row {row!r} is not an object")
-            if set(row) != set(CSV_COLUMNS):
-                raise ParseError(f"row {index}: JSON trace row keys {sorted(row)} "
-                                 "do not match the schema")
-            trace.append_row({name: _json_cell(name, row[name], index)
-                              for name in CSV_COLUMNS})
-        return trace
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines:
-        raise ParseError("empty trace file")
-    header = tuple(lines[0].split(","))
-    if header != CSV_COLUMNS:
-        raise ParseError(f"bad trace header {lines[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        trace.append_row({name: _parse_cell(name, cell, lineno)
-                          for name, cell in zip(CSV_COLUMNS, cells)})
-    return trace
+        columns = _json_columns(rows)
+    else:
+        lines = [ln for ln in text.split("\n") if ln != ""]
+        if not lines:
+            raise ParseError("empty trace file")
+        if tuple(lines[0].split(",")) != CSV_COLUMNS:
+            raise ParseError(f"bad trace header {lines[0]!r}")
+        rows = [line.split(",") for line in lines[1:]]
+        columns = _csv_columns(rows)
+    if not rows:
+        # the schema columns exist even with no rows, so an empty trace grades vacuously
+        columns = [()] * len(CSV_COLUMNS)
+    return Trace(data=dict(zip(CSV_COLUMNS, columns)))
 
 
 __all__ = ["Trace", "CSV_COLUMNS", "emit_trace", "load_trace"]

@@ -146,6 +146,17 @@ def test_check_missing_parameter_is_an_error(tmp_path, capsys):
     assert "ConfigError" in captured.err
 
 
+def test_check_count_outside_int64_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n0,1,1,1,0,1,1,1,0,nan\n"
+                    "1,2,1,1,0,1,2,2,18446744073709551616,0.5\n")
+    rc = main(["check", "--trace", str(path), "--theorem", "t10_calls",
+               "--D", "1", "--R2", "1", "--epsilon", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: ParseError: line 3" in captured.err and "'cum_stoch'" in captured.err
+
+
 def test_check_out_of_range_parameter_is_an_error(tmp_path, capsys):
     config = _write_config(tmp_path)
     out = str(tmp_path / "trace.csv")

@@ -289,7 +289,7 @@ def test_check_bounds_t1_catches_an_inflated_gap():
     trace = report.trace
     gaps = list(trace.data["gap"])
     gaps[30] = 4.0 * 1.0 * 2.0 / 31.0 ** 2 * 1.5
-    trace.data["gap"] = gaps
+    trace = Trace(data={**trace.data, "gap": gaps}, meta=trace.meta)
     check = check_bounds(trace, "t1", {"L": 1.0, "R2": 2.0})
     assert not check.passed
     assert 30 in check.failing_k

@@ -851,6 +851,29 @@ def _without_image(name):
     return problem.objective, problem.setup
 
 
+def test_finite_sum_sumst_on_the_identity_image_never_forms_the_exact_gradient():
+    # the finite_sum draw and the difference check read only the components
+    # and f, so the exact gradient at y is never formed
+    problem = make_problem("holder_norm_power", dimension=5)
+    base = problem.objective
+    calls = []
+
+    def counted_grad(x):
+        calls.append(1)
+        return base.smooth_grad(x)
+
+    shift = np.linspace(-1.0, 1.0, 5)
+    noise = NoiseModel(kind="finite_sum",
+                       components=(lambda x: base.smooth_grad(x) + shift,
+                                   lambda x: base.smooth_grad(x) - shift))
+    oracle = StochasticGradientOracle(base=dataclasses.replace(base, smooth_grad=counted_grad),
+                                      noise_model=noise, variance_bound=1.0)
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0, max_iters=30)
+    report = run(oracle, problem.setup, config, rng=0)
+    assert len(report.trace) == 30 and report.total_stoch_calls > 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["holder_norm_power", "simplex_linear", "regularized_quadratic"])
 def test_identity_image_evaluates_f_and_grad_once_per_counted_call(name):
     # objectives without a LinearImage run on the identity image: every raw

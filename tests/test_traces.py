@@ -147,13 +147,65 @@ def test_load_json_rejects_badly_typed_rows(tmp_path, rows, where):
         load_trace(str(path))
 
 
+@pytest.mark.parametrize("value", [2**63, 2**64, -2**63 - 1])
+@pytest.mark.parametrize("name", ["k", "cum_stoch"])
+def test_load_rejects_counts_outside_int64(tmp_path, name, value):
+    # an int64 column never wraps or truncates: the reader names the cell instead
+    cells = dict(zip(CSV_COLUMNS, "0,1.0,1.0,1.0,0,1,1,1,0,nan".split(",")), **{name: str(value)})
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\n0,1.0,1.0,1.0,0,1,1,1,0,nan\n"
+                        + ",".join(cells[c] for c in CSV_COLUMNS) + "\n")
+    with pytest.raises(ParseError, match=f"line 3: .*'{name}'"):
+        load_trace(str(csv_path))
+    json_path = tmp_path / "big.json"
+    json_path.write_text(json.dumps(_json_rows() + _json_rows(**{name: value})))
+    with pytest.raises(ParseError, match=f"row 1: .*'{name}'"):
+        load_trace(str(json_path))
+
+
+def test_load_accepts_the_int64_edges(tmp_path):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(_json_rows(k=2**63 - 1, cum_f=-2**63)))
+    back = load_trace(str(path))
+    assert back.column("k")[0] == 2**63 - 1 and back.column("cum_f")[0] == -2**63
+
+
+@pytest.mark.parametrize("value", [1.5, 2**63, math.nan, math.inf, "3", None])
+def test_integer_columns_hold_exact_int64_values_only(value):
+    base = {"k": [0, 1], "A": [1.0, 2.0]}
+    with pytest.raises(ParseError, match="'k'"):
+        Trace(data={**base, "k": [0, value]})
+    trace = Trace(data=base)
+    with pytest.raises(ParseError, match="'k'"):
+        trace.append(k=value, A=3.0)
+    assert len(trace) == 2
+
+
+def test_columns_are_typed_read_only_views():
+    trace = Trace(data={"k": [0, 1.0, True], "A": [1, 2.5, 3]})
+    assert trace.column("k").dtype == np.int64 and trace.column("A").dtype == np.float64
+    assert trace.column("k").tolist() == [0, 1, 1] and trace.column("A").tolist() == [1.0, 2.5, 3.0]
+    for n in range(3, 700):  # past several buffered blocks and two regrowths
+        trace.append(A=n / 7, k=n)
+        assert trace.last("k") == n and trace.last("A") == n / 7
+    assert trace.column("k").tolist() == [0, 1, 1, *range(3, 700)]
+    assert tuple(trace.data) == ("k", "A") and len(trace.data["A"]) == len(trace) == 700
+    col = trace.column("A")
+    with pytest.raises(ValueError):
+        col[0] = 5.0
+    trace.append(k=700, A=0.5)
+    assert col.size == 700 and trace.column("A")[-1] == 0.5
+    with pytest.raises(ParseError):
+        Trace(data={"k": [0, 1], "A": [1.0]})
+
+
 def test_load_json_accepts_integral_numbers_in_float_columns(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(json.dumps(_json_rows(A=4, gap=0)))
     back = load_trace(str(path))
     assert back.column("A")[0] == 4.0 and isinstance(back.data["A"][0], float)
     assert back.column("gap")[0] == 0.0
-    assert isinstance(back.data["k"][0], int)
+    assert np.issubdtype(back.column("k").dtype, np.integer)
 
 
 def test_seventeen_digit_floats_survive():
@@ -170,3 +222,50 @@ def test_seventeen_digit_floats_survive():
     assert back.column("A")[0] == value
     assert back.column("alpha")[0] == 1e-300
     assert back.column("L_trial")[0] == value * 1e150
+
+
+BIG = 2**63 - 1
+PINNED_CSV = (
+    "k,A,alpha,L_trial,j,m,cum_f,cum_grad,cum_stoch,gap\n"
+    "0,-0,4.9406564584124654e-324,inf,0,1,9223372036854775807,0,9223372036854775807,nan\n"
+    "1,0.30000000000000004,1.0000000000000001e+300,-inf,9223372036854775807,"
+    "9223372036854775807,3,9223372036854775807,0,-0\n"
+    "9223372036854775807,1.0000000000000001e+300,-4.9406564584124654e-324,"
+    "0.30000000000000004,1,2,9223372036854775807,9223372036854775807,9223372036854775807,inf\n"
+)
+PINNED_JSON = (
+    '[\n {\n  "k": 0,\n  "A": -0.0,\n  "alpha": 5e-324,\n  "L_trial": Infinity,\n'
+    '  "j": 0,\n  "m": 1,\n  "cum_f": 9223372036854775807,\n  "cum_grad": 0,\n'
+    '  "cum_stoch": 9223372036854775807,\n  "gap": null\n },\n'
+    ' {\n  "k": 1,\n  "A": 0.30000000000000004,\n  "alpha": 1e+300,\n'
+    '  "L_trial": -Infinity,\n  "j": 9223372036854775807,\n  "m": 9223372036854775807,\n'
+    '  "cum_f": 3,\n  "cum_grad": 9223372036854775807,\n  "cum_stoch": 0,\n  "gap": -0.0\n },\n'
+    ' {\n  "k": 9223372036854775807,\n  "A": 1e+300,\n  "alpha": -5e-324,\n'
+    '  "L_trial": 0.30000000000000004,\n  "j": 1,\n  "m": 2,\n'
+    '  "cum_f": 9223372036854775807,\n  "cum_grad": 9223372036854775807,\n'
+    '  "cum_stoch": 9223372036854775807,\n  "gap": Infinity\n }\n]\n'
+)
+
+
+def pinned_trace():
+    trace = Trace()
+    trace.append(k=0, A=-0.0, alpha=5e-324, L_trial=math.inf, j=0, m=1,
+                 cum_f=BIG, cum_grad=0, cum_stoch=BIG, gap=math.nan)
+    trace.append(k=1, A=0.1 + 0.2, alpha=1e300, L_trial=-math.inf, j=BIG, m=BIG,
+                 cum_f=3, cum_grad=BIG, cum_stoch=0, gap=-0.0)
+    trace.append(k=BIG, A=1e300, alpha=-5e-324, L_trial=0.1 + 0.2, j=1, m=2,
+                 cum_f=BIG, cum_grad=BIG, cum_stoch=BIG, gap=math.inf)
+    return trace
+
+
+@pytest.mark.parametrize("fmt,expected", [("csv", PINNED_CSV), ("json", PINNED_JSON)])
+def test_writer_bytes_are_pinned(tmp_path, fmt, expected):
+    # a round trip passes for any writer that reads back its own output; the
+    # literal pins the bytes themselves: signed zero, subnormals, infinities,
+    # nan, 17 significant digits and the int64 edge of the count columns
+    path = emit_trace(pinned_trace(), fmt, str(tmp_path / f"pinned.{fmt}"))
+    with open(path, newline="") as fh:
+        assert fh.read() == expected
+    back = load_trace(path)
+    for name in CSV_COLUMNS:
+        np.testing.assert_array_equal(back.column(name), pinned_trace().column(name))
