@@ -8,8 +8,8 @@ from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
                      TriangleOptError, UnsupportedGeometry, ValidationError)
 from .harness import (THEOREM_IDS, BoundCheck, Experiment, SeedResult,
                       check_bounds, load_experiment, run_experiment)
-from .meta_strategies import (RestartPlan, holder_majorant_L, inner_iterations,
-                              regularize, restart_run, restarts_for_target)
+from .meta_strategies import (holder_majorant_L, inner_iterations, regularize,
+                              restart_run, restarts_for_target)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
                       QuadraticForm, StochasticGradientOracle, TrialStreams,
                       finite_difference_gradient, grad, holder_probe,
@@ -34,7 +34,7 @@ __all__ = [
     "CompositeObjective", "ConfigError", "DESCRIPTIONS", "DomainError",
     "EstimateFunction", "EvalCounter", "Experiment", "FeasibleSet", "IoError",
     "LinearImage", "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
-    "ProblemSpec", "ProxSetup", "QuadraticForm", "RestartPlan", "RunReport",
+    "ProblemSpec", "ProxSetup", "QuadraticForm", "RunReport",
     "SeedResult", "SimpleTerm", "SolverConfig", "SolverState",
     "StochasticGradientOracle", "StoppingRule", "THEOREM_IDS", "Trace", "TrialStreams",
     "TriangleOptError",

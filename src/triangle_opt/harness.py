@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, MissingColumn, ParseError, ValidationError
+from .errors import ConfigError, DomainError, MissingColumn, ParseError, ValidationError
 from .oracles import NoiseModel, StochasticGradientOracle
 from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
 from .traces import Trace, emit_trace
@@ -37,16 +37,18 @@ class Experiment:
     config: SolverConfig
     seeds: list
     output: str | None
-    raw: dict
 
 
 @dataclass
 class SeedResult:
     seed: int
-    trace: Trace | None
     report: RunReport | None
     error: str | None
     path: str | None
+
+    @property
+    def trace(self) -> Trace | None:
+        return None if self.report is None else self.report.trace
 
 
 @dataclass
@@ -108,7 +110,8 @@ def load_experiment(config_text: str) -> Experiment:
     """Parse and validate a JSON experiment description.
 
     Required: problem (with kind), solver (with mode), seeds, max_iters.
-    Optional: prox (an omega_tilde override), epsilon, output.
+    Optional: prox (an omega_tilde override of the problem's setup, where
+    the run reads it), epsilon, output.
     Unknown or duplicate keys are rejected.
     """
     try:
@@ -140,11 +143,13 @@ def load_experiment(config_text: str) -> Experiment:
     if not isinstance(prox_cfg, dict):
         raise ValidationError('"prox" must be an object')
     _require_keys(prox_cfg, _PROX_KEYS, "prox")
-    setup = problem.setup
     if prox_cfg:
-        setup = replace(setup, omega_tilde=_optional_number("prox", prox_cfg, "omega_tilde",
-                                                            setup.omega_tilde))
-        problem.setup = setup
+        omega_tilde = _optional_number("prox", prox_cfg, "omega_tilde",
+                                       problem.setup.omega_tilde)
+        try:
+            problem.setup = replace(problem.setup, omega_tilde=omega_tilde)
+        except DomainError as exc:
+            raise ValidationError(str(exc)) from exc
 
     solver_cfg = raw["solver"]
     if not isinstance(solver_cfg, dict) or "mode" not in solver_cfg:
@@ -186,7 +191,6 @@ def load_experiment(config_text: str) -> Experiment:
             L_known=_optional_number("solver", solver_cfg, "L"),
             L0=_optional_number("solver", solver_cfg, "L0", 1.0),
             mu=_optional_number("solver", solver_cfg, "mu", 0.0),
-            omega_tilde=setup.omega_tilde,
             epsilon=_optional_number("configuration", raw, "epsilon"),
             D=_optional_number("solver", solver_cfg, "D"),
             max_iters=max_iters,
@@ -196,8 +200,7 @@ def load_experiment(config_text: str) -> Experiment:
         config.validate()
     except ConfigError as exc:
         raise ValidationError(str(exc)) from exc
-    return Experiment(problem=problem, config=config, seeds=list(seeds),
-                      output=output, raw=raw)
+    return Experiment(problem=problem, config=config, seeds=list(seeds), output=output)
 
 
 def _seed_output_path(output: str | None, seed: int, n_seeds: int) -> str | None:
@@ -240,12 +243,11 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
             report = getattr(exc, "report", None)
             error = f"{type(exc).__name__}: {exc}"
         if report is None:
-            return SeedResult(seed=seed, trace=None, report=None, error=error, path=None)
+            return SeedResult(seed=seed, report=None, error=error, path=None)
         if path is not None:
             fmt = "json" if path.endswith(".json") else "csv"
             emit_trace(report.trace, fmt, path)
-        return SeedResult(seed=seed, trace=report.trace, report=report,
-                          error=error, path=path)
+        return SeedResult(seed=seed, report=report, error=error, path=path)
 
     seeds = experiment.seeds
     if len(seeds) == 1:

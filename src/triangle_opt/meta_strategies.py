@@ -10,7 +10,7 @@ terminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,35 +19,6 @@ from .oracles import CompositeObjective
 from .prox_geometry import ProxSetup, bregman_divergence, recenter
 from .solvers import RunReport, SolverConfig, StoppingRule, run
 from .traces import Trace
-
-
-@dataclass(frozen=True)
-class RestartPlan:
-    """Restart schedule: K outer restarts of N_bar = ceil(sqrt(8*L*omega/mu))
-    inner iterations each."""
-
-    inner_iters: int
-    n_restarts: int
-    L: float
-    mu: float
-    omega: float
-
-    def __post_init__(self):
-        if self.L <= 0 or self.mu <= 0:
-            raise ConfigError("RestartPlan needs L > 0 and mu > 0")
-        if self.omega < 1.0:
-            raise ConfigError("RestartPlan needs omega >= 1")
-        if self.n_restarts < 0:
-            raise ConfigError("n_restarts must be >= 0")
-        expected = inner_iterations(self.L, self.mu, self.omega)
-        if self.inner_iters != expected:
-            raise ConfigError(
-                f"inner_iters = {self.inner_iters} but ceil(sqrt(8*L*omega/mu)) = {expected}")
-
-    @classmethod
-    def for_problem(cls, L: float, mu: float, omega: float, n_restarts: int) -> "RestartPlan":
-        return cls(inner_iters=inner_iterations(L, mu, omega), n_restarts=n_restarts,
-                   L=L, mu=mu, omega=omega)
 
 
 def inner_iterations(L: float, mu: float, omega: float) -> int:
@@ -112,7 +83,9 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     of the whole F is what the halving argument needs, and re-centering is a
     euclidean operation.
     """
-    plan = RestartPlan.for_problem(L, mu, omega, K)
+    n_bar = inner_iterations(L, mu, omega)
+    if K < 0:
+        raise ConfigError("K must be >= 0")
     setup = recenter(setup, setup.center)  # raises UnsupportedGeometry when re-centering is undefined
     if objective.h.kind not in ("zero", "l1"):
         raise ConfigError(f"restarts support h in {{zero, l1}}, got {objective.h.kind!r}")
@@ -121,7 +94,7 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     trace = Trace()
     trace.meta["mu"] = mu
     trace.meta["omega"] = omega
-    trace.meta["n_bar"] = plan.inner_iters
+    trace.meta["n_bar"] = n_bar
     x_star = f_star = None
     if objective.known_optimum is not None:
         x_star, f_star = objective.known_optimum
@@ -134,7 +107,7 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     if inner_config is None:
         inner_config = SolverConfig(mode="mst_exact_L", L_known=L)
     inner_config = replace(inner_config, mode="mst_exact_L", L_known=L, mu=0.0,
-                           max_iters=plan.inner_iters + 1, stopping=StoppingRule())
+                           max_iters=n_bar + 1, stopping=StoppingRule())
     current = setup.center
     cum_f = cum_grad = cum_stoch = 0
     total_iters = 0

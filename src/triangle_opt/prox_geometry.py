@@ -15,7 +15,7 @@ closed-form solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class NormPair:
         if self.tag == "euclidean":
             return two_norm(v)
         return float(np.abs(v).max()) if v.size else 0.0
+
+
+_NORMS = {"euclidean": NormPair("euclidean"), "entropy": NormPair("l1_linf")}
 
 
 def two_norm(v: np.ndarray) -> float:
@@ -87,16 +90,27 @@ class ProxSetup:
     """A prox geometry: norms, center y0, prox-function d, and feasible set Q.
 
     d is 1-strongly convex in the primal norm with d(center) = 0; omega_tilde
-    and omega are the user-supplied constants comparing V to the squared norm
-    (both 1 in the euclidean setup).
+    >= 1 is the user-supplied constant comparing V to the squared norm (1 by
+    default), and a run's strong convexity constant is
+    mu~ = mu/omega_tilde.  The norms follow from the geometry: ||.||_2 and its
+    dual for euclidean, ||.||_1 and ||.||_inf for entropy.
     """
 
     geometry: str  # "euclidean" or "entropy"
-    norms: NormPair
     center: np.ndarray
     feasible_set: FeasibleSet
     omega_tilde: float = 1.0
-    omega: float = 1.0
+    norms: NormPair = field(init=False)
+
+    def __post_init__(self):
+        norms = _NORMS.get(self.geometry)
+        if norms is None:
+            raise DomainError(f"unknown geometry {self.geometry!r}; known: {', '.join(_NORMS)}")
+        if not math.isfinite(self.omega_tilde):
+            raise DomainError(f"omega_tilde must be finite, got {self.omega_tilde!r}")
+        if self.omega_tilde < 1.0:
+            raise DomainError("omega_tilde must be >= 1")
+        object.__setattr__(self, "norms", norms)  # a plain attribute: read on every trial
 
     def d_value(self, x: np.ndarray) -> float:
         if self.geometry == "euclidean":
@@ -118,23 +132,17 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def euclidean_setup(center, feasible_set: FeasibleSet | None = None,
-                    omega_tilde: float = 1.0, omega: float = 1.0) -> ProxSetup:
-    center = np.asarray(center, dtype=float)
+                    omega_tilde: float = 1.0) -> ProxSetup:
     fs = feasible_set if feasible_set is not None else free_space()
-    if omega_tilde < 1.0 or omega < 1.0:
-        raise DomainError("omega constants must be >= 1")
-    return ProxSetup(geometry="euclidean", norms=NormPair("euclidean"), center=center,
-                     feasible_set=fs, omega_tilde=float(omega_tilde), omega=float(omega))
+    return ProxSetup(geometry="euclidean", center=np.asarray(center, dtype=float),
+                     feasible_set=fs, omega_tilde=float(omega_tilde))
 
 
-def entropy_setup(dimension: int, omega_tilde: float = 1.0, omega: float = 1.0) -> ProxSetup:
+def entropy_setup(dimension: int, omega_tilde: float = 1.0) -> ProxSetup:
     if dimension < 2:
         raise DomainError("entropy setup needs dimension >= 2")
-    if omega_tilde < 1.0 or omega < 1.0:
-        raise DomainError("omega constants must be >= 1")
-    center = np.full(dimension, 1.0 / dimension)
-    return ProxSetup(geometry="entropy", norms=NormPair("l1_linf"), center=center,
-                     feasible_set=simplex(), omega_tilde=float(omega_tilde), omega=float(omega))
+    return ProxSetup(geometry="entropy", center=np.full(dimension, 1.0 / dimension),
+                     feasible_set=simplex(), omega_tilde=float(omega_tilde))
 
 
 def bregman_divergence(setup: ProxSetup, x: np.ndarray, z: np.ndarray) -> float:

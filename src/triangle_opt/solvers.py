@@ -107,7 +107,6 @@ class SolverConfig:
     L_known: float | None = None
     L0: float = 1.0
     mu: float = 0.0
-    omega_tilde: float = 1.0
     epsilon: float | None = None
     D: float | None = None
     max_iters: int = 100
@@ -118,7 +117,7 @@ class SolverConfig:
         policy = POLICIES.get(self.mode)
         if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        for name in ("L_known", "L0", "mu", "omega_tilde", "epsilon", "D"):
+        for name in ("L_known", "L0", "mu", "epsilon", "D"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -136,18 +135,12 @@ class SolverConfig:
             raise ConfigError("L0 must be positive")
         if self.mu < 0:
             raise ConfigError("mu must be nonnegative")
-        if self.omega_tilde < 1.0:
-            raise ConfigError("omega_tilde must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.max_backtracks_per_iter < 1:
             raise ConfigError("max_backtracks_per_iter must be >= 1")
         if self.stopping.kind == "certified_gap" and self.epsilon is None:
             raise ConfigError("certified_gap stopping needs config.epsilon as its target")
-
-    @property
-    def mu_tilde(self) -> float:
-        return self.mu / self.omega_tilde
 
     @property
     def slack_factor(self) -> float:
@@ -413,8 +406,10 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
 def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> SolverState:
     """The k = 0 state: ``step`` from the A = 0 start state u = x = y = center,
     phi_0 = d, whose first trial gives alpha_0 = A_0 = 1/L with L the known
-    constant (exact mode) or L0, doubled until the check passes.  In sumst it
-    keys the run's Philox from rng (default 0), which must be an integer >= 0."""
+    constant (exact mode) or L0, doubled until the check passes.  The run's
+    mu~ is config.mu / setup.omega_tilde: omega_tilde belongs to the geometry.
+    In sumst it keys the run's Philox from rng (default 0), which must be an
+    integer >= 0."""
     config.validate()
     streams = None
     if POLICIES[config.mode].stochastic:
@@ -430,8 +425,8 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     uz = _cached(image, center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
-                        mu_tilde=config.mu_tilde, counters=EvalCounter(), trace=Trace(),
-                        image=image, uz=uz, xz=uz, streams=streams)
+                        mu_tilde=config.mu / setup.omega_tilde, counters=EvalCounter(),
+                        trace=Trace(), image=image, uz=uz, xz=uz, streams=streams)
     return step(start, objective, setup, config, rng)
 
 

@@ -273,10 +273,10 @@ def _json_columns(rows: list) -> list:
     raise ParseError("bad JSON trace")  # not reached: the loop names the bad cell
 
 
-def _csv_columns(rows: list) -> list:
+def _csv_columns(rows: list, linenos: list) -> list:
     """The columns of split CSV lines, each parsed in one pass.  When a line
     or a cell is bad, the lines are parsed again one cell at a time, so the
-    error names the first bad one in file order."""
+    error names the first bad one in file order, by its line in the file."""
     if not set(map(len, rows)) - {len(CSV_COLUMNS)}:
         try:
             return [np.array(list(map(int if name in _INT_COLUMNS else float, cells)),
@@ -284,7 +284,7 @@ def _csv_columns(rows: list) -> list:
                     for name, cells in zip(CSV_COLUMNS, zip(*rows))]
         except (ValueError, OverflowError):
             pass
-    for lineno, cells in enumerate(rows, start=2):
+    for lineno, cells in zip(linenos, rows):
         if len(cells) != len(CSV_COLUMNS):
             raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
         for name, cell in zip(CSV_COLUMNS, cells):
@@ -308,13 +308,16 @@ def load_trace(path: str) -> Trace:
             raise ParseError("JSON trace must be an array of row objects")
         columns = _json_columns(rows)
     else:
-        lines = [ln for ln in text.split("\n") if ln != ""]
-        if not lines:
+        lines = text.split("\n")
+        # blank lines are skipped, but errors name lines by their place in the file
+        linenos = [n for n, line in enumerate(lines, start=1) if line != ""]
+        if not linenos:
             raise ParseError("empty trace file")
-        if tuple(lines[0].split(",")) != CSV_COLUMNS:
-            raise ParseError(f"bad trace header {lines[0]!r}")
-        rows = [line.split(",") for line in lines[1:]]
-        columns = _csv_columns(rows)
+        header = lines[linenos[0] - 1]
+        if tuple(header.split(",")) != CSV_COLUMNS:
+            raise ParseError(f"bad trace header {header!r}")
+        rows = [lines[n - 1].split(",") for n in linenos[1:]]
+        columns = _csv_columns(rows, linenos[1:])
     if not rows:
         # the schema columns exist even with no rows, so an empty trace grades vacuously
         columns = [()] * len(CSV_COLUMNS)

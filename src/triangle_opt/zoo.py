@@ -72,15 +72,12 @@ class ProblemSpec:
     kind: str
     dimension: int
     seed: int
-    optimum_policy: str
 
     def __post_init__(self):
         if self.kind not in ZOO_KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}; known: {', '.join(ZOO_KINDS)}")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
-        if self.optimum_policy not in ("analytic", "precompute_by_long_run"):
-            raise ConfigError(f"unknown optimum policy {self.optimum_policy!r}")
 
 
 @dataclass
@@ -178,7 +175,7 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
         image, h=SimpleTerm(kind="zero"), known_optimum=(x_star, 0.0),
         smoothness_meta={"L": lam_max, "mu": lam_min})
     data = {"A_matrix": h_matrix, "b": h_matrix @ x_star, "spectrum": lam, "x_star": x_star}
-    spec = ProblemSpec("quadratic", dimension, seed, "analytic")
+    spec = ProblemSpec("quadratic", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
     points = [probe_rng.standard_normal(dimension) for _ in range(2)]
     _fd_consistency_check(objective, points)
@@ -217,7 +214,7 @@ def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
         known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]), "mu": float(max(gram_eigs[0], 0.0))})
     data = {"design": design, "targets": targets, "lam": lam}
-    spec = ProblemSpec("lasso", dimension, seed, "precompute_by_long_run")
+    spec = ProblemSpec("lasso", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
     points = [probe_rng.standard_normal(dimension) for _ in range(2)]
     _fd_consistency_check(objective, points)
@@ -247,7 +244,7 @@ def _holder_norm_power(dimension: int, seed: int, p: float) -> ZooProblem:
         known_optimum=(np.zeros(dimension), 0.0),
         smoothness_meta={"L_nu": 2.0 ** (1.0 - nu), "nu": nu})
     data = {"p": p}
-    spec = ProblemSpec("holder_norm_power", dimension, seed, "analytic")
+    spec = ProblemSpec("holder_norm_power", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
     probes = []
     for _ in range(2):
@@ -309,7 +306,7 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
         image, h=SimpleTerm(kind="zero"), known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]) / (4.0 * n_rows)})
     data = {"design": design, "labels": labels}
-    spec = ProblemSpec("logistic", dimension, seed, "precompute_by_long_run")
+    spec = ProblemSpec("logistic", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
     points = [probe_rng.standard_normal(dimension) for _ in range(2)]
     _fd_consistency_check(objective, points)
@@ -340,7 +337,7 @@ def _simplex_linear(dimension: int, seed: int) -> ZooProblem:
         known_optimum=(x_star, float(costs[best])),
         smoothness_meta={"L": 1.0})
     data = {"costs": costs}
-    spec = ProblemSpec("simplex_linear", dimension, seed, "analytic")
+    spec = ProblemSpec("simplex_linear", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
     _fd_consistency_check(objective, [probe_rng.dirichlet(np.ones(dimension)) for _ in range(2)])
     return ZooProblem(spec, objective, setup, data)

@@ -1,6 +1,8 @@
 """Smoke tests: the stochastic mini-batch demo runs end to end and reports a
 passing call budget; the trace digest tool prints the same digests twice; the
-cache drift demo prints one comparison per imaged case."""
+cache drift demo prints one comparison per imaged case; the rate, adaptive and
+restart demos grade every bound they print as a pass; and the reference optima
+script reprints the optima frozen in the zoo."""
 
 import os
 import re
@@ -8,31 +10,54 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from triangle_opt import ZOO_KINDS, make_problem
+from triangle_opt.zoo import _FROZEN_OPTIMA
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_stochastic_minibatch_demo_passes():
+def _run_demo(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / "stochastic_minibatch.py"),
-                             "--seeds", "2"],
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / name), *args],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert "stochastic call budget on every seed: pass" in result.stdout
+    return result.stdout
+
+
+@pytest.mark.parametrize("name, args, verdicts", [
+    ("quadratic_rates.py", ("--iters", "50", "--dimension", "10"), ("t1", "c1", "t2_t3")),
+    ("adaptive_and_universal.py", ("--iters", "50"), ("t6_work", "log-log slope")),
+    ("restarts_and_entropy_simplex.py", ("--restarts", "2"), ("t5_halving", "c1 distance")),
+])
+def test_bound_demos_pass_every_check_they_print(name, args, verdicts):
+    out = _run_demo(name, *args)
+    assert "FAIL" not in out
+    for verdict in verdicts:
+        assert re.search(rf"^{verdict}.*pass", out, re.MULTILINE), (verdict, out)
+
+
+def test_reference_optima_script_reprints_the_frozen_optima():
+    printed = {}
+    exec(_run_demo("precompute_reference_optima.py"), {"np": np}, printed)
+    printed = printed["_FROZEN_OPTIMA"]
+    assert printed.keys() == _FROZEN_OPTIMA.keys()
+    for key, (x_hat, f_star) in printed.items():
+        frozen_x, frozen_f = _FROZEN_OPTIMA[key]
+        np.testing.assert_allclose(x_hat, frozen_x, rtol=0.0, atol=1e-12, err_msg=str(key))
+        assert f_star == pytest.approx(frozen_f, rel=1e-14, abs=0.0), key
+
+
+def test_stochastic_minibatch_demo_passes():
+    out = _run_demo("stochastic_minibatch.py", "--seeds", "2")
+    assert "stochastic call budget on every seed: pass" in out
 
 
 def test_trace_digest_is_reproducible_with_one_line_per_case():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    outputs = []
-    for _ in range(2):
-        result = subprocess.run([sys.executable, str(ROOT / "demos" / "trace_digest.py"),
-                                 "--iters", "15"],
-                                capture_output=True, text=True, env=env, timeout=120)
-        assert result.returncode == 0, result.stderr
-        outputs.append(result.stdout)
+    outputs = [_run_demo("trace_digest.py", "--iters", "15") for _ in range(2)]
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
     # eight configurations per zoo kind, and again for each kind with a
@@ -44,13 +69,7 @@ def test_trace_digest_is_reproducible_with_one_line_per_case():
 
 
 def test_cache_drift_demo_prints_one_line_per_imaged_case():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / "cache_drift.py"),
-                             "--iters", "40"],
-                            capture_output=True, text=True, env=env, timeout=120)
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+    lines = _run_demo("cache_drift.py", "--iters", "40").splitlines()
     # three imaged kinds times mst, amst, amst+eps, umst and sumst
     assert len(lines) == 15
     for line in lines:

@@ -1,0 +1,22 @@
+"""The package namespace: ``triangle_opt.__all__`` lists each public name once,
+every listed name resolves, and it re-exports the whole public surface of the
+oracle, prox-geometry and trace modules."""
+
+import importlib
+
+import pytest
+
+import triangle_opt
+
+
+def test_package_exports_are_unique_and_resolve():
+    names = triangle_opt.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [name for name in names if not hasattr(triangle_opt, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module", ["oracles", "prox_geometry", "traces"])
+def test_package_reexports_every_public_name_of(module):
+    names = importlib.import_module(f"triangle_opt.{module}").__all__
+    assert set(names) <= set(triangle_opt.__all__), sorted(set(names) - set(triangle_opt.__all__))

@@ -10,8 +10,8 @@ import pytest
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
                           MissingColumn, NoiseModel, ParseError,
                           SolverConfig, StochasticGradientOracle, Trace, ValidationError,
-                          check_bounds, emit_trace, load_experiment, load_trace, make_problem,
-                          run, run_experiment)
+                          check_bounds, emit_trace, init_phase, load_experiment, load_trace,
+                          make_problem, run, run_experiment)
 from triangle_opt import harness
 from triangle_opt.harness import _seed_output_path
 
@@ -139,6 +139,8 @@ def test_load_experiment_rejects_non_numeric_fields():
                       "stopping": {"kind": "gradient_mapping", "threshold": "small"}})
     with pytest.raises(ValidationError, match="prox.omega_tilde"):
         _load(prox={"omega_tilde": [1.0]})
+    with pytest.raises(ValidationError, match="omega_tilde must be >= 1"):
+        _load(prox={"omega_tilde": 0.5})
     with pytest.raises(ValidationError, match="epsilon.*finite"):
         _load(epsilon=math.inf)
 
@@ -153,9 +155,10 @@ def test_load_experiment_wraps_solver_config_errors():
 
 
 def test_load_experiment_prox_override_reaches_setup_and_solver():
-    exp = _load(prox={"omega_tilde": 2.0})
+    exp = _load(prox={"omega_tilde": 2.0}, solver={"mode": "mst_exact_L", "L": 1.0, "mu": 0.5})
     assert exp.problem.setup.omega_tilde == 2.0
-    assert exp.config.omega_tilde == 2.0
+    state = init_phase(exp.problem.objective, exp.problem.setup, exp.config)
+    assert state.mu_tilde == 0.25
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])

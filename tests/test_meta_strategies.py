@@ -9,7 +9,6 @@ import pytest
 from triangle_opt import (
     CompositeObjective,
     ConfigError,
-    RestartPlan,
     SimpleTerm,
     SolverConfig,
     UnsupportedGeometry,
@@ -36,15 +35,16 @@ def test_inner_iterations_examples():
         inner_iterations(0.0, 1.0, 1.0)
 
 
-def test_restart_plan_consistency():
-    plan = RestartPlan.for_problem(L=8.0, mu=1.0, omega=1.0, n_restarts=5)
-    assert plan.inner_iters == 8
+def test_restart_schedule_consistency():
+    problem = make_problem("quadratic", dimension=4, seed=0)
+    report = restart_run(problem.objective, problem.setup, L=8.0, mu=1.0, omega=1.0, K=0)
+    assert report.trace.meta["n_bar"] == inner_iterations(8.0, 1.0, 1.0) == 8
     with pytest.raises(ConfigError):
-        RestartPlan(inner_iters=7, n_restarts=5, L=8.0, mu=1.0, omega=1.0)
+        inner_iterations(8.0, 0.0, 1.0)
     with pytest.raises(ConfigError):
-        RestartPlan.for_problem(L=8.0, mu=0.0, omega=1.0, n_restarts=5)
+        restart_run(problem.objective, problem.setup, L=8.0, mu=0.0, omega=1.0, K=5)
     with pytest.raises(ConfigError):
-        RestartPlan.for_problem(L=8.0, mu=1.0, omega=1.0, n_restarts=-1)
+        restart_run(problem.objective, problem.setup, L=8.0, mu=1.0, omega=1.0, K=-1)
 
 
 def test_regularize_mu_value_and_center_gradient():

@@ -1,6 +1,7 @@
 """Unit tests for norms, prox setups, Bregman divergences, estimate functions,
 and the closed-form composite prox step."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from triangle_opt import (
     DomainError,
     EstimateFunction,
     NormPair,
+    ProxSetup,
     SimpleTerm,
     UnsupportedGeometry,
     box,
@@ -280,9 +282,39 @@ def test_omega_constants_validated():
     with pytest.raises(DomainError):
         euclidean_setup(center=np.zeros(2), omega_tilde=0.5)
     with pytest.raises(DomainError):
-        entropy_setup(3, omega=0.0)
-    with pytest.raises(DomainError):
         entropy_setup(1)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "omega_tilde must be >= 1"),
+    (math.inf, "omega_tilde must be finite"),
+    (math.nan, "omega_tilde must be finite"),
+])
+def test_every_setup_checks_omega_tilde(value, message):
+    # omega_tilde belongs to the geometry, so the setup checks it, not the
+    # solver config; replace and recenter build a setup too
+    setup = euclidean_setup(center=np.zeros(2), omega_tilde=2.0)
+    assert recenter(setup, np.ones(2)).omega_tilde == 2.0
+    with pytest.raises(DomainError, match=f"^{message}"):
+        dataclasses.replace(setup, omega_tilde=value)
+    with pytest.raises(DomainError, match=f"^{message}"):
+        entropy_setup(3, omega_tilde=value)
+
+
+def test_the_norms_follow_the_geometry_and_an_unknown_one_is_rejected():
+    assert euclidean_setup(center=np.zeros(2)).norms == NormPair("euclidean")
+    assert entropy_setup(3).norms == NormPair("l1_linf")
+    moved = dataclasses.replace(entropy_setup(3), geometry="euclidean")
+    assert moved.norms == NormPair("euclidean")
+    with pytest.raises(TypeError):
+        ProxSetup(geometry="euclidean", center=np.zeros(2), feasible_set=free_space(),
+                  norms=NormPair("l1_linf"))
+    # d and the prox step would read a misspelt geometry differently
+    for name in ("Euclidean", "entropy ", ""):
+        with pytest.raises(DomainError, match="unknown geometry"):
+            ProxSetup(geometry=name, center=np.zeros(2), feasible_set=free_space())
+        with pytest.raises(DomainError, match="unknown geometry"):
+            dataclasses.replace(euclidean_setup(center=np.zeros(2)), geometry=name)
 
 
 def test_simple_term_validation_and_values():

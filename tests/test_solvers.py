@@ -167,8 +167,6 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(mode="amst_adaptive", mu=-0.1).validate()
     with pytest.raises(ConfigError):
-        SolverConfig(mode="amst_adaptive", omega_tilde=0.2).validate()
-    with pytest.raises(ConfigError):
         SolverConfig(mode="amst_adaptive", max_iters=0).validate()
     with pytest.raises(ConfigError):
         SolverConfig(mode="amst_adaptive",
@@ -185,7 +183,6 @@ def test_solver_config_validation():
     ("L_known", math.nan, "L_known must be finite"),
     ("L0", math.inf, "L0 must be finite"),
     ("mu", math.nan, "mu must be finite"),
-    ("omega_tilde", math.inf, "omega_tilde must be finite"),
     ("epsilon", math.nan, "epsilon must be finite"),
     ("D", math.nan, "D must be finite"),
     ("D", math.inf, "D must be finite"),
@@ -200,6 +197,22 @@ def test_run_rejects_a_non_finite_or_negative_config_field(field, value, message
     config = dataclasses.replace(config, **{field: value})
     with pytest.raises(ConfigError, match=f"^{message}"):
         run(oracle, euclidean_setup(center=np.zeros(2)), config, rng=0)
+
+
+def test_a_run_reads_omega_tilde_from_the_setup():
+    # mu~ = mu / omega_tilde with omega_tilde from the setup; dividing by 4 is exact
+    problem = make_problem("quadratic", dimension=10, seed=0, lam_min=0.05)
+
+    def trace(setup, mu):
+        config = SolverConfig(mode="mst_exact_L", L_known=1.0, mu=mu, max_iters=40)
+        return run(problem.objective, setup, config).trace
+
+    wide = trace(dataclasses.replace(problem.setup, omega_tilde=4.0), 0.02)
+    same = trace(problem.setup, 0.005)
+    plain = trace(problem.setup, 0.02)
+    for name in ("A", "alpha", "gap", "dist_x_sq"):
+        np.testing.assert_array_equal(wide.column(name), same.column(name))
+    assert not np.array_equal(wide.column("A"), plain.column("A"))
 
 
 def test_init_phase_exact_mode_lands_at_optimum():
@@ -313,7 +326,7 @@ def test_estimate_function_structure_invariants():
     problem = make_problem("quadratic", dimension=6, seed=4, lam_min=0.3)
     config = SolverConfig(mode="mst_exact_L", L_known=1.0, mu=0.3, max_iters=30)
     state = init_phase(problem.objective, problem.setup, config)
-    mu_tilde = config.mu_tilde
+    mu_tilde = state.mu_tilde
     for _ in range(20):
         assert state.phi.d_scale == pytest.approx(1.0 + mu_tilde * state.A, rel=1e-12)
         assert state.phi.h_scale == pytest.approx(state.A, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_load_rejects_malformed_files(tmp_path):
     wrong_keys.write_text('[{"k": 0, "A": 1.0}]\n')
     with pytest.raises(ParseError):
         load_trace(str(wrong_keys))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("{header}\n\n\n0,1,oops,1,0,1,1,1,0,nan\n", "line 4: bad value 'oops' for column 'alpha'"),
+    ("\n{header}\n0,1,1,1,0,1,1,1,0,nan\n\n0,1\n", "line 5: expected 10 cells, got 2"),
+    ("{header}\n0,1,1,1,0,1,1,1,0,nan\n0,1,1,1,0,x,1,1,0,nan\n",
+     "line 3: bad value 'x' for column 'm'"),
+], ids=["blank-lines-above", "blank-lines-around", "no-blank-lines"])
+def test_load_csv_errors_name_the_line_in_the_file(tmp_path, text, where):
+    # blank lines are skipped but still counted, so the number points at the bad line
+    path = tmp_path / "blank.csv"
+    path.write_text(text.format(header=",".join(CSV_COLUMNS)))
+    with pytest.raises(ParseError, match=f"^{re.escape(where)}$"):
+        load_trace(str(path))
 
 
 def _json_rows(**changes):

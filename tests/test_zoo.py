@@ -180,14 +180,12 @@ def test_simplex_linear_structure():
 
 
 def test_problem_spec_validation():
-    spec = ProblemSpec("lasso", 12, 0, "precompute_by_long_run")
+    spec = ProblemSpec("lasso", 12, 0)
     assert spec.kind == "lasso"
     with pytest.raises(ConfigError):
-        ProblemSpec("cubic", 4, 0, "analytic")
+        ProblemSpec("cubic", 4, 0)
     with pytest.raises(ConfigError):
-        ProblemSpec("lasso", 0, 0, "analytic")
-    with pytest.raises(ConfigError):
-        ProblemSpec("lasso", 12, 0, "guess")
+        ProblemSpec("lasso", 0, 0)
 
 
 def test_fd_guard_catches_an_inconsistent_gradient():
