@@ -24,8 +24,7 @@ from .solvers import (MODES, RunReport, SolverConfig, SolverState, StoppingRule,
                       alpha_next, batch_size, bregman_check, descent_check,
                       fold_estimate, gradient_mapping_residual, init_phase, run, step)
 from .traces import CSV_COLUMNS, Trace, emit_trace, load_trace
-from .zoo import (DESCRIPTIONS, ZOO_KINDS, ProblemSpec, ZooProblem,
-                  make_problem, precompute_optimum)
+from .zoo import DESCRIPTIONS, ZOO_KINDS, ProblemSpec, ZooProblem, make_problem
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "gradient_mapping_residual", "holder_majorant_L", "holder_probe",
     "init_phase", "initial_estimate", "inner_iterations",
     "load_experiment", "load_trace", "make_problem", "minibatch_gradient",
-    "precompute_optimum", "project_to_simplex", "recenter", "regularize",
+    "project_to_simplex", "recenter", "regularize",
     "restart_run", "restarts_for_target", "run", "run_experiment",
     "sample_gradient", "simplex", "soft_threshold", "step", "strong_convexity_probe",
     "substream", "value",

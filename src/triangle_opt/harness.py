@@ -24,8 +24,6 @@ from .traces import Trace, emit_trace
 from .zoo import ZooProblem, make_problem
 
 _TOP_KEYS = {"problem", "prox", "solver", "epsilon", "seeds", "max_iters", "output"}
-_PROBLEM_KEYS = {"kind", "dimension", "seed", "lam", "lam_min", "lam_max",
-                 "x_star_norm", "feasible", "p"}
 _PROX_KEYS = {"omega_tilde"}
 _SOLVER_KEYS = {"mode", "L", "L0", "mu", "D", "max_backtracks", "stopping"}
 _STOPPING_KEYS = {"kind", "threshold", "r_sq"}
@@ -129,7 +127,6 @@ def load_experiment(config_text: str) -> Experiment:
     problem_cfg = raw["problem"]
     if not isinstance(problem_cfg, dict) or "kind" not in problem_cfg:
         raise ValidationError('"problem" must be an object with a "kind"')
-    _require_keys(problem_cfg, _PROBLEM_KEYS, "problem")
     options = {k: v for k, v in problem_cfg.items() if k not in ("kind", "dimension", "seed")}
     for key, low in (("dimension", 1), ("seed", 0)):
         if key in problem_cfg:

@@ -23,9 +23,13 @@ from .traces import Trace
 
 def inner_iterations(L: float, mu: float, omega: float) -> int:
     """ceil(sqrt(8*L*omega/mu)), always >= 1."""
-    if L <= 0 or mu <= 0 or omega < 1.0:
-        raise ConfigError("inner iteration count needs L > 0, mu > 0, omega >= 1")
-    return max(1, math.ceil(math.sqrt(8.0 * L * omega / mu)))
+    if not (0 < L < math.inf and 0 < mu < math.inf and 1.0 <= omega < math.inf):
+        raise ConfigError("inner iteration count needs finite L > 0, mu > 0, omega >= 1, "
+                          f"got L={L!r}, mu={mu!r}, omega={omega!r}")
+    root = math.sqrt(8.0 * L * omega / mu)
+    if root == math.inf:
+        raise ConfigError("inner iteration count overflows: 8 L omega / mu is inf")
+    return max(1, math.ceil(root))
 
 
 def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
@@ -139,9 +143,13 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
 def restarts_for_target(mu: float, dist_sq_bound: float, epsilon: float) -> int:
     """Smallest K with mu*dist_sq_bound/2^(K+1) <= epsilon: the number of
     restarts needed to certify an epsilon gap from an initial distance bound."""
-    if mu <= 0 or dist_sq_bound <= 0 or epsilon <= 0:
-        raise ConfigError("restart target needs positive mu, dist_sq_bound, epsilon")
-    return max(0, math.ceil(math.log2(mu * dist_sq_bound / (2.0 * epsilon))))
+    if not (0 < mu < math.inf and 0 < dist_sq_bound < math.inf and 0 < epsilon < math.inf):
+        raise ConfigError("restart target needs finite positive mu, dist_sq_bound, epsilon, "
+                          f"got {mu!r}, {dist_sq_bound!r}, {epsilon!r}")
+    ratio = mu * dist_sq_bound / (2.0 * epsilon)
+    if ratio == math.inf:
+        raise ConfigError("restart count overflows: mu * dist_sq_bound / (2 epsilon) is inf")
+    return math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
 
 
 def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
@@ -152,13 +160,16 @@ def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
     + (L/2)*||x-y||^2 + delta with this L.  Nonincreasing in delta; at nu = 1
     the exponent vanishes and L = L_1 regardless of delta.
     """
-    if L_nu <= 0:
-        raise ConfigError("holder_majorant_L needs L_nu > 0")
+    if not 0 < L_nu < math.inf:
+        raise ConfigError(f"holder_majorant_L needs finite L_nu > 0, got {L_nu!r}")
     if not 0.0 <= nu <= 1.0:
         raise ConfigError("nu must lie in [0, 1]")
     if nu == 1.0:
         return L_nu
-    if delta <= 0:
-        raise ConfigError("delta must be positive when nu < 1")
+    if not 0 < delta < math.inf:
+        raise ConfigError(f"delta must be positive and finite when nu < 1, got {delta!r}")
     exponent = (1.0 - nu) / (1.0 + nu)
-    return L_nu * (L_nu / (2.0 * delta) * (1.0 - nu) / (1.0 + nu)) ** exponent
+    majorant = L_nu * (L_nu / (2.0 * delta) * (1.0 - nu) / (1.0 + nu)) ** exponent
+    if majorant == math.inf:
+        raise ConfigError("holder_majorant_L overflows: delta is too small for L_nu")
+    return majorant

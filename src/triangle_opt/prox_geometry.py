@@ -70,8 +70,9 @@ def free_space() -> FeasibleSet:
 def box(lower, upper) -> FeasibleSet:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or np.any(lower > upper):
-        raise DomainError("box bounds must satisfy lower <= upper componentwise")
+    # NaN fails lower <= upper; infinite bounds stay allowed
+    if lower.shape != upper.shape or not np.all(lower <= upper):
+        raise DomainError("box bounds must satisfy lower <= upper componentwise, with no NaN")
     return FeasibleSet(kind="box", lower=lower, upper=upper)
 
 
@@ -80,8 +81,8 @@ def simplex() -> FeasibleSet:
 
 
 def euclidean_ball(center, radius: float) -> FeasibleSet:
-    if radius <= 0:
-        raise DomainError("ball radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError(f"ball radius must be positive and finite, got {radius!r}")
     return FeasibleSet(kind="euclidean_ball", ball_center=np.asarray(center, dtype=float), radius=float(radius))
 
 
@@ -198,8 +199,8 @@ class SimpleTerm:
     def __post_init__(self):
         if self.kind not in ("zero", "l1", "indicator"):
             raise DomainError(f"unknown composite term kind {self.kind!r}")
-        if self.kind == "l1" and self.lam < 0:
-            raise DomainError("l1 weight must be nonnegative")
+        if self.kind == "l1" and not 0 <= self.lam < math.inf:
+            raise DomainError(f"l1 weight must be nonnegative and finite, got {self.lam!r}")
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == "l1":

@@ -1,20 +1,9 @@
 """Benchmark problem zoo.
 
-Five seeded problem families used by the tests, the demos, and the CLI:
-
-* ``quadratic``: f(x) = (1/2)(x - x*)' H (x - x*) with H built from a seeded
-  orthogonal basis and a prescribed spectrum, so L (= largest eigenvalue), mu
-  (= smallest), x*, and F* = 0 are exact by construction and the value is
-  computed cancellation-free near the optimum.
-* ``lasso``: f(x) = (1/2)||A x - y||^2 with h = lam*||x||_1; optimum frozen
-  from a long high-accuracy reference run.
-* ``holder_norm_power``: f(x) = (1/p)||x||_2^p for p = 1 + nu in [1, 2]; the
-  gradient is nu-Holder with L_nu = 2^(1-nu) and x* = 0, F* = 0.
-* ``logistic``: mean logistic loss on seeded non-separable data (a fixed
-  fraction of labels is flipped so the minimizer is finite); optimum frozen
-  from a long reference run.
-* ``simplex_linear``: f(x) = <c, x> on the probability simplex with the
-  entropy prox; x* is the least-cost vertex.
+Five seeded problem families used by the tests, the demos, and the CLI.  The
+table ``_KINDS`` is the one place that says what a kind is: its builder, its
+default dimension, its options with their defaults, and its description,
+which ``zoo describe`` prints with an options line generated from the table.
 
 Every constructed instance is finite-difference checked (value against
 gradient) before it is returned.  The quadratic, lasso and logistic kinds are
@@ -29,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,46 +28,28 @@ from .oracles import (CompositeObjective, LinearImage, QuadraticForm,
 from .prox_geometry import (ProxSetup, SimpleTerm, box, entropy_setup,
                             euclidean_setup, free_space, two_norm)
 
-ZOO_KINDS = ("quadratic", "lasso", "holder_norm_power", "logistic", "simplex_linear")
-
-DESCRIPTIONS = {
-    "quadratic": (
-        "f(x) = 1/2 (x - x*)' H (x - x*), H = Q' diag(spectrum) Q from a seeded\n"
-        "orthogonal basis; exact L = spectrum max, mu = spectrum min, F* = 0.\n"
-        "Options: dimension (default 50), lam_min (0.02), lam_max (1.0),\n"
-        "x_star_norm (2.0), feasible in {free_space, box}.  Optimum: analytic."),
-    "lasso": (
-        "f(x) = 1/2 ||A x - y||^2, h(x) = lam ||x||_1, with A a seeded 5n-by-n\n"
-        "design and y generated from a sparse ground truth plus noise.\n"
-        "Options: dimension (default 12), lam (0.5).  Optimum: frozen from a\n"
-        "long reference run for the canonical instance, else unknown."),
-    "holder_norm_power": (
-        "f(x) = (1/p) ||x||_2^p with p = 1 + nu in [1, 2]; gradient is\n"
-        "nu-Holder with L_nu = 2^(1-nu); x* = 0, F* = 0.  Options: p (default\n"
-        "1.5), dimension (default 5).  Optimum: analytic."),
-    "logistic": (
-        "f(x) = mean_i log(1 + exp(-b_i <a_i, x>)) on seeded data with 20% of\n"
-        "labels flipped (keeps the minimizer finite).  Options: dimension\n"
-        "(default 8).  Optimum: frozen from a long reference run for the\n"
-        "canonical instance, else unknown."),
-    "simplex_linear": (
-        "f(x) = <c, x> on the probability simplex with the entropy prox;\n"
-        "x* is the least-cost vertex, F* = min(c).  Options: dimension\n"
-        "(default 6).  Optimum: analytic."),
-}
+__all__ = ["DESCRIPTIONS", "ZOO_KINDS", "ProblemSpec", "ZooProblem", "make_problem"]
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A zoo instance's kind, dimension and seed, checked on construction: the
+    kind must be known, the dimension (None: the kind's default) an integer
+    >= 1 and the seed an integer >= 0."""
+
     kind: str
-    dimension: int
-    seed: int
+    dimension: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ZOO_KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}; known: {', '.join(ZOO_KINDS)}")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be >= 1")
+        if self.dimension is None:
+            object.__setattr__(self, "dimension", _KINDS[self.kind].dimension)
+        for name, minimum in (("dimension", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -142,8 +114,17 @@ def _image_consistency_check(objective: CompositeObjective, points) -> None:
         raise DomainError("adjoint fails the dot-product test against forward")
 
 
+def _normal_probes(dimension: int, seed: int) -> list:
+    """Two standard normal points from the stream seed + 1, for the guards."""
+    probe_rng = np.random.default_rng(seed + 1)
+    return [probe_rng.standard_normal(dimension) for _ in range(2)]
+
+
+# Each builder takes (dimension, seed, **options) and returns (objective,
+# setup, data, probe points); make_problem runs the guards at the points.
+
 def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
-               x_star_norm: float, feasible: str) -> ZooProblem:
+               x_star_norm: float, feasible: str) -> tuple:
     if not 0 < lam_min <= lam_max:
         raise ConfigError("quadratic needs 0 < lam_min <= lam_max")
     rng = np.random.default_rng(seed)
@@ -175,15 +156,10 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
         image, h=SimpleTerm(kind="zero"), known_optimum=(x_star, 0.0),
         smoothness_meta={"L": lam_max, "mu": lam_min})
     data = {"A_matrix": h_matrix, "b": h_matrix @ x_star, "spectrum": lam, "x_star": x_star}
-    spec = ProblemSpec("quadratic", dimension, seed)
-    probe_rng = np.random.default_rng(seed + 1)
-    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
-    _fd_consistency_check(objective, points)
-    _image_consistency_check(objective, points)
-    return ZooProblem(spec, objective, setup, data)
+    return objective, setup, data, _normal_probes(dimension, seed)
 
 
-def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
+def _lasso(dimension: int, seed: int, lam: float) -> tuple:
     if lam < 0:
         raise ConfigError("lasso needs lam >= 0")
     rng = np.random.default_rng(seed)
@@ -214,15 +190,10 @@ def _lasso(dimension: int, seed: int, lam: float) -> ZooProblem:
         known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]), "mu": float(max(gram_eigs[0], 0.0))})
     data = {"design": design, "targets": targets, "lam": lam}
-    spec = ProblemSpec("lasso", dimension, seed)
-    probe_rng = np.random.default_rng(seed + 1)
-    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
-    _fd_consistency_check(objective, points)
-    _image_consistency_check(objective, points)
-    return ZooProblem(spec, objective, setup, data)
+    return objective, setup, data, _normal_probes(dimension, seed)
 
 
-def _holder_norm_power(dimension: int, seed: int, p: float) -> ZooProblem:
+def _holder_norm_power(dimension: int, seed: int, p: float) -> tuple:
     if not 1.0 <= p <= 2.0:
         raise ConfigError("holder_norm_power needs p in [1, 2]")
     nu = p - 1.0
@@ -243,18 +214,11 @@ def _holder_norm_power(dimension: int, seed: int, p: float) -> ZooProblem:
         smooth_value=f, smooth_grad=df, h=SimpleTerm(kind="zero"),
         known_optimum=(np.zeros(dimension), 0.0),
         smoothness_meta={"L_nu": 2.0 ** (1.0 - nu), "nu": nu})
-    data = {"p": p}
-    spec = ProblemSpec("holder_norm_power", dimension, seed)
-    probe_rng = np.random.default_rng(seed + 1)
-    probes = []
-    for _ in range(2):
-        v = probe_rng.standard_normal(dimension)
-        probes.append(v / np.linalg.norm(v))
-    _fd_consistency_check(objective, probes)
-    return ZooProblem(spec, objective, setup, data)
+    probes = [v / np.linalg.norm(v) for v in _normal_probes(dimension, seed)]
+    return objective, setup, {"p": p}, probes
 
 
-def _logistic(dimension: int, seed: int) -> ZooProblem:
+def _logistic(dimension: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     n_rows = 10 * dimension
     design = rng.standard_normal((n_rows, dimension))
@@ -306,15 +270,10 @@ def _logistic(dimension: int, seed: int) -> ZooProblem:
         image, h=SimpleTerm(kind="zero"), known_optimum=optimum,
         smoothness_meta={"L": float(gram_eigs[-1]) / (4.0 * n_rows)})
     data = {"design": design, "labels": labels}
-    spec = ProblemSpec("logistic", dimension, seed)
-    probe_rng = np.random.default_rng(seed + 1)
-    points = [probe_rng.standard_normal(dimension) for _ in range(2)]
-    _fd_consistency_check(objective, points)
-    _image_consistency_check(objective, points)
-    return ZooProblem(spec, objective, setup, data)
+    return objective, setup, data, _normal_probes(dimension, seed)
 
 
-def _simplex_linear(dimension: int, seed: int) -> ZooProblem:
+def _simplex_linear(dimension: int, seed: int) -> tuple:
     if dimension < 2:
         raise ConfigError("simplex_linear needs dimension >= 2")
     rng = np.random.default_rng(seed)
@@ -336,15 +295,10 @@ def _simplex_linear(dimension: int, seed: int) -> ZooProblem:
         smooth_value=f, smooth_grad=df, h=SimpleTerm(kind="indicator"),
         known_optimum=(x_star, float(costs[best])),
         smoothness_meta={"L": 1.0})
-    data = {"costs": costs}
-    spec = ProblemSpec("simplex_linear", dimension, seed)
     probe_rng = np.random.default_rng(seed + 1)
-    _fd_consistency_check(objective, [probe_rng.dirichlet(np.ones(dimension)) for _ in range(2)])
-    return ZooProblem(spec, objective, setup, data)
+    probes = [probe_rng.dirichlet(np.ones(dimension)) for _ in range(2)]
+    return objective, setup, {"costs": costs}, probes
 
-
-_DEFAULT_DIMENSIONS = {"quadratic": 50, "lasso": 12, "holder_norm_power": 5,
-                       "logistic": 8, "simplex_linear": 6}
 
 # Optima for problems without a closed form, frozen from long reference runs
 # (see demos/precompute_reference_optima.py); keyed by the instance parameters.
@@ -376,48 +330,66 @@ _FROZEN_OPTIMA: dict = {
 }
 
 
+class _Kind(NamedTuple):
+    build: Callable  # (dimension, seed, **options) -> (objective, setup, data, probes)
+    dimension: int  # the default
+    options: dict  # name -> default; a str default takes a str, any other a number
+    description: str
+
+
+_KINDS = {
+    "quadratic": _Kind(_quadratic, 50, {"lam_min": 0.02, "lam_max": 1.0, "x_star_norm": 2.0,
+                                        "feasible": "free_space"}, (
+        "f(x) = 1/2 (x - x*)' H (x - x*), H = Q' diag(spectrum) Q from a seeded\n"
+        "orthogonal basis; exact L = spectrum max, mu = spectrum min, F* = 0.\n"
+        "feasible is free_space or box.  Optimum: analytic.")),
+    "lasso": _Kind(_lasso, 12, {"lam": 0.5}, (
+        "f(x) = 1/2 ||A x - y||^2, h(x) = lam ||x||_1, with A a seeded 5n-by-n\n"
+        "design and y generated from a sparse ground truth plus noise.\n"
+        "Optimum: frozen from a long reference run for the canonical instance,\n"
+        "else unknown.")),
+    "holder_norm_power": _Kind(_holder_norm_power, 5, {"p": 1.5}, (
+        "f(x) = (1/p) ||x||_2^p with p = 1 + nu in [1, 2]; gradient is\n"
+        "nu-Holder with L_nu = 2^(1-nu); x* = 0, F* = 0.  Optimum: analytic.")),
+    "logistic": _Kind(_logistic, 8, {}, (
+        "f(x) = mean_i log(1 + exp(-b_i <a_i, x>)) on seeded data with 20% of\n"
+        "labels flipped (keeps the minimizer finite).  Optimum: frozen from a\n"
+        "long reference run for the canonical instance, else unknown.")),
+    "simplex_linear": _Kind(_simplex_linear, 6, {}, (
+        "f(x) = <c, x> on the probability simplex with the entropy prox;\n"
+        "x* is the least-cost vertex, F* = min(c).  Optimum: analytic.")),
+}
+
+ZOO_KINDS = tuple(_KINDS)
+
+DESCRIPTIONS = {
+    kind: row.description + "\nOptions: " + ", ".join(
+        f"{name} (default {default})"
+        for name, default in {"dimension": row.dimension, **row.options}.items())
+    for kind, row in _KINDS.items()}
+
+
 def make_problem(kind: str, dimension: int | None = None, seed: int = 0,
                  **options) -> ZooProblem:
-    """Construct a zoo instance.  Unknown kinds and options, a dimension that is
-    not an integer >= 1 and a seed that is not an integer >= 0 raise ConfigError
-    before anything is built."""
-    if kind not in ZOO_KINDS:
-        raise ConfigError(f"unknown problem kind {kind!r}; known: {', '.join(ZOO_KINDS)}")
-    if dimension is None:
-        dimension = _DEFAULT_DIMENSIONS[kind]
-    for name, value, minimum in (("dimension", dimension, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    allowed = {"quadratic": {"lam_min", "lam_max", "x_star_norm", "feasible"},
-               "lasso": {"lam"}, "holder_norm_power": {"p"}, "logistic": set(),
-               "simplex_linear": set()}[kind]
-    unknown = set(options) - allowed
+    """Construct a zoo instance.  An unknown kind, a dimension that is not an
+    integer >= 1, a seed that is not an integer >= 0, an option the kind does
+    not have, and a number option that is not a finite int or float (or a str
+    option that is not a str) raise ConfigError before anything is built."""
+    spec = ProblemSpec(kind, dimension, seed)
+    row = _KINDS[kind]
+    unknown = set(options) - set(row.options)
     if unknown:
         raise ConfigError(f"unknown options for {kind}: {', '.join(sorted(unknown))}")
-    if kind == "quadratic":
-        return _quadratic(dimension, seed, options.get("lam_min", 0.02),
-                          options.get("lam_max", 1.0), options.get("x_star_norm", 2.0),
-                          options.get("feasible", "free_space"))
-    if kind == "lasso":
-        return _lasso(dimension, seed, options.get("lam", 0.5))
-    if kind == "holder_norm_power":
-        return _holder_norm_power(dimension, seed, options.get("p", 1.5))
-    if kind == "logistic":
-        return _logistic(dimension, seed)
-    return _simplex_linear(dimension, seed)
-
-
-def precompute_optimum(problem: ZooProblem, iterations: int = 200000) -> tuple[np.ndarray, float]:
-    """High-accuracy reference solve used to freeze optima for the kinds
-    without a closed form.  Uses the adaptive mode with the strong convexity
-    the instance is known to have, stopping at float-level stationarity (the
-    iteration budget is a cap, not a target)."""
-    from .solvers import SolverConfig, StoppingRule, run
-
-    meta = problem.objective.smoothness_meta or {}
-    config = SolverConfig(mode="amst_adaptive", L0=max(meta.get("L", 1.0), 1.0),
-                          mu=meta.get("mu", 0.0), max_iters=iterations,
-                          stopping=StoppingRule(kind="gradient_mapping", threshold=1e-12))
-    report = run(problem.objective, problem.setup, config)
-    f_best = problem.objective.composite_value(report.final_x)
-    return report.final_x, f_best
+    for name, value in options.items():
+        if isinstance(row.options[name], str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{kind} option {name} must be a string, got {value!r}")
+        elif (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+              or not -math.inf < value < math.inf):
+            raise ConfigError(f"{kind} option {name} must be a finite number, got {value!r}")
+    objective, setup, data, points = row.build(spec.dimension, spec.seed,
+                                               **{**row.options, **options})
+    _fd_consistency_check(objective, points)
+    if objective.linear is not None:
+        _image_consistency_check(objective, points)
+    return ZooProblem(spec, objective, setup, data)

@@ -1,10 +1,11 @@
 """Tests for the command-line front end: exit codes and printed summaries."""
 
 import json
+import math
 
 import pytest
 
-from triangle_opt import CSV_COLUMNS
+from triangle_opt import CSV_COLUMNS, ZOO_KINDS
 from triangle_opt.cli import main
 
 
@@ -87,6 +88,26 @@ def test_solve_bad_problem_seed_or_dimension_is_a_validation_error(tmp_path, cap
     assert rc == 1
     assert "error: ValidationError" in captured.err
     assert f'"problem.{key}"' in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("problem, name", [
+    ({"kind": "quadratic", "lam_min": "x"}, "lam_min"),
+    ({"kind": "lasso", "lam": None}, "lam"),
+    ({"kind": "quadratic", "x_star_norm": "2"}, "x_star_norm"),
+    ({"kind": "holder_norm_power", "p": True}, "p"),
+    ({"kind": "lasso", "lam": math.nan}, "lam"),
+    ({"kind": "quadratic", "lam_max": math.inf}, "lam_max"),
+    ({"kind": "quadratic", "feasible": 1}, "feasible"),
+])
+def test_solve_badly_typed_problem_option_is_a_validation_error(tmp_path, capsys, problem,
+                                                                 name):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    rc = main(["solve", "--config", _write_config(tmp_path, problem=problem)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: ValidationError: {problem['kind']} option {name} must be" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -242,6 +263,25 @@ def test_zoo_list_and_describe(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "describe needs a problem kind" in captured.err
+
+
+_OPTION_LINES = {
+    "quadratic": "dimension (default 50), lam_min (default 0.02), lam_max (default 1.0), "
+                 "x_star_norm (default 2.0), feasible (default free_space)",
+    "lasso": "dimension (default 12), lam (default 0.5)",
+    "holder_norm_power": "dimension (default 5), p (default 1.5)",
+    "logistic": "dimension (default 8)",
+    "simplex_linear": "dimension (default 6)",
+}
+
+
+@pytest.mark.parametrize("kind", ZOO_KINDS)
+def test_zoo_describe_lists_every_option_with_its_default(capsys, kind):
+    assert main(["zoo", "describe", kind]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{kind}:"
+    assert len(lines) > 2 and not any("Options" in line for line in lines[:-1])
+    assert lines[-1] == "Options: " + _OPTION_LINES[kind]
 
 
 def test_solve_writes_the_partial_trace_of_a_failed_run(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The package namespace: ``triangle_opt.__all__`` lists each public name once,
 every listed name resolves, and it re-exports the whole public surface of the
-oracle, prox-geometry and trace modules."""
+oracle, prox-geometry, trace and zoo modules."""
 
 import importlib
 
@@ -16,7 +16,7 @@ def test_package_exports_are_unique_and_resolve():
     assert not missing
 
 
-@pytest.mark.parametrize("module", ["oracles", "prox_geometry", "traces"])
+@pytest.mark.parametrize("module", ["oracles", "prox_geometry", "traces", "zoo"])
 def test_package_reexports_every_public_name_of(module):
     names = importlib.import_module(f"triangle_opt.{module}").__all__
     assert set(names) <= set(triangle_opt.__all__), sorted(set(names) - set(triangle_opt.__all__))

@@ -79,6 +79,16 @@ def test_load_experiment_rejects_unknown_keys():
                       "stopping": {"kind": "iterations_only", "limit": 3}})
 
 
+@pytest.mark.parametrize("problem, message", [
+    ({"kind": "quadratic", "p": 1.5}, "unknown options for quadratic: p"),
+    ({"kind": "lasso", "rows": 10, "lam_min": 0.1}, "unknown options for lasso: lam_min, rows"),
+    ({"kind": "logistic", "lam": 0.1}, "unknown options for logistic: lam"),
+])
+def test_load_experiment_names_an_option_the_kind_does_not_have(problem, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        _load(problem=problem)
+
+
 def test_load_experiment_rejects_missing_sections():
     for key in ("problem", "solver", "seeds", "max_iters"):
         cfg = _config_dict()

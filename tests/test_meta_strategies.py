@@ -203,6 +203,44 @@ def test_holder_majorant_examples():
         holder_majorant_L(1.0, 0.5, 0.0)
 
 
+_QUAD = make_problem("quadratic", dimension=4, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: inner_iterations(math.nan, 1.0, 1.0), id="inner-L-nan"),
+    pytest.param(lambda: inner_iterations(1.0, math.nan, 1.0), id="inner-mu-nan"),
+    pytest.param(lambda: inner_iterations(1.0, 1.0, math.nan), id="inner-omega-nan"),
+    pytest.param(lambda: inner_iterations(math.inf, 1.0, 1.0), id="inner-L-inf"),
+    pytest.param(lambda: inner_iterations(1.0, math.inf, 1.0), id="inner-mu-inf"),
+    pytest.param(lambda: inner_iterations(1.0, 1.0, math.inf), id="inner-omega-inf"),
+    pytest.param(lambda: inner_iterations(1e300, 1e-300, 1.0), id="inner-overflow"),
+    pytest.param(lambda: restarts_for_target(math.nan, 1.0, 1.0), id="target-mu-nan"),
+    pytest.param(lambda: restarts_for_target(1.0, math.nan, 1.0), id="target-dist-nan"),
+    pytest.param(lambda: restarts_for_target(1.0, 1.0, math.nan), id="target-eps-nan"),
+    pytest.param(lambda: restarts_for_target(math.inf, 1.0, 1.0), id="target-mu-inf"),
+    pytest.param(lambda: restarts_for_target(1.0, 1.0, math.inf), id="target-eps-inf"),
+    pytest.param(lambda: restarts_for_target(1e300, 1e300, 1.0), id="target-overflow"),
+    pytest.param(lambda: holder_majorant_L(math.nan, 0.5, 1.0), id="majorant-L_nu-nan"),
+    pytest.param(lambda: holder_majorant_L(math.inf, 0.5, 1.0), id="majorant-L_nu-inf"),
+    pytest.param(lambda: holder_majorant_L(1.0, math.nan, 1.0), id="majorant-nu-nan"),
+    pytest.param(lambda: holder_majorant_L(1.0, 0.5, math.nan), id="majorant-delta-nan"),
+    pytest.param(lambda: holder_majorant_L(1.0, 0.5, math.inf), id="majorant-delta-inf"),
+    pytest.param(lambda: holder_majorant_L(1.0, 0.0, 1e-320), id="majorant-overflow"),
+    pytest.param(lambda: restart_run(_QUAD.objective, _QUAD.setup, L=math.nan, mu=1.0,
+                                     omega=1.0, K=1), id="restart_run-L-nan"),
+    pytest.param(lambda: restart_run(_QUAD.objective, _QUAD.setup, L=1.0, mu=math.inf,
+                                     omega=1.0, K=1), id="restart_run-mu-inf"),
+])
+def test_non_finite_constants_are_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_a_vanishing_restart_ratio_needs_no_restart():
+    # mu * dist_sq_bound underflows to 0: the target already holds
+    assert restarts_for_target(1e-200, 1e-200, 1.0) == 0
+
+
 def test_holder_majorant_inequality_on_power_function():
     # f = (1/p)||x||^p with p = 1 + nu; the majorant with slack delta must
     # upper-bound f on sampled pairs

@@ -317,6 +317,28 @@ def test_the_norms_follow_the_geometry_and_an_unknown_one_is_rejected():
             dataclasses.replace(euclidean_setup(center=np.zeros(2)), geometry=name)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: SimpleTerm(kind="l1", lam=math.nan), id="l1-nan"),
+    pytest.param(lambda: SimpleTerm(kind="l1", lam=math.inf), id="l1-inf"),
+    pytest.param(lambda: euclidean_ball(np.zeros(2), math.nan), id="ball-nan"),
+    pytest.param(lambda: euclidean_ball(np.zeros(2), math.inf), id="ball-inf"),
+    pytest.param(lambda: box([math.nan, 0.0], [1.0, 1.0]), id="box-lower-nan"),
+    pytest.param(lambda: box([0.0, 0.0], [1.0, math.nan]), id="box-upper-nan"),
+])
+def test_non_finite_h_and_feasible_set_parameters_are_rejected(make):
+    # a NaN l1 weight made the prox skip its shrink, as if lam were 0
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_infinite_box_bounds_stay_allowed():
+    fs = box([-math.inf, 0.0], [math.inf, 1.0])
+    setup = euclidean_setup(center=np.zeros(2), feasible_set=fs)
+    phi = EstimateFunction(d_scale=1.0, linear=np.array([-5.0, -5.0]), h_scale=0.0,
+                           constant=0.0)
+    np.testing.assert_array_equal(composite_prox_solve(setup, phi, SimpleTerm()), [5.0, 1.0])
+
+
 def test_simple_term_validation_and_values():
     assert SimpleTerm(kind="zero").value(np.array([1.0, 2.0])) == 0.0
     assert SimpleTerm(kind="l1", lam=0.5).value(np.array([1.0, -2.0])) == 1.5

@@ -2,15 +2,15 @@
 frozen optima, and option validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from triangle_opt import (DESCRIPTIONS, ZOO_KINDS, CompositeObjective,
                           ConfigError, DomainError, ProblemSpec, SimpleTerm,
-                          grad, gradient_mapping_residual, make_problem,
-                          precompute_optimum, value)
-from triangle_opt.zoo import _fd_consistency_check, _image_consistency_check
+                          grad, gradient_mapping_residual, make_problem, value)
+from triangle_opt.zoo import _KINDS, _fd_consistency_check, _image_consistency_check
 
 _DEFAULTS = {"quadratic": 50, "lasso": 12, "holder_norm_power": 5,
              "logistic": 8, "simplex_linear": 6}
@@ -40,6 +40,42 @@ def test_make_problem_checks_dimension_and_seed_before_building(kind, key, bad):
     args = {"dimension": _DEFAULTS[kind], "seed": 0, key: bad}
     with pytest.raises(ConfigError, match=f"{key} must be an integer >= "):
         make_problem(kind, **args)
+
+
+@pytest.mark.parametrize("kind, name, bad", [
+    ("quadratic", "lam_min", "x"), ("quadratic", "lam_max", None),
+    ("quadratic", "x_star_norm", "2"), ("quadratic", "lam_min", True),
+    ("quadratic", "lam_max", math.inf), ("quadratic", "feasible", 1),
+    ("quadratic", "feasible", None), ("lasso", "lam", math.nan), ("lasso", "lam", None),
+    ("lasso", "lam", [0.5]), ("holder_norm_power", "p", True),
+    ("holder_norm_power", "p", -math.inf),
+])
+def test_make_problem_checks_option_types_before_building(kind, name, bad):
+    with pytest.raises(ConfigError, match=f"^{kind} option {name} must be a "):
+        make_problem(kind, **{name: bad})
+
+
+def test_numeric_options_take_ints_and_numpy_numbers():
+    a = make_problem("quadratic", dimension=4, lam_min=np.float64(0.25), lam_max=2)
+    b = make_problem("quadratic", dimension=4, lam_min=0.25, lam_max=2.0)
+    np.testing.assert_array_equal(a.data["A_matrix"], b.data["A_matrix"])
+    assert make_problem("holder_norm_power", p=np.int64(2)).data["p"] == 2
+
+
+def _bits(problem):
+    """Everything an instance is made of that can be compared bit for bit."""
+    x_star, f_star = problem.objective.known_optimum or (None, None)
+    return (problem.spec, {k: np.asarray(v).tobytes() for k, v in problem.data.items()},
+            None if x_star is None else (x_star.tobytes(), f_star),
+            problem.objective.smoothness_meta, problem.setup.center.tobytes(),
+            problem.setup.feasible_set.kind, problem.objective.h)
+
+
+@pytest.mark.parametrize("kind", ZOO_KINDS)
+def test_the_table_defaults_are_the_defaults(kind):
+    row = _KINDS[kind]
+    explicit = make_problem(kind, dimension=row.dimension, seed=0, **row.options)
+    assert _bits(explicit) == _bits(make_problem(kind))
 
 
 def test_make_problem_takes_numpy_integers():
@@ -144,14 +180,6 @@ def test_noncanonical_instances_have_unknown_optimum():
     assert make_problem("lasso", seed=1).objective.known_optimum is None
     assert make_problem("lasso", lam=0.7).objective.known_optimum is None
     assert make_problem("logistic", dimension=4).objective.known_optimum is None
-
-
-def test_precompute_optimum_reproduces_frozen_lasso():
-    problem = make_problem("lasso")
-    x_star, f_star = problem.objective.known_optimum
-    x_ref, f_ref = precompute_optimum(problem, iterations=5000)
-    assert np.linalg.norm(x_ref - x_star) <= 2e-7
-    assert abs(f_ref - f_star) <= 1e-10
 
 
 def test_holder_norm_power_meta_and_gradient():
