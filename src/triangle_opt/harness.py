@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,8 +25,11 @@ from .zoo import ZooProblem, make_problem
 
 _TOP_KEYS = {"problem", "prox", "solver", "epsilon", "seeds", "max_iters", "output"}
 _PROX_KEYS = {"omega_tilde"}
-_SOLVER_KEYS = {"mode", "L", "L0", "mu", "D", "max_backtracks", "stopping"}
-_STOPPING_KEYS = {"kind", "threshold", "r_sq"}
+# "solver" key -> the SolverConfig field it sets; "mode" and "stopping" keep
+# their names, and the top-level "epsilon" and "max_iters" set theirs
+_SOLVER_FIELDS = {"L": "L_known", "L0": "L0", "mu": "mu", "D": "D",
+                  "max_backtracks": "max_backtracks_per_iter"}
+_FIELD_TYPES = {f.name: f.type for f in fields(SolverConfig)}
 
 
 @dataclass
@@ -83,25 +86,24 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
-def _number(where: str, key: str, value) -> float:
+# JSON types, checked under the key's name; the values' ranges are their owners' checks
+def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f'"{where}.{key}" must be a number, got {value!r}')
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f'"{where}.{key}" must be finite')
+        raise ValidationError(f'"{name}" must be a number, got {value!r}')
+    return float(value)
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f'"{name}" must be an integer{at_least}, got {value!r}')
     return value
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(f'"{name}" must be an integer >= {minimum}, got {value!r}')
-    return value
-
-
-def _optional_number(where: str, section: dict, key: str, default=None):
-    if key not in section or section[key] is None:
-        return default
-    return _number(where, key, section[key])
+def _setting(name: str, field_name: str, value):
+    """A JSON value for a SolverConfig field, as its annotation (a string) names."""
+    return (_integer if _FIELD_TYPES[field_name] == "int" else _number)(name, value)
 
 
 def load_experiment(config_text: str) -> Experiment:
@@ -109,8 +111,8 @@ def load_experiment(config_text: str) -> Experiment:
 
     Required: problem (with kind), solver (with mode), seeds, max_iters.
     Optional: prox (an omega_tilde override of the problem's setup, where
-    the run reads it), epsilon, output.
-    Unknown or duplicate keys are rejected.
+    the run reads it), epsilon, output.  An absent or null solver setting
+    takes the SolverConfig default.  Unknown or duplicate keys are rejected.
     """
     try:
         raw = json.loads(config_text, object_pairs_hook=_reject_duplicates)
@@ -140,9 +142,8 @@ def load_experiment(config_text: str) -> Experiment:
     if not isinstance(prox_cfg, dict):
         raise ValidationError('"prox" must be an object')
     _require_keys(prox_cfg, _PROX_KEYS, "prox")
-    if prox_cfg:
-        omega_tilde = _optional_number("prox", prox_cfg, "omega_tilde",
-                                       problem.setup.omega_tilde)
+    if prox_cfg.get("omega_tilde") is not None:
+        omega_tilde = _number("prox.omega_tilde", prox_cfg["omega_tilde"])
         try:
             problem.setup = replace(problem.setup, omega_tilde=omega_tilde)
         except DomainError as exc:
@@ -151,17 +152,18 @@ def load_experiment(config_text: str) -> Experiment:
     solver_cfg = raw["solver"]
     if not isinstance(solver_cfg, dict) or "mode" not in solver_cfg:
         raise ValidationError('"solver" must be an object with a "mode"')
-    _require_keys(solver_cfg, _SOLVER_KEYS, "solver")
-    mode = solver_cfg["mode"]
-    if mode in POLICIES and POLICIES[mode].stochastic and "D" not in solver_cfg:
-        raise ValidationError(f'solver mode {mode} requires "D"')
-    stopping_cfg = solver_cfg.get("stopping", {})
+    _require_keys(solver_cfg, {"mode", "stopping", *_SOLVER_FIELDS}, "solver")
+    settings = {field: _setting(f"solver.{key}", field, solver_cfg[key])
+                for key, field in _SOLVER_FIELDS.items() if solver_cfg.get(key) is not None}
+    if raw.get("epsilon") is not None:
+        settings["epsilon"] = _number("epsilon", raw["epsilon"])
+    settings["max_iters"] = raw["max_iters"]  # required, so a null one is not the default
+    stopping_cfg = {} if solver_cfg.get("stopping") is None else solver_cfg["stopping"]
     if not isinstance(stopping_cfg, dict):
         raise ValidationError('"stopping" must be an object')
-    _require_keys(stopping_cfg, _STOPPING_KEYS, "stopping")
-    stopping = StoppingRule(kind=stopping_cfg.get("kind", "iterations_only"),
-                            threshold=_optional_number("stopping", stopping_cfg, "threshold"),
-                            r_sq=_optional_number("stopping", stopping_cfg, "r_sq"))
+    _require_keys(stopping_cfg, {f.name for f in fields(StoppingRule)}, "stopping")
+    rule = {key: value if key == "kind" else _number(f"stopping.{key}", value)
+            for key, value in stopping_cfg.items() if value is not None}
 
     seeds = raw["seeds"]
     if (not isinstance(seeds, list) or not seeds
@@ -175,25 +177,13 @@ def load_experiment(config_text: str) -> Experiment:
     if negative is not None:
         # sumst keys its stream from the seed, which SeedSequence needs >= 0
         raise ValidationError(f'"seeds" must be integers >= 0, got {negative}')
-    max_iters = _integer("max_iters", raw["max_iters"], 1)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a path string')
 
-    max_backtracks = _integer("solver.max_backtracks", solver_cfg.get("max_backtracks", 60), 1)
-
     try:
-        config = SolverConfig(
-            mode=mode,
-            L_known=_optional_number("solver", solver_cfg, "L"),
-            L0=_optional_number("solver", solver_cfg, "L0", 1.0),
-            mu=_optional_number("solver", solver_cfg, "mu", 0.0),
-            epsilon=_optional_number("configuration", raw, "epsilon"),
-            D=_optional_number("solver", solver_cfg, "D"),
-            max_iters=max_iters,
-            max_backtracks_per_iter=max_backtracks,
-            stopping=stopping,
-        )
+        config = SolverConfig(mode=solver_cfg["mode"], stopping=StoppingRule(**rule),
+                              **settings)
         config.validate()
     except ConfigError as exc:
         raise ValidationError(str(exc)) from exc
@@ -451,3 +441,7 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     return BoundCheck(theorem_id=theorem_id, rows=rows, passed=not failing,
                       worst_margin=min((r["margin"] for r in rows), default=math.inf),
                       failing_k=failing)
+
+
+__all__ = ["THEOREM_IDS", "BoundCheck", "Experiment", "SeedResult", "check_bounds",
+           "load_experiment", "run_experiment"]

@@ -173,3 +173,7 @@ def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
     if majorant == math.inf:
         raise ConfigError("holder_majorant_L overflows: delta is too small for L_nu")
     return majorant
+
+
+__all__ = ["inner_iterations", "regularize", "restart_run", "restarts_for_target",
+           "holder_majorant_L"]

@@ -70,9 +70,11 @@ def free_space() -> FeasibleSet:
 def box(lower, upper) -> FeasibleSet:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    # NaN fails lower <= upper; infinite bounds stay allowed
+    # NaN fails lower <= upper; infinite bounds stay allowed unless the box is empty
     if lower.shape != upper.shape or not np.all(lower <= upper):
         raise DomainError("box bounds must satisfy lower <= upper componentwise, with no NaN")
+    if np.any(lower == math.inf) or np.any(upper == -math.inf):
+        raise DomainError("box is empty: a lower bound is +inf or an upper bound is -inf")
     return FeasibleSet(kind="box", lower=lower, upper=upper)
 
 
@@ -83,7 +85,10 @@ def simplex() -> FeasibleSet:
 def euclidean_ball(center, radius: float) -> FeasibleSet:
     if not 0 < radius < math.inf:
         raise DomainError(f"ball radius must be positive and finite, got {radius!r}")
-    return FeasibleSet(kind="euclidean_ball", ball_center=np.asarray(center, dtype=float), radius=float(radius))
+    center = np.asarray(center, dtype=float)
+    if center.ndim != 1 or not np.all(np.isfinite(center)):
+        raise DomainError(f"ball center must be a finite 1-D vector, got {center.tolist()!r}")
+    return FeasibleSet(kind="euclidean_ball", ball_center=center, radius=float(radius))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,11 @@ A_OVERFLOW_LIMIT = 1e300
 COUNT_LIMIT = 2**63 - 1  # the int64 range of the trace's count columns
 
 
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """A number of the given kinds that is not a bool; numpy numbers count."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """iterations_only, gradient_mapping (threshold), or certified_gap (r_sq)."""
@@ -95,6 +100,10 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("iterations_only", "gradient_mapping", "certified_gap"):
             raise ConfigError(f"unknown stopping rule {self.kind!r}")
+        for name in ("threshold", "r_sq"):
+            value = getattr(self, name)
+            if value is not None and not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "gradient_mapping" and (self.threshold is None or self.threshold <= 0):
             raise ConfigError("gradient_mapping stopping needs a positive threshold")
         if self.kind == "certified_gap" and (self.r_sq is None or self.r_sq <= 0):
@@ -114,19 +123,29 @@ class SolverConfig:
     stopping: StoppingRule = field(default_factory=StoppingRule)
 
     def validate(self) -> None:
-        policy = POLICIES.get(self.mode)
+        policy = POLICIES.get(self.mode) if isinstance(self.mode, str) else None
         if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
         for name in ("L_known", "L0", "mu", "epsilon", "D"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name not in ("L0", "mu"):
+                continue  # unset: the mode's checks below say whether it needs one
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name in ("max_iters", "max_backtracks_per_iter"):
+            value = getattr(self, name)
+            if not _is_number(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.stopping, StoppingRule):
+            raise ConfigError(f"stopping must be a StoppingRule, got {self.stopping!r}")
         if not policy.checks and (self.L_known is None or self.L_known <= 0):
             raise ConfigError(f"{self.mode} requires a positive L_known")
         if policy.needs_epsilon and (self.epsilon is None or self.epsilon <= 0):
             raise ConfigError(f"{self.mode} requires a positive epsilon")
         if policy.stochastic and self.D is None:
-            raise ConfigError(f"{self.mode} requires the variance bound D")
+            raise ConfigError(f'{self.mode} requires "D", the variance bound')
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive when given")
         if self.D is not None and self.D < 0:
@@ -135,10 +154,6 @@ class SolverConfig:
             raise ConfigError("L0 must be positive")
         if self.mu < 0:
             raise ConfigError("mu must be nonnegative")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if self.max_backtracks_per_iter < 1:
-            raise ConfigError("max_backtracks_per_iter must be >= 1")
         if self.stopping.kind == "certified_gap" and self.epsilon is None:
             raise ConfigError("certified_gap stopping needs config.epsilon as its target")
 
@@ -321,21 +336,18 @@ def _bregman_passes(bregman: float, du: np.ndarray, r: float, noise, L_trial: fl
     return bregman <= 0.5 * L_trial * (r * r * du_sq) + slack
 
 
-def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
-         rng=None) -> SolverState:
+def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> SolverState:
     """One accepted iteration, as the mode's row in POLICIES sets it.
 
     The exact-L mode accepts its one trial at L_known.  The checking modes
     double L from half the last accepted constant (from L0 in the A = 0 start
     state, where y is the center and f, grad f at y are evaluated once) until
     the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
-    draws its mini-batch from substream(rng, k + 1, j): the state's keyed
-    Philox (``state.streams``, from ``init_phase``) set to the counter block
-    (0, 0, j, k + 1), or a fresh one keyed from rng if the state has none for
-    that seed.  Under a Bregman check x and its cached part are formed for the
-    accepted trial only; the difference check forms them at every trial.  A
-    sumst trial whose draws would take the stochastic count past 2**63 - 1
-    raises CoefficientOverflow."""
+    draws its mini-batch from the state's keyed Philox (``state.streams``, from
+    ``init_phase``) set to the counter block (0, 0, j, k + 1).  Under a Bregman
+    check x and its cached part are formed for the accepted trial only; the
+    difference check forms them at every trial.  A sumst trial whose draws
+    would take the stochastic count past 2**63 - 1 raises CoefficientOverflow."""
     policy = POLICIES[config.mode]
     obj = _base_objective(objective)
     image = state.image
@@ -364,7 +376,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig,
             if counters.stochastic_grad_calls + m > COUNT_LIMIT:
                 raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
                                           f"past 2**63 - 1 at k={state.k + 1}")
-            stream = substream(0 if rng is None else int(rng), state.k + 1, j, state.streams)
+            stream = substream(state.streams.seed, state.k + 1, j, state.streams)
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
         u = composite_prox_solve(setup, phi, obj.h)
@@ -416,7 +428,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
         if not isinstance(objective, StochasticGradientOracle):
             raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
         seed = 0 if rng is None else rng
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_number(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(f"{config.mode} needs an integer seed >= 0, got {rng!r}")
         streams = TrialStreams(seed)
     obj = _base_objective(objective)
@@ -427,7 +439,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
                         mu_tilde=config.mu / setup.omega_tilde, counters=EvalCounter(),
                         trace=Trace(), image=image, uz=uz, xz=uz, streams=streams)
-    return step(start, objective, setup, config, rng)
+    return step(start, objective, setup, config)
 
 
 def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: float,
@@ -521,7 +533,7 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
         while len(state.trace) < config.max_iters:
             if _should_stop(state, objective, setup, config):
                 break
-            nxt = step(state, objective, setup, config, rng)
+            nxt = step(state, objective, setup, config)
             if not math.isfinite(nxt.A) or nxt.A > A_OVERFLOW_LIMIT:
                 raise CoefficientOverflow(f"A_k = {nxt.A:.3e} past the 1e300 guard at k={nxt.k}")
             _record_row(nxt, objective, setup, config)
@@ -540,3 +552,8 @@ def _report(state: SolverState, config: SolverConfig) -> RunReport:
                      total_stoch_calls=counters.stochastic_grad_calls,
                      trace=state.trace,
                      certified_gap=_certified_bound(config, state.A))
+
+
+__all__ = ["MODES", "StoppingRule", "SolverConfig", "SolverState", "RunReport", "alpha_next",
+           "fold_estimate", "descent_check", "batch_size", "bregman_check", "step",
+           "init_phase", "gradient_mapping_residual", "run"]

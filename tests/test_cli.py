@@ -112,6 +112,16 @@ def test_solve_badly_typed_problem_option_is_a_validation_error(tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode", [[], {}, 5])
+def test_solve_with_a_mode_that_is_not_a_string_is_a_validation_error(tmp_path, capsys, mode):
+    rc = main(["solve", "--config", _write_config(tmp_path, solver={"mode": mode, "L": 1.0})])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: ValidationError: unknown solver mode {mode!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_solve_bad_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"problem": {"kind": "quadratic"}}')

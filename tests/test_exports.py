@@ -1,6 +1,6 @@
 """The package namespace: ``triangle_opt.__all__`` lists each public name once,
 every listed name resolves, and it re-exports the whole public surface of the
-oracle, prox-geometry, trace and zoo modules."""
+oracle, prox-geometry, trace, zoo, solver, harness and meta-strategy modules."""
 
 import importlib
 
@@ -16,7 +16,8 @@ def test_package_exports_are_unique_and_resolve():
     assert not missing
 
 
-@pytest.mark.parametrize("module", ["oracles", "prox_geometry", "traces", "zoo"])
+@pytest.mark.parametrize("module", ["oracles", "prox_geometry", "traces", "zoo", "solvers",
+                                    "harness", "meta_strategies"])
 def test_package_reexports_every_public_name_of(module):
     names = importlib.import_module(f"triangle_opt.{module}").__all__
     assert set(names) <= set(triangle_opt.__all__), sorted(set(names) - set(triangle_opt.__all__))

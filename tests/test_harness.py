@@ -1,6 +1,7 @@
 """Tests for experiment configuration parsing, batch running, and the
 trace-vs-guarantee bound checker."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
-                          MissingColumn, NoiseModel, ParseError,
-                          SolverConfig, StochasticGradientOracle, Trace, ValidationError,
+                          MissingColumn, NoiseModel, ParseError, SolverConfig,
+                          StochasticGradientOracle, StoppingRule, Trace, ValidationError,
                           check_bounds, emit_trace, init_phase, load_experiment, load_trace,
                           make_problem, run, run_experiment)
 from triangle_opt import harness
@@ -153,6 +154,47 @@ def test_load_experiment_rejects_non_numeric_fields():
         _load(prox={"omega_tilde": 0.5})
     with pytest.raises(ValidationError, match="epsilon.*finite"):
         _load(epsilon=math.inf)
+
+
+@pytest.mark.parametrize("solver", [
+    {"mode": "amst_adaptive"},
+    {"mode": "amst_adaptive", "L": None, "L0": None, "mu": None, "D": None,
+     "max_backtracks": None, "stopping": None},
+    {"mode": "amst_adaptive", "stopping": {"kind": None, "threshold": None, "r_sq": None}},
+])
+def test_load_experiment_absent_or_null_solver_keys_take_the_config_defaults(solver):
+    exp = _load(solver=solver, epsilon=None)
+    assert exp.config == SolverConfig(mode="amst_adaptive", max_iters=40)
+
+
+def test_every_solver_config_field_has_a_json_key():
+    keys = set(harness._SOLVER_FIELDS.values()) | {"mode", "epsilon", "max_iters", "stopping"}
+    assert keys == {f.name for f in dataclasses.fields(SolverConfig)}
+
+
+def test_load_experiment_maps_each_solver_key_onto_its_field():
+    exp = _load(solver={"mode": "sumst_stochastic_universal", "L": 3, "L0": 0.5, "mu": 0.1,
+                        "D": 2, "max_backtracks": 7,
+                        "stopping": {"kind": "certified_gap", "r_sq": 4}},
+                epsilon=0.01, max_iters=9)
+    assert exp.config == SolverConfig(mode="sumst_stochastic_universal", L_known=3.0, L0=0.5,
+                                      mu=0.1, epsilon=0.01, D=2.0, max_iters=9,
+                                      max_backtracks_per_iter=7,
+                                      stopping=StoppingRule(kind="certified_gap", r_sq=4.0))
+
+
+@pytest.mark.parametrize("stopping, message", [
+    ({"kind": "whenever"}, "unknown stopping rule 'whenever'"),
+    ({"kind": []}, "unknown stopping rule \\[\\]"),
+    ({"kind": "gradient_mapping"}, "gradient_mapping stopping needs a positive threshold"),
+    ({"kind": "gradient_mapping", "threshold": 0}, "gradient_mapping stopping needs a positive"),
+    ({"kind": "certified_gap"}, "certified_gap stopping needs a positive r_sq bound"),
+    ({"kind": "gradient_mapping", "threshold": math.nan}, "threshold must be a finite number"),
+    ({"kind": "certified_gap", "r_sq": math.inf}, "r_sq must be a finite number"),
+])
+def test_load_experiment_bad_stopping_rules_are_validation_errors(stopping, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        _load(solver={"mode": "mst_exact_L", "L": 1.0, "stopping": stopping}, epsilon=0.1)
 
 
 def test_load_experiment_wraps_solver_config_errors():

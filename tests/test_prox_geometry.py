@@ -339,6 +339,25 @@ def test_infinite_box_bounds_stay_allowed():
     np.testing.assert_array_equal(composite_prox_solve(setup, phi, SimpleTerm()), [5.0, 1.0])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ([math.inf], [math.inf]),
+    ([-math.inf], [-math.inf]),
+    ([0.0, math.inf], [1.0, math.inf]),
+    ([-math.inf, -math.inf], [1.0, -math.inf]),
+])
+def test_an_empty_box_with_an_infinite_bound_is_rejected(lower, upper):
+    with pytest.raises(DomainError, match="box is empty"):
+        box(lower, upper)
+
+
+@pytest.mark.parametrize("center", [
+    [math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], np.zeros((2, 2)), 0.0,
+])
+def test_a_ball_center_must_be_a_finite_vector(center):
+    with pytest.raises(DomainError, match="ball center must be a finite 1-D vector"):
+        euclidean_ball(center, 1.0)
+
+
 def test_simple_term_validation_and_values():
     assert SimpleTerm(kind="zero").value(np.array([1.0, 2.0])) == 0.0
     assert SimpleTerm(kind="l1", lam=0.5).value(np.array([1.0, -2.0])) == 1.5

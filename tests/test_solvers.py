@@ -3,6 +3,7 @@ descent checks, backtracking, the shared iteration skeleton, stopping rules,
 and the per-iterate certificate."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -177,6 +178,46 @@ def test_solver_config_validation():
         StoppingRule(kind="gradient_mapping")
     with pytest.raises(ConfigError):
         StoppingRule(kind="certified_gap")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mode", [], "unknown solver mode \\[\\]"),
+    ("mode", {}, "unknown solver mode {}"),
+    ("mode", 5, "unknown solver mode 5"),
+    ("mode", None, "unknown solver mode None"),
+    ("max_iters", 2.5, "max_iters must be an integer >= 1, got 2.5"),
+    ("max_iters", True, "max_iters must be an integer >= 1, got True"),
+    ("max_iters", math.inf, "max_iters must be an integer >= 1, got inf"),
+    ("max_iters", "3", "max_iters must be an integer >= 1, got '3'"),
+    ("max_iters", 0, "max_iters must be an integer >= 1, got 0"),
+    ("max_backtracks_per_iter", 2.5, "max_backtracks_per_iter must be an integer >= 1"),
+    ("max_backtracks_per_iter", False, "max_backtracks_per_iter must be an integer >= 1"),
+    ("L0", "1", "L0 must be a number, got '1'"),
+    ("L0", None, "L0 must be a number, got None"),
+    ("L0", True, "L0 must be a number, got True"),
+    ("mu", None, "mu must be a number, got None"),
+    ("mu", "0", "mu must be a number, got '0'"),
+    ("L_known", "2", "L_known must be a number, got '2'"),
+    ("epsilon", [0.1], "epsilon must be a number"),
+    ("D", True, "D must be a number, got True"),
+    ("stopping", None, "stopping must be a StoppingRule, got None"),
+])
+def test_validate_checks_the_type_of_every_field(field, value, message):
+    config = SolverConfig(mode="amst_adaptive", L_known=1.0, epsilon=0.1, D=1.0, max_iters=3)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        dataclasses.replace(config, **{field: value}).validate()
+
+
+@pytest.mark.parametrize("threshold, r_sq", [("small", None), (None, math.nan), (True, None)])
+def test_stopping_rule_checks_its_numbers(threshold, r_sq):
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        StoppingRule(kind="iterations_only", threshold=threshold, r_sq=r_sq)
+
+
+def test_validate_takes_numpy_numbers():
+    SolverConfig(mode="umst_universal", L0=np.float32(2.0), mu=np.float64(0.0),
+                 epsilon=np.float64(0.1), max_iters=np.int64(5),
+                 max_backtracks_per_iter=np.int32(3)).validate()
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -599,6 +640,17 @@ def test_init_phase_sumst_takes_the_default_and_numpy_integer_seeds():
         got = init_phase(oracle, problem.setup, config, rng=rng)
         expected = init_phase(oracle, problem.setup, config, rng=same_as)
         assert got.x.tobytes() == expected.x.tobytes()
+
+
+def test_step_draws_from_the_seed_that_init_phase_keyed():
+    problem, oracle = _noisy_quadratic("gaussian")
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0, max_iters=6)
+    report = run(oracle, problem.setup, config, rng=5)
+    state = init_phase(oracle, problem.setup, config, rng=5)
+    for _ in range(5):
+        state = step(state, oracle, problem.setup, config)
+    assert state.x.tobytes() == report.final_x.tobytes()
+    assert "rng" not in inspect.signature(step).parameters
 
 
 def test_deterministic_modes_record_unit_batch():
