@@ -111,8 +111,9 @@ def load_experiment(config_text: str) -> Experiment:
 
     Required: problem (with kind), solver (with mode), seeds, max_iters.
     Optional: prox (an omega_tilde override of the problem's setup, where
-    the run reads it), epsilon, output.  An absent or null solver setting
-    takes the SolverConfig default.  Unknown or duplicate keys are rejected.
+    the run reads it), epsilon, output; a null one counts as absent.  An
+    absent or null solver setting takes the SolverConfig default.  Unknown or
+    duplicate keys are rejected.
     """
     try:
         raw = json.loads(config_text, object_pairs_hook=_reject_duplicates)
@@ -138,7 +139,7 @@ def load_experiment(config_text: str) -> Experiment:
     except ConfigError as exc:
         raise ValidationError(str(exc)) from exc
 
-    prox_cfg = raw.get("prox", {})
+    prox_cfg = {} if raw.get("prox") is None else raw["prox"]
     if not isinstance(prox_cfg, dict):
         raise ValidationError('"prox" must be an object')
     _require_keys(prox_cfg, _PROX_KEYS, "prox")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .prox_geometry import SimpleTerm
+from .prox_geometry import _FLOAT64, SimpleTerm
 
 
 @dataclass
@@ -93,7 +93,8 @@ def _checked_value(out, counter: EvalCounter | None) -> float:
 
 
 def _checked_grad(g, counter: EvalCounter | None) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
+    if g.__class__ is not np.ndarray or g.dtype is not _FLOAT64:  # float64 arrays pass as they are
+        g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise DomainError("gradient is not finite at the queried point")
     if counter is not None:

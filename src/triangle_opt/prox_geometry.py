@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedGeometry
 
 _LOG_FLOOR = 1e-300  # clamp before logs on the simplex
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,14 @@ class NormPair:
 
     tag: str  # "euclidean" or "l1_linf"
 
-    def primal(self, v: np.ndarray) -> float:
-        if self.tag == "euclidean":
-            return two_norm(v)
-        return float(np.abs(v).sum())
+    def primal(self, v: np.ndarray):
+        """||v|| of a point, as a float; of a block of points (a 2-D array, a
+        point a row), the array of its rows' norms, each with its point's bits."""
+        if self.tag != "euclidean":
+            return _per_row(np.abs(v).sum(axis=-1))
+        if v.__class__ is np.ndarray and v.ndim == 2:
+            return np.sqrt(_dot(v, v))
+        return two_norm(v)
 
     def dual(self, v: np.ndarray) -> float:
         if self.tag == "euclidean":
@@ -47,7 +52,9 @@ _NORMS = {"euclidean": NormPair("euclidean"), "entropy": NormPair("l1_linf")}
 def two_norm(v: np.ndarray) -> float:
     """||v||_2 as np.linalg.norm computes it for float64 or integer input (ravel,
     dot, sqrt): the same bits without its dispatch.  Unraveled, a strided view
-    would round differently."""
+    would round differently; a contiguous float64 vector needs no conversion."""
+    if v.__class__ is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.flags.c_contiguous:
+        return math.sqrt(v.dot(v))
     r = np.asarray(v, dtype=float).ravel(order="K")
     return math.sqrt(r.dot(r))
 
@@ -118,11 +125,12 @@ class ProxSetup:
             raise DomainError("omega_tilde must be >= 1")
         object.__setattr__(self, "norms", norms)  # a plain attribute: read on every trial
 
-    def d_value(self, x: np.ndarray) -> float:
+    def d_value(self, x: np.ndarray):
+        """d(x) of a point, or of each row of a block (see NormPair.primal)."""
         if self.geometry == "euclidean":
             diff = x - self.center
-            return 0.5 * float(diff.dot(diff))
-        return float(_xlogx(x).sum() + np.log(x.size))
+            return 0.5 * _dot(diff, diff)
+        return _per_row(_xlogx(x).sum(axis=-1) + np.log(x.shape[-1]))
 
     def d_grad(self, x: np.ndarray) -> np.ndarray:
         if self.geometry == "euclidean":
@@ -130,6 +138,20 @@ class ProxSetup:
         if np.any(x <= 0.0):
             raise DomainError("entropy gradient undefined at a boundary point")
         return np.log(x) + 1.0
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> of two points, as a float, or of each pair of rows of two blocks:
+    a stack of (1, n) @ (n, 1) products calls the BLAS dot that ndarray.dot
+    calls, so a row has its point's bits (einsum and a summed product do not)."""
+    if a.ndim == 1:
+        return float(a.dot(b))
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _per_row(value):
+    """A block's array of row values as it is; a point's value as a float."""
+    return value if value.__class__ is np.ndarray else float(value)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -207,9 +229,10 @@ class SimpleTerm:
         if self.kind == "l1" and not 0 <= self.lam < math.inf:
             raise DomainError(f"l1 weight must be nonnegative and finite, got {self.lam!r}")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """h(x) of a point, or of each row of a block (see NormPair.primal)."""
         if self.kind == "l1":
-            return self.lam * float(np.abs(x).sum())
+            return self.lam * _per_row(np.abs(x).sum(axis=-1))
         # zero, or indicator evaluated at a feasible point
         return 0.0
 
@@ -231,9 +254,13 @@ def initial_estimate(setup: ProxSetup) -> EstimateFunction:
     return EstimateFunction(d_scale=1.0, linear=-g0, h_scale=0.0, constant=const)
 
 
-def estimate_value(setup: ProxSetup, phi: EstimateFunction, h: SimpleTerm, x: np.ndarray) -> float:
-    return float(phi.d_scale * setup.d_value(x) + phi.linear.dot(x)
-                 + phi.h_scale * h.value(x) + phi.constant)
+def estimate_value(setup: ProxSetup, phi: EstimateFunction, h: SimpleTerm, x: np.ndarray):
+    """phi(x) of a point, as a float.  Given a block of points (a 2-D array)
+    and a phi whose fields hold one estimate function per row (scale and
+    constant arrays, linear a 2-D array), the array of each row's value,
+    with the bits its row gives alone."""
+    return _per_row(phi.d_scale * setup.d_value(x) + _dot(phi.linear, x)
+                    + phi.h_scale * h.value(x) + phi.constant)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:

@@ -82,6 +82,8 @@ POLICIES = {  # checks, stochastic, needs_epsilon, slack, target
 MODES = tuple(POLICIES)
 A_OVERFLOW_LIMIT = 1e300
 COUNT_LIMIT = 2**63 - 1  # the int64 range of the trace's count columns
+_BLOCK_ROWS = 256  # rows whose evidence the observer computes at once
+_BLOCK_CELLS = 1 << 14  # at most this many floats in each of a block's point buffers
 
 
 def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
@@ -217,9 +219,10 @@ def alpha_next(L: float, A_k: float, mu_tilde: float) -> tuple[float, float]:
     if not (math.isfinite(alpha) and math.isfinite(a_next)):
         raise CoefficientOverflow("coefficient recursion left double range")
     # identity check in overflow-safe ratio form: (A_next/alpha)*(b/alpha) == L
-    drift = abs((a_next / alpha) * (b / alpha) - L)
-    if drift > 1e-12 * max(1.0, L):
-        raise CoefficientOverflow(f"coefficient identity drifted by {drift:.3e}")
+    drift = (a_next / alpha) * (b / alpha) - L
+    tolerance = 1e-12 * (L if L > 1.0 else 1.0)
+    if drift > tolerance or -drift > tolerance:
+        raise CoefficientOverflow(f"coefficient identity drifted by {abs(drift):.3e}")
     return alpha, a_next
 
 
@@ -261,18 +264,19 @@ def _base_objective(objective) -> CompositeObjective:
     return objective
 
 
-def _triangle(alpha: float, new: np.ndarray, A: float, old: np.ndarray,
-              a_next: float) -> np.ndarray:
-    """(alpha*new + A*old) / A_{k+1}; new itself when A = 0, where the
-    combination is the identity but would not give its bits back."""
-    return new if A == 0.0 else (alpha * new + A * old) / a_next
-
-
 def _identity_image(obj: CompositeObjective) -> LinearImage:
     """f as psi(z) with z = x: psi and psi' are the objective's value and
     gradient oracles as they are now, and there is no Bregman form."""
     return LinearImage(forward=lambda v: v, adjoint=lambda w: np.asarray(w, dtype=float),
                        psi=obj.smooth_value, psi_grad=obj.smooth_grad)
+
+
+def _triangle(alpha: float, new: np.ndarray, a_old: np.ndarray | None,
+              a_next: float) -> np.ndarray:
+    """(alpha*new + A*old) / A_{k+1}, given a_old = A*old; new itself when A = 0
+    (a_old None), where the combination is the identity but would not give
+    its bits back."""
+    return new if a_old is None else (alpha * new + a_old) / a_next
 
 
 def _cached(image: LinearImage, v: np.ndarray) -> np.ndarray:
@@ -288,24 +292,6 @@ def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
     if form is None:
         return image.psi(vz[n:])
     return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
-
-
-def _oracle_at_y(state: SolverState, alpha: float, a_next: float, stochastic: bool,
-                 exact: bool):
-    """y, its cached part (z(y) or grad f(y)), f(y) and the exact grad f(y):
-    1 f + 1 grad call, or in sumst 1 f call, with the exact gradient left
-    uncounted for the mini-batch draw to use; None for it when not exact."""
-    counters = state.counters
-    image = state.image
-    n = state.u.size
-    yz = _triangle(alpha, state.uz, state.A, state.xz, a_next)
-    y, z = yz[:n], yz[n:]
-    f_y = _checked_value(_cached_value(image, yz, n), counters)
-    if image.quadratic is not None:  # z is grad f(y) already, at no product
-        g = z
-    else:
-        g = image.adjoint(image.psi_grad(z)) if exact else None
-    return y, z, f_y, (g if stochastic else _checked_grad(g, counters))
 
 
 def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.ndarray,
@@ -347,55 +333,71 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
     ``init_phase``) set to the counter block (0, 0, j, k + 1).  Under a Bregman
     check x and its cached part are formed for the accepted trial only; the
     difference check forms them at every trial.  A sumst trial whose draws
-    would take the stochastic count past 2**63 - 1 raises CoefficientOverflow."""
+    would take the stochastic count past 2**63 - 1 raises CoefficientOverflow.
+    A point and its cached part are formed together, y and x' from the stacked
+    [u; z(u)] and [x; z(x)] (``_triangle``), with A [x; z(x)] formed once."""
     policy = POLICIES[config.mode]
-    obj = _base_objective(objective)
+    stochastic = policy.stochastic
+    h = _base_objective(objective).h
     image = state.image
+    form = image.quadratic
     counters = state.counters
-    A, n = state.A, state.u.size
-    c_eps = config.slack_factor * (config.epsilon or 0.0)
+    A, n, mu_tilde = state.A, state.u.size, state.mu_tilde
+    uz_old = state.uz
+    a_xz = None if A == 0.0 else A * state.xz  # the A x term of every trial's y and x'
+    eps = config.epsilon
+    c_eps = policy.slack * eps if eps else 0.0
     L_floor = state.L_trial  # 0 in the start state, which has no accepted constant
     if not policy.checks:
         L_trial = config.L_known
     else:
         L_trial = state.L_trial / 2.0 if A > 0.0 else config.L0
-    difference_check = policy.checks and image.quadratic is None and image.psi_bregman is None
+    difference_check = policy.checks and form is None and image.psi_bregman is None
     # a finite_sum draw graded by the difference check never reads the exact
     # gradient: only the gaussian and none centres and the Bregman noise term do
-    exact = not (difference_check and policy.stochastic
+    exact = not (difference_check and stochastic
                  and objective.noise_model.kind == "finite_sum")
-    at_y = None
     for j in range(config.max_backtracks_per_iter + 1):
-        alpha, a_next = alpha_next(L_trial, A, state.mu_tilde)
-        if at_y is None or A > 0.0:  # from the start state y is the center at every trial
-            at_y = _oracle_at_y(state, alpha, a_next, policy.stochastic, exact)
-        y, z_y, f_y, g_exact = at_y
+        alpha, a_next = alpha_next(L_trial, A, mu_tilde)
+        if j == 0 or A > 0.0:  # from the start state y is the center at every trial
+            # y, its cached part (z(y) or grad f(y)), f(y) and the exact grad f(y):
+            # 1 f + 1 grad call, or in sumst 1 f call, with the exact gradient
+            # left uncounted for the mini-batch draw to use
+            yz = _triangle(alpha, uz_old, a_xz, a_next)
+            y, z_y = yz[:n], yz[n:]
+            f_y = _checked_value(_cached_value(image, yz, n), counters)
+            if form is not None:  # z_y is grad f(y) already, at no product
+                g_exact = z_y
+            else:
+                g_exact = image.adjoint(image.psi_grad(z_y)) if exact else None
+            if not stochastic:
+                g_exact = _checked_grad(g_exact, counters)
         g, m = g_exact, 1
-        if policy.stochastic:
+        if stochastic:
             m = batch_size(config.D, a_next, alpha, L_trial, config.epsilon)
             if counters.stochastic_grad_calls + m > COUNT_LIMIT:
                 raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
                                           f"past 2**63 - 1 at k={state.k + 1}")
             stream = substream(state.streams.seed, state.k + 1, j, state.streams)
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
-        phi = fold_estimate(state.phi, alpha, y, g, f_y, state.mu_tilde, setup)
-        u = composite_prox_solve(setup, phi, obj.h)
+        phi = fold_estimate(state.phi, alpha, y, g, f_y, mu_tilde, setup)
+        u = composite_prox_solve(setup, phi, h)
         slack = c_eps if A == 0.0 else c_eps * alpha / a_next
         uz = _cached(image, u)
         f_x = xz = None
         passed = True
         if difference_check:
             # no Bregman form: the difference check at x' from the stacked combination
-            xz = _triangle(alpha, uz, A, state.xz, a_next)
+            xz = _triangle(alpha, uz, a_xz, a_next)
             f_x = _checked_value(_cached_value(image, xz, n), counters)
             dx = xz[:n] - y
             passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
                                    L_trial, slack, f_x)
         elif policy.checks:
-            duz = uz - state.uz
+            duz = uz - uz_old
             du, r = duz[:n], alpha / a_next
-            noise = g - g_exact if policy.stochastic else None
-            if image.quadratic is None:
+            noise = g - g_exact if stochastic else None
+            if form is None:
                 passed = bregman_check(image, z_y, duz[n:], du, r, noise, L_trial, slack,
                                        L_floor, setup.norms, counters)
             else:  # f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, d grad f>
@@ -403,11 +405,11 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
                                          noise, L_trial, slack, L_floor, setup.norms, counters)
         if passed:
             if xz is None:
-                xz = _triangle(alpha, uz, A, state.xz, a_next)
+                xz = _triangle(alpha, uz, a_xz, a_next)
                 if policy.checks:
                     f_x = _checked_value(_cached_value(image, xz, n), None)
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=xz[:n], y=y,
-                               phi=phi, L_trial=L_trial, j=j, m=m, mu_tilde=state.mu_tilde,
+                               phi=phi, L_trial=L_trial, j=j, m=m, mu_tilde=mu_tilde,
                                counters=counters, trace=state.trace, image=image, uz=uz,
                                xz=xz, f_x=f_x, f_y=f_y, streams=state.streams)
         L_trial *= 2.0
@@ -471,9 +473,8 @@ def _certified_bound(config: SolverConfig, A: float) -> float | None:
 
 
 def _should_stop(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> bool:
+    """Whether a rule other than iterations_only stops the run at this state."""
     rule = config.stopping
-    if rule.kind == "iterations_only":
-        return False
     if rule.kind == "certified_gap":
         # total-budget reading: the eps-slack modes (amst-with-eps, sumst) certify 2*eps
         return (_certified_bound(config, state.A)
@@ -483,40 +484,89 @@ def _should_stop(state: SolverState, objective, setup: ProxSetup, config: Solver
     return residual <= rule.threshold
 
 
-def _record_row(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> None:
-    obj = _base_objective(objective)
-    counters = state.counters
-    row = {
-        "k": state.k, "A": state.A, "alpha": state.alpha, "L_trial": state.L_trial,
-        "j": state.j, "m": state.m, "cum_f": counters.f_calls,
-        "cum_grad": counters.grad_calls, "cum_stoch": counters.stochastic_grad_calls,
-    }
-    # observer quantities below are uncounted: they are evidence, not method
-    # work.  F(x) and F(y) reuse the f values the method computed (state.f_x,
+class _Evidence:
+    """The observer of one run: the rows recorded since the last flush.
+
+    ``_record_row`` copies a row's scalars and its u, x, y and phi.linear into
+    fixed-size buffers.  ``flush`` computes the rows' cert_margin, gap, gap_y
+    and squared distances to x* for the whole block at once, with the
+    prox_geometry formulas applied to blocks of rows (each row gets the bits
+    it would get alone), and appends the rows to the trace in one bulk append.
+    The buffers hold at most _BLOCK_CELLS floats each, so a block is shorter
+    in high dimension.  This work is uncounted: evidence, not method work."""
+
+    def __init__(self, objective, setup: ProxSetup, config: SolverConfig, trace: Trace,
+                 n: int):
+        obj = _base_objective(objective)
+        self.h = obj.h
+        self.optimum = obj.known_optimum
+        self.setup = setup
+        self.trace = trace
+        self.slack_factor = config.slack_factor
+        self.epsilon = config.epsilon or 0.0
+        self.size = min(_BLOCK_ROWS, _BLOCK_CELLS // max(n, 1))
+        self.u, self.x, self.y, self.linear = np.empty((4, self.size, n))
+        # per row: the trace's scalars, then f(x), f(y) and phi's scalars
+        self.rows = [None] * self.size
+        self.count = 0  # rows recorded since the last flush
+
+    def flush(self) -> None:
+        b, self.count = self.count, 0
+        if not b:
+            return
+        (k, A, alpha, L_trial, j, m, cum_f, cum_grad, cum_stoch,
+         f_x, f_y, d_scale, h_scale, constant) = zip(*self.rows[:b])
+        A = np.array(A, dtype=float)
+        u, x, y = self.u[:b], self.x[:b], self.y[:b]
+        h, setup = self.h, self.setup
+        phi = EstimateFunction(d_scale=np.array(d_scale, dtype=float), linear=self.linear[:b],
+                               h_scale=np.array(h_scale, dtype=float),
+                               constant=np.array(constant, dtype=float))
+        # the row-by-row formulas were Python float arithmetic, which neither
+        # warns on inf - inf nor on overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            F_x = np.array(f_x, dtype=float) + h.value(x)
+            phi_at_u = estimate_value(setup, phi, h, u)
+            cert_margin = phi_at_u + A * self.slack_factor * self.epsilon - A * F_x
+            gap = gap_y = dist_u = dist_x = dist_y = np.full(b, math.nan)
+            if self.optimum is not None:
+                x_star, f_star = self.optimum
+                gap = F_x - f_star
+                gap_y = np.array(f_y, dtype=float) + h.value(y) - f_star
+                if x_star is not None:
+                    # squared as Python floats: numpy's square differs in the last bit
+                    dist_u, dist_x, dist_y = (
+                        [norm ** 2 for norm in setup.norms.primal(v - x_star).tolist()]
+                        for v in (u, x, y))
+        self.trace.append_rows({
+            "k": k, "A": A, "alpha": alpha, "L_trial": L_trial, "j": j, "m": m,
+            "cum_f": cum_f, "cum_grad": cum_grad, "cum_stoch": cum_stoch,
+            "cert_margin": cert_margin, "gap": gap, "gap_y": gap_y,
+            "dist_u_sq": dist_u, "dist_x_sq": dist_x, "dist_y_sq": dist_y})
+
+
+def _record_row(evidence: _Evidence, state: SolverState) -> None:
+    """Record the state's row: copy it into the run's block, which is flushed
+    into the trace when full."""
+    # F(x) and F(y) reuse the f values the method computed (state.f_x,
     # state.f_y); only the exact-L mode's f(x), which the method never needs,
     # is evaluated here, from the cached part of x.
-    f = state.f_x
-    if f is None:
-        f = _cached_value(state.image, state.xz, state.x.size)
-    f_x = f + obj.h.value(state.x)
-    phi_at_u = estimate_value(setup, state.phi, obj.h, state.u)
-    slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
-    row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
-    if obj.known_optimum is not None:
-        x_star, f_star = obj.known_optimum
-        row["gap"] = f_x - f_star
-        row["gap_y"] = state.f_y + obj.h.value(state.y) - f_star
-        if x_star is not None:
-            row["dist_u_sq"] = setup.norms.primal(state.u - x_star) ** 2
-            row["dist_x_sq"] = setup.norms.primal(state.x - x_star) ** 2
-            row["dist_y_sq"] = setup.norms.primal(state.y - x_star) ** 2
-        else:
-            row["dist_u_sq"] = row["dist_x_sq"] = row["dist_y_sq"] = math.nan
-    else:
-        row["gap"] = math.nan
-        row["gap_y"] = math.nan
-        row["dist_u_sq"] = row["dist_x_sq"] = row["dist_y_sq"] = math.nan
-    state.trace.append_row(row)
+    f_x = state.f_x
+    if f_x is None:
+        f_x = _cached_value(state.image, state.xz, state.x.size)
+    i = evidence.count
+    phi = state.phi
+    counters = state.counters
+    evidence.u[i] = state.u
+    evidence.x[i] = state.x
+    evidence.y[i] = state.y
+    evidence.linear[i] = phi.linear
+    evidence.rows[i] = (state.k, state.A, state.alpha, state.L_trial, state.j, state.m,
+                        counters.f_calls, counters.grad_calls, counters.stochastic_grad_calls,
+                        f_x, state.f_y, phi.d_scale, phi.h_scale, phi.constant)
+    evidence.count = i + 1
+    if i + 1 == evidence.size:
+        evidence.flush()
 
 
 def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunReport:
@@ -528,19 +578,25 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
     recorded row, that row's iterate, and the oracle calls spent so far."""
     state = init_phase(objective, setup, config, rng)
     state.trace.meta["x0_y0_sq"] = setup.norms.primal(state.x - setup.center) ** 2
-    _record_row(state, objective, setup, config)
+    evidence = _Evidence(objective, setup, config, state.trace, state.u.size)
+    _record_row(evidence, state)
+    rows = 1
+    stops = config.stopping.kind != "iterations_only"
     try:
-        while len(state.trace) < config.max_iters:
-            if _should_stop(state, objective, setup, config):
+        while rows < config.max_iters:
+            if stops and _should_stop(state, objective, setup, config):
                 break
             nxt = step(state, objective, setup, config)
-            if not math.isfinite(nxt.A) or nxt.A > A_OVERFLOW_LIMIT:
+            if not nxt.A <= A_OVERFLOW_LIMIT:  # true for nan and inf as well
                 raise CoefficientOverflow(f"A_k = {nxt.A:.3e} past the 1e300 guard at k={nxt.k}")
-            _record_row(nxt, objective, setup, config)
+            _record_row(evidence, nxt)
+            rows += 1
             state = nxt
     except TriangleOptError as exc:
+        evidence.flush()
         exc.report = _report(state, config)
         raise
+    evidence.flush()
     return _report(state, config)
 
 

@@ -9,18 +9,16 @@ certificate margins) that bound checks consume; those never reach the files.
 In memory every column is a numpy array, 8 bytes a cell: int64 for the
 schema's count columns k, j, m, cum_f, cum_grad and cum_stoch, float64 for
 every other column.  An integer cell that is not integral or lies outside
-int64 raises ParseError; it is never truncated or wrapped.  An appended row
-is packed into its 8-byte cells at once and waits in a short buffer; a read,
-or a full buffer, moves the buffered rows into the column arrays with one
-slice per column.  The arrays grow geometrically, so ``column``, ``last`` and
-``len`` are O(1) reads of the filled part.  CSV and JSON are written and
-read one column at a time as well.
+int64 raises ParseError; it is never truncated or wrapped.  Appended rows,
+one (``append_row``) or many given as columns (``append_rows``), go into the
+column arrays with one slice per column.  The arrays grow geometrically, so
+``column``, ``last`` and ``len`` are O(1) reads of the filled part.  CSV and JSON are
+written and read one column at a time as well.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from operator import itemgetter
 
 import numpy as np
@@ -32,7 +30,6 @@ CSV_COLUMNS = ("k", "A", "alpha", "L_trial", "j", "m",
 _INT_COLUMNS = frozenset(("k", "j", "m", "cum_f", "cum_grad", "cum_stoch"))
 _SCHEMA = frozenset(CSV_COLUMNS)
 _INT64 = np.iinfo(np.int64)
-_BLOCK = 256  # rows buffered before they are stored column by column
 
 
 def _dtype(name: str) -> np.dtype:
@@ -55,10 +52,18 @@ def _cell(name: str, value):
 
 
 def _typed(name: str, values) -> np.ndarray:
-    """A new int64 or float64 array of the values of column name."""
+    """A new int64 or float64 array of the values of column name; ParseError,
+    naming the column, for a value the column's type cannot hold exactly."""
     dtype = _dtype(name)
     if isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1:
         return values.copy()
+    try:
+        col = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        col = None
+    # the int64 cast truncates 1.5 and parses "3": only exact integers compare equal
+    if col is not None and col.ndim == 1 and (dtype.kind == "f" or col.tolist() == list(values)):
+        return col
     return np.array([_cell(name, value) for value in values], dtype=dtype)
 
 
@@ -67,76 +72,62 @@ class Trace:
 
     ``Trace(data={name: sequence}, meta={...})`` starts from whole columns of
     equal length; ``append``/``append_row`` add one row carrying the same
-    column set as the first.  ``meta`` holds run-level scalars that are not
-    serialized.
+    column set as the first, and ``append_rows`` adds many rows given as
+    columns.  ``meta`` holds run-level scalars that are not serialized.
     """
 
     def __init__(self, data: dict | None = None, meta: dict | None = None):
         self.meta = {} if meta is None else meta
         self._cols = {}      # name -> array; the first self._n cells are the stored rows
         self._n = 0
-        self._pending = []   # rows not stored yet, each packed as its 8-byte cells
         if data:
             cols = {name: _typed(name, values) for name, values in data.items()}
             lengths = {col.size for col in cols.values()}
             if len(lengths) != 1:
                 raise ParseError("trace columns must have equal lengths")
-            self._start(cols)
+            self._cols = cols
             self._n = lengths.pop()
 
-    def _start(self, cols: dict) -> None:
-        self._cols = cols
-        self._width = len(cols)
-        # a packed row holds the integer columns first, then the float ones
-        ints = [name for name in cols if name in _INT_COLUMNS]
-        self._n_int = len(ints)
-        self._order = (*ints, *(name for name in cols if name not in _INT_COLUMNS))
-        self._row = _row_getter(self._order)
-        self._pack = struct.Struct("=" + "q" * len(ints) + "d" * (len(cols) - len(ints))).pack
-
     def __len__(self) -> int:
-        return self._n + len(self._pending)
+        return self._n
 
     def append(self, **fields) -> None:
         self.append_row(fields)
 
     def append_row(self, fields: dict) -> None:
         """append, with the row as a dict {column: value}."""
-        if not self._cols:  # the first row names the columns
-            if not fields:
-                raise ParseError("a trace row needs at least one column")
-            self._start({name: np.empty(0, _dtype(name)) for name in fields})
-        try:
-            row = self._row(fields)
-        except KeyError:
-            row = None
-        if row is None or len(fields) != self._width:
-            raise ParseError("trace rows must carry a consistent column set")
-        try:
-            row = self._pack(*row)
-        except (struct.error, OverflowError):  # a float count, a string, None, ...
-            row = self._pack(*map(_cell, self._order, row))
-        pending = self._pending
-        pending.append(row)
-        if len(pending) >= _BLOCK:
-            self._flush()
+        self.append_rows({name: (value,) for name, value in fields.items()})
 
-    def _flush(self) -> None:
-        """Move the packed rows into the columns, one slice per column."""
-        rows, self._pending = self._pending, []
-        ints = np.frombuffer(b"".join(rows), np.int64).reshape(len(rows), self._width)
-        floats = ints.view(np.float64)
+    def append_rows(self, columns: dict) -> None:
+        """append_row for many rows at once, given as {column: sequence of its
+        cells}: the same column set as every row, sequences of equal length,
+        each cell typed as append_row types it.  The rows follow every row
+        appended before them."""
+        if not self._cols:  # the first rows name the columns
+            if not columns:
+                raise ParseError("a trace row needs at least one column")
+            self._cols = {name: np.empty(0, _dtype(name)) for name in columns}
+        if columns.keys() != self._cols.keys():
+            raise ParseError("trace rows must carry a consistent column set")
+        typed = [(name, _typed(name, values)) for name, values in columns.items()]
+        lengths = {col.size for _, col in typed}
+        if len(lengths) != 1:
+            raise ParseError("trace columns must have equal lengths")
+        self._store(typed, lengths.pop())
+
+    def _store(self, columns: list, count: int) -> None:
+        """Store count rows, given as (name, cells) per column, after the stored ones."""
         n = self._n
-        end = n + len(rows)
+        end = n + count
         cols = self._cols
-        for i, name in enumerate(self._order):
+        for name, cells in columns:
             col = cols[name]
             if end > col.size:
                 # a quarter more: at most a fifth of the cells idle, about 4 copies a cell
                 grown = np.empty(max(end, col.size + col.size // 4), col.dtype)
                 grown[:n] = col[:n]
                 cols[name] = col = grown
-            col[n:end] = ints[:, i] if i < self._n_int else floats[:, i]
+            col[n:end] = cells
         self._n = end
 
     @property
@@ -151,8 +142,6 @@ class Trace:
         """A read-only view of the column's cells."""
         if name not in self._cols:
             raise MissingColumn(f"trace has no column {name!r}")
-        if self._pending:
-            self._flush()
         view = self._cols[name][:self._n]
         view.flags.writeable = False
         return view
@@ -162,14 +151,6 @@ class Trace:
         if col.size == 0:
             raise MissingColumn(f"trace column {name!r} is empty")
         return col[-1]
-
-
-def _row_getter(names: tuple):
-    """names -> a function from a row dict to the tuple of its values in that order."""
-    if len(names) == 1:
-        name = names[0]
-        return lambda fields: (fields[name],)
-    return itemgetter(*names)
 
 
 def _csv_cells(name: str, col: np.ndarray) -> list:

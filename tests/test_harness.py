@@ -213,6 +213,16 @@ def test_load_experiment_prox_override_reaches_setup_and_solver():
     assert state.mu_tilde == 0.25
 
 
+def test_load_experiment_reads_null_sections_as_absent():
+    # "prox": null is read like "output": null and "epsilon": null: as absent
+    exp = _load(prox=None, output=None, epsilon=None)
+    assert exp.problem.setup.omega_tilde == 1.0
+    assert exp.output is None
+    assert exp.config == _load().config
+    with pytest.raises(ValidationError, match='"prox" must be an object'):
+        _load(prox=[])
+
+
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
 def test_load_experiment_rejects_the_prox_omega_key(omega):
     # no solve, check or wrapper reads ProxSetup.omega, so the key is unknown

@@ -22,6 +22,7 @@ from triangle_opt import (
     SolverConfig,
     StochasticGradientOracle,
     StoppingRule,
+    TriangleOptError,
     UnsupportedGeometry,
     alpha_next,
     batch_size,
@@ -965,3 +966,162 @@ def test_identity_image_evaluates_f_and_grad_once_per_counted_call(name):
         assert tally["smooth_grad"] == report.total_grad_calls, config.mode
         assert tally["smooth_value"] == report.total_f_calls + extra, config.mode
 
+
+
+# --- the observer's block evidence ---------------------------------------------
+
+def _row_by_row(state, objective, setup, config):
+    """One trace row as the observer computed it, one row at a time, with the
+    point formulas of prox_geometry written out: the reference for the block
+    computation, which must give every cell the same bits."""
+    obj = objective.base if isinstance(objective, StochasticGradientOracle) else objective
+    h, counters, phi = obj.h, state.counters, state.phi
+
+    def h_value(x):
+        return h.lam * float(np.abs(x).sum()) if h.kind == "l1" else 0.0
+
+    def d_value(x):
+        if setup.geometry == "euclidean":
+            diff = x - setup.center
+            return 0.5 * float(diff.dot(diff))
+        xlogx = np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
+        return float(xlogx.sum() + np.log(x.size))
+
+    def norm(v):
+        if setup.geometry == "euclidean":
+            return float(np.linalg.norm(v))
+        return float(np.abs(v).sum())
+
+    row = {"k": state.k, "A": state.A, "alpha": state.alpha, "L_trial": state.L_trial,
+           "j": state.j, "m": state.m, "cum_f": counters.f_calls,
+           "cum_grad": counters.grad_calls, "cum_stoch": counters.stochastic_grad_calls}
+    f = state.f_x
+    if f is None:
+        f = solvers._cached_value(state.image, state.xz, state.x.size)
+    f_x = f + h_value(state.x)
+    phi_at_u = float(phi.d_scale * d_value(state.u) + phi.linear.dot(state.u)
+                     + phi.h_scale * h_value(state.u) + phi.constant)
+    slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
+    row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
+    row["gap"] = row["gap_y"] = math.nan
+    row["dist_u_sq"] = row["dist_x_sq"] = row["dist_y_sq"] = math.nan
+    if obj.known_optimum is not None:
+        x_star, f_star = obj.known_optimum
+        row["gap"] = f_x - f_star
+        row["gap_y"] = state.f_y + h_value(state.y) - f_star
+        if x_star is not None:
+            for name, point in (("u", state.u), ("x", state.x), ("y", state.y)):
+                row[f"dist_{name}_sq"] = norm(point - x_star) ** 2
+    return row
+
+
+def _replayed_rows(objective, setup, config, rng=None):
+    """run(), replayed with init_phase and step and recorded row by row: the
+    rows, and the error that ended the run (None when it finished)."""
+    state = init_phase(objective, setup, config, rng)
+    rows = [_row_by_row(state, objective, setup, config)]
+    while len(rows) < config.max_iters:
+        try:
+            nxt = step(state, objective, setup, config)
+        except TriangleOptError as exc:
+            return rows, exc
+        if not math.isfinite(nxt.A) or nxt.A > solvers.A_OVERFLOW_LIMIT:
+            return rows, CoefficientOverflow("A_k past the 1e300 guard")
+        rows.append(_row_by_row(nxt, objective, setup, config))
+        state = nxt
+    return rows, None
+
+
+def _assert_block_evidence_matches(objective, setup, config, rng=None, error=None, min_blocks=1):
+    expected, raised = _replayed_rows(objective, setup, config, rng)
+    assert raised is None if error is None else isinstance(raised, error)
+    if error is None:
+        trace = run(objective, setup, config, rng).trace
+    else:
+        with pytest.raises(error) as caught:
+            run(objective, setup, config, rng)
+        trace = caught.value.report.trace  # the partial report keeps every recorded row
+    n = setup.center.size
+    block = min(solvers._BLOCK_ROWS, solvers._BLOCK_CELLS // max(n, 1))
+    assert len(trace) == len(expected) > min_blocks * block
+    assert set(trace.data) == set(expected[0])
+    for name, col in trace.data.items():
+        want = np.array([row[name] for row in expected], dtype=col.dtype)
+        assert col.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("kind,dimension,config", [
+    # several blocks: 256 rows each at these sizes, 54 at d = 300
+    ("lasso", 12, SolverConfig(mode="amst_adaptive", max_iters=1100)),
+    ("quadratic", 300, SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=240)),
+    ("quadratic", 20, SolverConfig(mode="mst_exact_L", L_known=1.0, mu=0.02, max_iters=600)),
+    ("holder_norm_power", 5, SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=900)),
+    ("simplex_linear", 6, SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=600)),
+    ("logistic", 8, SolverConfig(mode="amst_adaptive", epsilon=1e-3, max_iters=600)),
+])
+def test_block_evidence_equals_the_row_by_row_formulas(kind, dimension, config):
+    problem = make_problem(kind, dimension=dimension)
+    _assert_block_evidence_matches(problem.objective, problem.setup, config, min_blocks=2)
+
+
+def test_block_evidence_of_sumst_and_of_optima_without_x_star():
+    problem = make_problem("lasso")
+    f_star = problem.objective.known_optimum[1]
+    config = SolverConfig(mode="amst_adaptive", max_iters=600)
+    for optimum in ((None, f_star), None):
+        objective = dataclasses.replace(problem.objective, known_optimum=optimum)
+        _assert_block_evidence_matches(objective, problem.setup, config, min_blocks=2)
+    quad = make_problem("quadratic", dimension=10, seed=3)
+    oracle = StochasticGradientOracle(base=quad.objective, noise_model=NoiseModel(kind="gaussian"),
+                                      variance_bound=0.1)
+    config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1, max_iters=300)
+    _assert_block_evidence_matches(oracle, quad.setup, config, rng=4)
+
+
+@pytest.mark.parametrize("config", [SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=300),
+                                    SolverConfig(mode="amst_adaptive", max_iters=300)])
+def test_block_evidence_of_an_empty_center(config):
+    # a zero-dimensional problem still runs, its block as long as any
+    objective = CompositeObjective(smooth_value=lambda x: 0.0,
+                                   smooth_grad=lambda x: np.zeros(0),
+                                   known_optimum=(np.zeros(0), 0.0))
+    _assert_block_evidence_matches(objective, euclidean_setup([]), config)
+
+
+def test_partial_report_of_an_overflowing_run_keeps_every_row():
+    # amst on the simplex halves L_trial after convergence until A_k passes
+    # the 1e300 guard at k = 995, in the middle of the fourth block
+    problem = make_problem("simplex_linear", dimension=6)
+    config = SolverConfig(mode="amst_adaptive", max_iters=1200)
+    _assert_block_evidence_matches(problem.objective, problem.setup, config,
+                                   error=CoefficientOverflow, min_blocks=3)
+    with pytest.raises(CoefficientOverflow, match="k=995") as caught:
+        run(problem.objective, problem.setup, config)
+    assert caught.value.report.trace.column("k").tolist() == list(range(995))
+
+
+def test_block_evidence_of_a_value_that_turns_non_finite_mid_block():
+    # the observer evaluates the exact-L mode's f(x) itself, unchecked: calls
+    # 2k + 2 are f(x_k), so rows 20 and 30 read inf and nan, and call 601,
+    # f(y) at k = 300, stops the run with a DomainError in the second block
+    problem = make_problem("quadratic", dimension=6, seed=2)
+    base = problem.objective
+    calls = [0]
+
+    def value(x):
+        calls[0] += 1
+        return {42: math.inf, 62: math.nan, 601: math.inf}.get(calls[0], base.smooth_value(x))
+
+    objective = dataclasses.replace(base, smooth_value=value, linear=None)
+    config = SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=400)
+    expected, raised = _replayed_rows(objective, problem.setup, config)
+    assert isinstance(raised, DomainError)
+    calls[0] = 0
+    with pytest.raises(DomainError) as caught:
+        run(objective, problem.setup, config)
+    trace = caught.value.report.trace
+    assert len(trace) == len(expected) == 300
+    assert trace.column("gap")[20] == math.inf and math.isnan(trace.column("gap")[30])
+    for name, col in trace.data.items():
+        want = np.array([row[name] for row in expected], dtype=col.dtype)
+        assert col.tobytes() == want.tobytes(), name

@@ -214,6 +214,47 @@ def test_columns_are_typed_read_only_views():
         Trace(data={"k": [0, 1], "A": [1.0]})
 
 
+def test_append_rows_adds_typed_rows_in_order_with_append_row():
+    trace = Trace()
+    trace.append_rows({"k": (0, 1), "A": [1, 2.5], "gap": np.array([math.nan, 0.5])})
+    assert tuple(trace.data) == ("k", "A", "gap")
+    trace.append(k=2, A=3.0, gap=0.25)
+    trace.append_rows({"gap": [0.125] * 300, "A": np.arange(300.0), "k": range(3, 303)})
+    trace.append(gap=-1.0, A=-1.0, k=303)
+    trace.append_rows({"k": [], "A": [], "gap": []})
+    assert trace.column("k").dtype == np.int64 and trace.column("A").dtype == np.float64
+    assert trace.column("k").tolist() == list(range(304))
+    assert trace.column("A").tolist() == [1.0, 2.5, 3.0, *map(float, range(300)), -1.0]
+    assert trace.column("gap")[1:3].tolist() == [0.5, 0.25] and trace.last("gap") == -1.0
+    assert len(trace) == 304
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1, 1.5, math.nan, "3", None])
+def test_append_rows_rejects_a_count_its_column_cannot_hold(value):
+    trace = Trace(data={"k": [0], "A": [1.0]})
+    with pytest.raises(ParseError, match="column 'k'"):
+        trace.append_rows({"k": [1, value], "A": [2.0, 3.0]})
+    trace.append_rows({"k": [1, 2**63 - 1], "A": [2.0, 3.0]})
+    assert trace.column("k").tolist() == [0, 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("columns", [
+    {"k": [1]},
+    {"k": [1], "A": [2.0], "gap": [0.0]},
+    {"k": [1], "alpha": [2.0]},
+])
+def test_append_rows_rejects_another_column_set(columns):
+    trace = Trace()
+    trace.append(k=0, A=1.0)
+    with pytest.raises(ParseError, match="consistent column set"):
+        trace.append_rows(columns)
+    with pytest.raises(ParseError, match="equal lengths"):
+        trace.append_rows({"k": [1, 2], "A": [2.0]})
+    with pytest.raises(ParseError, match="at least one column"):
+        Trace().append_rows({})
+    assert len(trace) == 1
+
+
 def test_load_json_accepts_integral_numbers_in_float_columns(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(json.dumps(_json_rows(A=4, gap=0)))
