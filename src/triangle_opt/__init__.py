@@ -14,15 +14,15 @@ from .oracles import (CompositeObjective, EvalCounter, LinearImage, NoiseModel,
                       QuadraticForm, StochasticGradientOracle, TrialStreams,
                       finite_difference_gradient, grad, holder_probe,
                       minibatch_gradient, sample_gradient, substream, value)
-from .prox_geometry import (EstimateFunction, FeasibleSet, NormPair, ProxSetup,
+from .prox_geometry import (EstimateFunction, FeasibleSet, ProxSetup,
                             SimpleTerm, box, bregman_divergence,
                             composite_prox_solve, entropy_setup, estimate_value,
                             euclidean_ball, euclidean_setup, free_space,
                             initial_estimate, project_to_simplex, recenter,
                             simplex, soft_threshold, strong_convexity_probe)
 from .solvers import (MODES, RunReport, SolverConfig, SolverState, StoppingRule,
-                      alpha_next, batch_size, bregman_check, descent_check,
-                      fold_estimate, gradient_mapping_residual, init_phase, run, step)
+                      alpha_next, batch_size, fold_estimate, gradient_mapping_residual,
+                      init_phase, run, step)
 from .traces import CSV_COLUMNS, Trace, emit_trace, load_trace
 from .zoo import DESCRIPTIONS, ZOO_KINDS, ProblemSpec, ZooProblem, make_problem
 
@@ -32,14 +32,14 @@ __all__ = [
     "BacktrackLimitExceeded", "BoundCheck", "CSV_COLUMNS", "CoefficientOverflow",
     "CompositeObjective", "ConfigError", "DESCRIPTIONS", "DomainError",
     "EstimateFunction", "EvalCounter", "Experiment", "FeasibleSet", "IoError",
-    "LinearImage", "MODES", "MissingColumn", "NoiseModel", "NormPair", "ParseError",
+    "LinearImage", "MODES", "MissingColumn", "NoiseModel", "ParseError",
     "ProblemSpec", "ProxSetup", "QuadraticForm", "RunReport",
     "SeedResult", "SimpleTerm", "SolverConfig", "SolverState",
     "StochasticGradientOracle", "StoppingRule", "THEOREM_IDS", "Trace", "TrialStreams",
     "TriangleOptError",
     "UnsupportedGeometry", "ValidationError", "ZOO_KINDS", "ZooProblem", "alpha_next",
-    "batch_size", "box", "bregman_check", "bregman_divergence",
-    "check_bounds", "composite_prox_solve", "descent_check", "emit_trace",
+    "batch_size", "box", "bregman_divergence",
+    "check_bounds", "composite_prox_solve", "emit_trace",
     "entropy_setup", "estimate_value", "euclidean_ball", "euclidean_setup",
     "finite_difference_gradient", "fold_estimate", "free_space", "grad",
     "gradient_mapping_residual", "holder_majorant_L", "holder_probe",

@@ -93,11 +93,9 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
-def _integer(name: str, value, minimum: int | None = None) -> int:
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f'"{name}" must be an integer{at_least}, got {value!r}')
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f'"{name}" must be an integer, got {value!r}')
     return value
 
 
@@ -112,8 +110,9 @@ def load_experiment(config_text: str) -> Experiment:
     Required: problem (with kind), solver (with mode), seeds, max_iters.
     Optional: prox (an omega_tilde override of the problem's setup, where
     the run reads it), epsilon, output; a null one counts as absent.  An
-    absent or null solver setting takes the SolverConfig default.  Unknown or
-    duplicate keys are rejected.
+    absent or null solver setting takes the SolverConfig default.  The
+    problem's other keys, dimension and seed among them, go to make_problem
+    as they are, which checks them.  Unknown or duplicate keys are rejected.
     """
     try:
         raw = json.loads(config_text, object_pairs_hook=_reject_duplicates)
@@ -130,10 +129,7 @@ def load_experiment(config_text: str) -> Experiment:
     problem_cfg = raw["problem"]
     if not isinstance(problem_cfg, dict) or "kind" not in problem_cfg:
         raise ValidationError('"problem" must be an object with a "kind"')
-    options = {k: v for k, v in problem_cfg.items() if k not in ("kind", "dimension", "seed")}
-    for key, low in (("dimension", 1), ("seed", 0)):
-        if key in problem_cfg:
-            options[key] = _integer(f"problem.{key}", problem_cfg[key], low)
+    options = {k: v for k, v in problem_cfg.items() if k != "kind"}
     try:
         problem = make_problem(problem_cfg["kind"], **options)
     except ConfigError as exc:

@@ -10,14 +10,13 @@ terminate.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .oracles import CompositeObjective
 from .prox_geometry import ProxSetup, bregman_divergence, recenter
-from .solvers import RunReport, SolverConfig, StoppingRule, run
+from .solvers import RunReport, SolverConfig, run
 from .traces import Trace
 
 
@@ -75,7 +74,7 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
 
 
 def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: float,
-                omega: float, K: int, inner_config: SolverConfig | None = None) -> RunReport:
+                omega: float, K: int) -> RunReport:
     """K distance-halving restarts of the plain exact-L method (mu_tilde = 0
     inside), each N_bar = ceil(sqrt(8*L*omega/mu)) iterations, re-centering the
     prox at the previous restart's output.
@@ -103,15 +102,12 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     if objective.known_optimum is not None:
         x_star, f_star = objective.known_optimum
     if x_star is not None:
-        trace.meta["y0_dist_sq"] = float(setup.norms.primal(setup.center - x_star) ** 2)
+        trace.meta["y0_dist_sq"] = float(setup.norm(setup.center - x_star) ** 2)
     if K == 0:
         return RunReport(final_x=setup.center.copy(), iterations=0, total_f_calls=0,
                          total_grad_calls=0, total_stoch_calls=0, trace=trace)
 
-    if inner_config is None:
-        inner_config = SolverConfig(mode="mst_exact_L", L_known=L)
-    inner_config = replace(inner_config, mode="mst_exact_L", L_known=L, mu=0.0,
-                           max_iters=n_bar + 1, stopping=StoppingRule())
+    inner_config = SolverConfig(mode="mst_exact_L", L_known=L, max_iters=n_bar + 1)
     current = setup.center
     cum_f = cum_grad = cum_stoch = 0
     total_iters = 0
@@ -132,10 +128,10 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
         else:
             row["gap"] = math.nan
         if x_star is not None:
-            row["dist_x_sq"] = float(setup.norms.primal(current - x_star) ** 2)
+            row["dist_x_sq"] = float(setup.norm(current - x_star) ** 2)
         else:
             row["dist_x_sq"] = math.nan
-        trace.append_row(row)
+        trace.append(**row)
     return RunReport(final_x=current, iterations=total_iters, total_f_calls=cum_f,
                      total_grad_calls=cum_grad, total_stoch_calls=cum_stoch, trace=trace)
 

@@ -1,5 +1,5 @@
-"""Prox-function geometry: norms, feasible sets, Bregman divergences, and the
-canonical estimate function with its closed-form composite prox step.
+"""Prox-function geometry: the primal norm, feasible sets, Bregman divergences,
+and the canonical estimate function with its closed-form composite prox step.
 
 Two geometries are supported: euclidean, d(x) = 1/2 ||x - y0||_2^2 over free
 space, boxes, euclidean balls, or the simplex; and entropy, d(x) = sum_i x_i
@@ -15,7 +15,7 @@ closed-form solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,30 +23,6 @@ from .errors import DomainError, UnsupportedGeometry
 
 _LOG_FLOOR = 1e-300  # clamp before logs on the simplex
 _FLOAT64 = np.dtype(np.float64)
-
-
-@dataclass(frozen=True)
-class NormPair:
-    """A primal norm together with its dual."""
-
-    tag: str  # "euclidean" or "l1_linf"
-
-    def primal(self, v: np.ndarray):
-        """||v|| of a point, as a float; of a block of points (a 2-D array, a
-        point a row), the array of its rows' norms, each with its point's bits."""
-        if self.tag != "euclidean":
-            return _per_row(np.abs(v).sum(axis=-1))
-        if v.__class__ is np.ndarray and v.ndim == 2:
-            return np.sqrt(_dot(v, v))
-        return two_norm(v)
-
-    def dual(self, v: np.ndarray) -> float:
-        if self.tag == "euclidean":
-            return two_norm(v)
-        return float(np.abs(v).max()) if v.size else 0.0
-
-
-_NORMS = {"euclidean": NormPair("euclidean"), "entropy": NormPair("l1_linf")}
 
 
 def two_norm(v: np.ndarray) -> float:
@@ -100,33 +76,41 @@ def euclidean_ball(center, radius: float) -> FeasibleSet:
 
 @dataclass(frozen=True)
 class ProxSetup:
-    """A prox geometry: norms, center y0, prox-function d, and feasible set Q.
+    """A prox geometry: the primal norm, center y0, prox-function d, and
+    feasible set Q.
 
     d is 1-strongly convex in the primal norm with d(center) = 0; omega_tilde
     >= 1 is the user-supplied constant comparing V to the squared norm (1 by
     default), and a run's strong convexity constant is
-    mu~ = mu/omega_tilde.  The norms follow from the geometry: ||.||_2 and its
-    dual for euclidean, ||.||_1 and ||.||_inf for entropy.
+    mu~ = mu/omega_tilde.  The norm follows from the geometry: ||.||_2 for
+    euclidean, ||.||_1 for entropy.
     """
 
     geometry: str  # "euclidean" or "entropy"
     center: np.ndarray
     feasible_set: FeasibleSet
     omega_tilde: float = 1.0
-    norms: NormPair = field(init=False)
 
     def __post_init__(self):
-        norms = _NORMS.get(self.geometry)
-        if norms is None:
-            raise DomainError(f"unknown geometry {self.geometry!r}; known: {', '.join(_NORMS)}")
+        if self.geometry not in ("euclidean", "entropy"):
+            raise DomainError(f"unknown geometry {self.geometry!r}; known: euclidean, entropy")
         if not math.isfinite(self.omega_tilde):
             raise DomainError(f"omega_tilde must be finite, got {self.omega_tilde!r}")
         if self.omega_tilde < 1.0:
             raise DomainError("omega_tilde must be >= 1")
-        object.__setattr__(self, "norms", norms)  # a plain attribute: read on every trial
+
+    def norm(self, v: np.ndarray):
+        """||v|| in the primal norm of a point, as a float; of a block of points
+        (a 2-D array, a point a row), the array of its rows' norms, each with
+        its point's bits."""
+        if self.geometry != "euclidean":
+            return _per_row(np.abs(v).sum(axis=-1))
+        if v.__class__ is np.ndarray and v.ndim == 2:
+            return np.sqrt(_dot(v, v))
+        return two_norm(v)
 
     def d_value(self, x: np.ndarray):
-        """d(x) of a point, or of each row of a block (see NormPair.primal)."""
+        """d(x) of a point, or of each row of a block (see ``norm``)."""
         if self.geometry == "euclidean":
             diff = x - self.center
             return 0.5 * _dot(diff, diff)
@@ -211,7 +195,7 @@ def strong_convexity_probe(setup: ProxSetup, rng_seed: int, n_pairs: int) -> flo
     zs = _sample_feasible(setup, rng, n_pairs)
     worst = -np.inf
     for x, z in zip(xs, zs):
-        gap = 0.5 * setup.norms.primal(x - z) ** 2 - bregman_divergence(setup, x, z)
+        gap = 0.5 * setup.norm(x - z) ** 2 - bregman_divergence(setup, x, z)
         worst = max(worst, gap)
     return float(worst)
 
@@ -230,7 +214,7 @@ class SimpleTerm:
             raise DomainError(f"l1 weight must be nonnegative and finite, got {self.lam!r}")
 
     def value(self, x: np.ndarray):
-        """h(x) of a point, or of each row of a block (see NormPair.primal)."""
+        """h(x) of a point, or of each row of a block (see ProxSetup.norm)."""
         if self.kind == "l1":
             return self.lam * _per_row(np.abs(x).sum(axis=-1))
         # zero, or indicator evaluated at a feasible point
@@ -337,7 +321,7 @@ def recenter(setup: ProxSetup, new_center) -> ProxSetup:
 
 
 __all__ = [
-    "NormPair", "FeasibleSet", "free_space", "box", "simplex", "euclidean_ball",
+    "FeasibleSet", "free_space", "box", "simplex", "euclidean_ball",
     "ProxSetup", "euclidean_setup", "entropy_setup", "bregman_divergence",
     "strong_convexity_probe", "SimpleTerm", "EstimateFunction", "initial_estimate",
     "estimate_value", "soft_threshold", "project_to_simplex", "composite_prox_solve",

@@ -179,7 +179,6 @@ class SolverState:
     m: int
     mu_tilde: float
     counters: EvalCounter
-    trace: Trace
     # the run's image of f: the objective's LinearImage, or the identity image
     image: LinearImage
     # [u; z(u)] and [x; z(x)] stacked, so that one combination forms a point
@@ -244,11 +243,6 @@ def fold_estimate(phi: EstimateFunction, alpha: float, y: np.ndarray, g: np.ndar
                             h_scale=phi.h_scale + alpha, constant=constant)
 
 
-def descent_check(f_y: float, g_dot_dx: float, dx_norm_sq: float,
-                  L_trial: float, slack: float, f_x_new: float) -> bool:
-    return f_y + g_dot_dx + 0.5 * L_trial * dx_norm_sq + slack >= f_x_new
-
-
 def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: float) -> int:
     """ceil(2*D*A_{k+1} / (L_trial * alpha_{k+1} * eps)), clamped to >= 1."""
     if D is None or epsilon is None:
@@ -292,34 +286,6 @@ def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
     if form is None:
         return image.psi(vz[n:])
     return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
-
-
-def bregman_check(image: LinearImage, z_y: np.ndarray, dz: np.ndarray, du: np.ndarray,
-                  r: float, noise, L_trial: float, slack: float, L_floor: float, norms,
-                  counter: EvalCounter | None = None) -> bool:
-    """The descent check on cached images, with x - y = r*du and z(x) - z(y) =
-    r*dz formed from the same u-difference:
-
-        D_psi(z_y, r*dz) - <noise, r*du> <= L_trial/2 * r^2 ||du||^2 + slack,
-
-    where noise = g - grad f(y) for a stochastic g and None otherwise.  The
-    Bregman evaluation counts as the f(x) call it replaces.  A zero step
-    (du == 0) reads 0 <= slack at any L, so it passes only when L_trial >=
-    L_floor, the last accepted constant."""
-    return _bregman_passes(image.psi_bregman(z_y, r * dz), du, r, noise, L_trial, slack,
-                           L_floor, norms, counter)
-
-
-def _bregman_passes(bregman: float, du: np.ndarray, r: float, noise, L_trial: float,
-                    slack: float, L_floor: float, norms, counter: EvalCounter | None) -> bool:
-    """The comparison of ``bregman_check``, given its Bregman term."""
-    du_sq = norms.primal(du) ** 2
-    if noise is not None:
-        bregman -= r * float(noise.dot(du))
-    bregman = _checked_value(bregman, counter)
-    if du_sq == 0.0 and L_trial < L_floor:
-        return False
-    return bregman <= 0.5 * L_trial * (r * r * du_sq) + slack
 
 
 def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> SolverState:
@@ -391,18 +357,25 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
             xz = _triangle(alpha, uz, a_xz, a_next)
             f_x = _checked_value(_cached_value(image, xz, n), counters)
             dx = xz[:n] - y
-            passed = descent_check(f_y, float(g.dot(dx)), setup.norms.primal(dx) ** 2,
-                                   L_trial, slack, f_x)
+            passed = f_y + float(g.dot(dx)) + 0.5 * L_trial * setup.norm(dx) ** 2 + slack >= f_x
         elif policy.checks:
+            # the Bregman form, counted as the f(x') call it replaces, with
+            # x' - y = r du and z(x') - z(y) = r dz:
+            #   D_psi(z(y), r dz) - <g - grad f(y), r du> <= L/2 r^2 ||du||^2 + slack
             duz = uz - uz_old
-            du, r = duz[:n], alpha / a_next
-            noise = g - g_exact if stochastic else None
+            du, dz, r = duz[:n], duz[n:], alpha / a_next
             if form is None:
-                passed = bregman_check(image, z_y, duz[n:], du, r, noise, L_trial, slack,
-                                       L_floor, setup.norms, counters)
-            else:  # f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, d grad f>
-                passed = _bregman_passes(0.5 * (r * r * float(du.dot(duz[n:]))), du, r,
-                                         noise, L_trial, slack, L_floor, setup.norms, counters)
+                bregman = image.psi_bregman(z_y, r * dz)
+            else:  # dz is d grad f: f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, dz>
+                bregman = 0.5 * (r * r * float(du.dot(dz)))
+            if stochastic:
+                bregman -= r * float((g - g_exact).dot(du))
+            bregman = _checked_value(bregman, counters)
+            du_sq = setup.norm(du) ** 2
+            # a zero step (du == 0) reads 0 <= slack at any L: it passes only at
+            # an L no smaller than the last accepted one
+            passed = ((du_sq != 0.0 or L_trial >= L_floor)
+                      and bregman <= 0.5 * L_trial * (r * r * du_sq) + slack)
         if passed:
             if xz is None:
                 xz = _triangle(alpha, uz, a_xz, a_next)
@@ -410,8 +383,8 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
                     f_x = _checked_value(_cached_value(image, xz, n), None)
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=xz[:n], y=y,
                                phi=phi, L_trial=L_trial, j=j, m=m, mu_tilde=mu_tilde,
-                               counters=counters, trace=state.trace, image=image, uz=uz,
-                               xz=xz, f_x=f_x, f_y=f_y, streams=state.streams)
+                               counters=counters, image=image, uz=uz, xz=xz, f_x=f_x,
+                               f_y=f_y, streams=state.streams)
         L_trial *= 2.0
     raise BacktrackLimitExceeded(f"no acceptable L after {config.max_backtracks_per_iter} "
                                  f"doublings at k={state.k + 1}")
@@ -440,7 +413,7 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
                         phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
                         mu_tilde=config.mu / setup.omega_tilde, counters=EvalCounter(),
-                        trace=Trace(), image=image, uz=uz, xz=uz, streams=streams)
+                        image=image, uz=uz, xz=uz, streams=streams)
     return step(start, objective, setup, config)
 
 
@@ -462,7 +435,7 @@ def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: flo
     model = EstimateFunction(d_scale=L, linear=g + L * (setup.center - x),
                              h_scale=1.0, constant=0.0)
     z = composite_prox_solve(setup, model, obj.h)
-    return setup.norms.primal(x - z)
+    return setup.norm(x - z)
 
 
 def _certified_bound(config: SolverConfig, A: float) -> float | None:
@@ -536,7 +509,7 @@ class _Evidence:
                 if x_star is not None:
                     # squared as Python floats: numpy's square differs in the last bit
                     dist_u, dist_x, dist_y = (
-                        [norm ** 2 for norm in setup.norms.primal(v - x_star).tolist()]
+                        [norm ** 2 for norm in setup.norm(v - x_star).tolist()]
                         for v in (u, x, y))
         self.trace.append_rows({
             "k": k, "A": A, "alpha": alpha, "L_trial": L_trial, "j": j, "m": m,
@@ -577,8 +550,8 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
     partial RunReport as its ``report`` attribute: the trace up to the last
     recorded row, that row's iterate, and the oracle calls spent so far."""
     state = init_phase(objective, setup, config, rng)
-    state.trace.meta["x0_y0_sq"] = setup.norms.primal(state.x - setup.center) ** 2
-    evidence = _Evidence(objective, setup, config, state.trace, state.u.size)
+    trace = Trace(meta={"x0_y0_sq": setup.norm(state.x - setup.center) ** 2})
+    evidence = _Evidence(objective, setup, config, trace, state.u.size)
     _record_row(evidence, state)
     rows = 1
     stops = config.stopping.kind != "iterations_only"
@@ -594,22 +567,22 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
             state = nxt
     except TriangleOptError as exc:
         evidence.flush()
-        exc.report = _report(state, config)
+        exc.report = _report(state, config, trace)
         raise
     evidence.flush()
-    return _report(state, config)
+    return _report(state, config, trace)
 
 
-def _report(state: SolverState, config: SolverConfig) -> RunReport:
+def _report(state: SolverState, config: SolverConfig, trace: Trace) -> RunReport:
     counters = state.counters
     return RunReport(final_x=state.x, iterations=state.k,
                      total_f_calls=counters.f_calls,
                      total_grad_calls=counters.grad_calls,
                      total_stoch_calls=counters.stochastic_grad_calls,
-                     trace=state.trace,
+                     trace=trace,
                      certified_gap=_certified_bound(config, state.A))
 
 
 __all__ = ["MODES", "StoppingRule", "SolverConfig", "SolverState", "RunReport", "alpha_next",
-           "fold_estimate", "descent_check", "batch_size", "bregman_check", "step",
-           "init_phase", "gradient_mapping_residual", "run"]
+           "fold_estimate", "batch_size", "step", "init_phase", "gradient_mapping_residual",
+           "run"]

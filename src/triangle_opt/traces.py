@@ -10,7 +10,7 @@ In memory every column is a numpy array, 8 bytes a cell: int64 for the
 schema's count columns k, j, m, cum_f, cum_grad and cum_stoch, float64 for
 every other column.  An integer cell that is not integral or lies outside
 int64 raises ParseError; it is never truncated or wrapped.  Appended rows,
-one (``append_row``) or many given as columns (``append_rows``), go into the
+one (``append``) or many given as columns (``append_rows``), go into the
 column arrays with one slice per column.  The arrays grow geometrically, so
 ``column``, ``last`` and ``len`` are O(1) reads of the filled part.  CSV and JSON are
 written and read one column at a time as well.
@@ -41,10 +41,12 @@ def _cell(name: str, value):
     column's type cannot hold it exactly."""
     dtype = _dtype(name)
     try:
-        cell = np.array(value, dtype=dtype)
+        with np.errstate(invalid="ignore"):  # no warning: the check below rejects it
+            cell = np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         cell = None
-    # the int64 cast truncates 1.5 and parses "3": only an exact integer compares equal
+    # the int64 cast truncates 1.5, parses "3" and turns 1e19 into -2**63:
+    # only an exact integer compares equal
     if cell is None or cell.ndim or (dtype.kind == "i" and cell.item() != value):
         kind = "integers in the int64 range" if dtype.kind == "i" else "numbers"
         raise ParseError(f"column {name!r} takes {kind}, got {value!r}")
@@ -58,10 +60,12 @@ def _typed(name: str, values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == dtype and values.ndim == 1:
         return values.copy()
     try:
-        col = np.array(values, dtype=dtype)
+        with np.errstate(invalid="ignore"):  # no warning: the check below rejects it
+            col = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         col = None
-    # the int64 cast truncates 1.5 and parses "3": only exact integers compare equal
+    # the int64 cast truncates 1.5, parses "3" and turns 1e19 into -2**63:
+    # only exact integers compare equal
     if col is not None and col.ndim == 1 and (dtype.kind == "f" or col.tolist() == list(values)):
         return col
     return np.array([_cell(name, value) for value in values], dtype=dtype)
@@ -71,7 +75,7 @@ class Trace:
     """Columnar evidence rows; extra columns allowed beyond the CSV schema.
 
     ``Trace(data={name: sequence}, meta={...})`` starts from whole columns of
-    equal length; ``append``/``append_row`` add one row carrying the same
+    equal length; ``append`` adds one row carrying the same
     column set as the first, and ``append_rows`` adds many rows given as
     columns.  ``meta`` holds run-level scalars that are not serialized.
     """
@@ -92,16 +96,13 @@ class Trace:
         return self._n
 
     def append(self, **fields) -> None:
-        self.append_row(fields)
-
-    def append_row(self, fields: dict) -> None:
-        """append, with the row as a dict {column: value}."""
+        """Add one row, given as column=value."""
         self.append_rows({name: (value,) for name, value in fields.items()})
 
     def append_rows(self, columns: dict) -> None:
-        """append_row for many rows at once, given as {column: sequence of its
+        """append for many rows at once, given as {column: sequence of its
         cells}: the same column set as every row, sequences of equal length,
-        each cell typed as append_row types it.  The rows follow every row
+        each cell typed as append types it.  The rows follow every row
         appended before them."""
         if not self._cols:  # the first rows name the columns
             if not columns:

@@ -87,7 +87,7 @@ def test_solve_bad_problem_seed_or_dimension_is_a_validation_error(tmp_path, cap
     captured = capsys.readouterr()
     assert rc == 1
     assert "error: ValidationError" in captured.err
-    assert f'"problem.{key}"' in captured.err
+    assert f"error: ValidationError: {key} must be an integer >= " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

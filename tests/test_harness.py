@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
-                          MissingColumn, NoiseModel, ParseError, SolverConfig,
+                          MissingColumn, NoiseModel, ParseError, ProblemSpec, SolverConfig,
                           StochasticGradientOracle, StoppingRule, Trace, ValidationError,
                           check_bounds, emit_trace, init_phase, load_experiment, load_trace,
                           make_problem, run, run_experiment)
@@ -131,9 +131,19 @@ def test_load_experiment_validates_seeds_and_iters():
     ("dimension", 2.5), ("dimension", "x"), ("dimension", True), ("dimension", 0),
 ])
 def test_load_experiment_requires_an_integer_problem_seed_and_dimension(key, value):
+    # the loader passes both keys to make_problem, whose ProblemSpec checks them
     problem = {"kind": "quadratic", "dimension": 6, "seed": 2, key: value}
-    with pytest.raises(ValidationError, match=f'"problem.{key}" must be an integer'):
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer >= "):
         _load(problem=problem)
+
+
+def test_a_null_problem_dimension_is_the_default_and_a_null_seed_an_error():
+    # null is passed on like every problem key: make_problem reads a None
+    # dimension as the kind's default and has no default for a None seed
+    exp = _load(problem={"kind": "quadratic", "dimension": None, "seed": 2})
+    assert exp.problem.spec.dimension == ProblemSpec("quadratic").dimension
+    with pytest.raises(ValidationError, match="^seed must be an integer >= 0, got None"):
+        _load(problem={"kind": "quadratic", "dimension": 6, "seed": None})
 
 
 def test_load_experiment_rejects_non_numeric_fields():

@@ -10,7 +10,6 @@ import pytest
 from triangle_opt import (
     DomainError,
     EstimateFunction,
-    NormPair,
     ProxSetup,
     SimpleTerm,
     UnsupportedGeometry,
@@ -30,42 +29,45 @@ from triangle_opt import (
 )
 
 
-def test_norm_pair_axioms_sampled():
+def test_norm_axioms_sampled():
     setup_e = euclidean_setup(center=np.zeros(4))
     setup_s = entropy_setup(4)
     rng = np.random.default_rng(0)
-    for setup in (setup_e, setup_s):
-        norms = setup.norms
-        assert norms.primal(np.zeros(4)) == 0.0
+    for setup, dual in ((setup_e, np.linalg.norm), (setup_s, lambda g: np.abs(g).max())):
+        norm = setup.norm
+        assert norm(np.zeros(4)) == 0.0
         for _ in range(200):
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             g = rng.standard_normal(4)
             t = rng.uniform(-3.0, 3.0)
-            assert norms.primal(t * x) == pytest.approx(abs(t) * norms.primal(x), rel=1e-12)
-            assert norms.primal(x + y) <= norms.primal(x) + norms.primal(y) + 1e-12
-            assert abs(np.dot(g, x)) <= norms.dual(g) * norms.primal(x) + 1e-12
+            assert norm(t * x) == pytest.approx(abs(t) * norm(x), rel=1e-12)
+            assert norm(x + y) <= norm(x) + norm(y) + 1e-12
+            assert abs(np.dot(g, x)) <= dual(g) * norm(x) + 1e-12
 
 
 @pytest.mark.parametrize("size", [0, 1, 5, 50, 1000])
 def test_norms_match_numpy_bit_for_bit(size):
     # the solver's traces depend on these bits: euclidean norms must equal
-    # np.linalg.norm and l1 norms np.sum(np.abs(v)), for contiguous arrays and
-    # strided views alike, from tiny to huge magnitudes
-    euclidean, l1 = NormPair("euclidean"), NormPair("l1_linf")
+    # np.linalg.norm and l1 norms np.sum(np.abs(v)), for contiguous arrays,
+    # strided views and each row of a block alike, from tiny to huge magnitudes
+    euclidean = euclidean_setup(center=np.zeros(max(size, 1))).norm
+    l1 = entropy_setup(max(size, 2)).norm
     rng = np.random.default_rng(size)
     scales = [10.0 ** e for e in (-150, -50, 0, 50, 150)]
     scales.append(10.0 ** rng.uniform(-150.0, 150.0, 2 * size))  # mixed magnitudes
     for scale in scales:
         base = rng.standard_normal(2 * size) * scale
         for v in (base[:size], base[::2]):
-            want = float(np.linalg.norm(v)).hex()
-            assert euclidean.primal(v).hex() == want
-            assert euclidean.dual(v).hex() == want
-            assert l1.primal(v).hex() == float(np.sum(np.abs(v))).hex()
-            assert l1.dual(v) == (float(np.max(np.abs(v))) if size else 0.0)
+            assert euclidean(v).hex() == float(np.linalg.norm(v)).hex()
+            assert l1(v).hex() == float(np.sum(np.abs(v))).hex()
+        block = np.stack([base[:size], base[size:], base[::2], base[1::2]])
+        for norm, one in ((euclidean, np.linalg.norm), (l1, lambda v: np.sum(np.abs(v)))):
+            rows = norm(block)
+            assert isinstance(rows, np.ndarray) and rows.shape == (4,)
+            assert [r.hex() for r in rows.tolist()] == [float(one(v)).hex() for v in block]
     integers = np.arange(-size, size, 2)  # np.linalg.norm sums integers as floats
-    assert euclidean.primal(integers).hex() == float(np.linalg.norm(integers)).hex()
+    assert euclidean(integers).hex() == float(np.linalg.norm(integers)).hex()
 
 
 def test_d_value_zero_at_center_and_nonnegative():
@@ -302,13 +304,11 @@ def test_every_setup_checks_omega_tilde(value, message):
 
 
 def test_the_norms_follow_the_geometry_and_an_unknown_one_is_rejected():
-    assert euclidean_setup(center=np.zeros(2)).norms == NormPair("euclidean")
-    assert entropy_setup(3).norms == NormPair("l1_linf")
+    v = np.array([3.0, -4.0, 0.0])
+    assert euclidean_setup(center=np.zeros(3)).norm(v) == 5.0
+    assert entropy_setup(3).norm(v) == 7.0
     moved = dataclasses.replace(entropy_setup(3), geometry="euclidean")
-    assert moved.norms == NormPair("euclidean")
-    with pytest.raises(TypeError):
-        ProxSetup(geometry="euclidean", center=np.zeros(2), feasible_set=free_space(),
-                  norms=NormPair("l1_linf"))
+    assert moved.norm(v) == 5.0
     # d and the prox step would read a misspelt geometry differently
     for name in ("Euclidean", "entropy ", ""):
         with pytest.raises(DomainError, match="unknown geometry"):

@@ -26,9 +26,7 @@ from triangle_opt import (
     UnsupportedGeometry,
     alpha_next,
     batch_size,
-    bregman_check,
     composite_prox_solve,
-    descent_check,
     entropy_setup,
     estimate_value,
     euclidean_setup,
@@ -139,10 +137,17 @@ def test_fold_estimate_at_entropy_boundary_without_mu():
 
 
 def test_descent_check_examples():
-    # f = x^2/2 at y=0, x_new=1: exact Taylor equality at L=1
-    assert descent_check(0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
-    assert not descent_check(0.0, 0.0, 1.0, 0.49, 0.0, 0.5)
-    assert descent_check(0.0, 0.0, 1.0, 0.49, math.inf, 0.5)
+    # f = x^2/2 with no image, so the difference check, from y = y0 = 1: a trial
+    # at L goes to x' = 1 - 1/L, and f(y) + <g, x' - y> + L/2 (x' - y)^2 >= f(x')
+    # holds exactly when L >= 1, at L = 1 with equality; at k = 0 the slack is
+    # eps, which covers the shortfall 1/(2L^2) - 1/(2L) = 1.06 at L = 0.49
+    setup = euclidean_setup(center=np.ones(1))
+    for L0, epsilon, j, L_trial in ((1.0, None, 0, 1.0), (0.49, None, 2, 1.96),
+                                    (0.49, 1.1, 0, 0.49)):
+        state = init_phase(quadratic_objective(dim=1), setup,
+                           SolverConfig(mode="amst_adaptive", L0=L0, epsilon=epsilon))
+        assert (state.j, state.L_trial) == (j, L_trial)
+        assert state.f_x == 0.5 * (1.0 - 1.0 / L_trial) ** 2
 
 
 def test_batch_size_examples():
@@ -807,19 +812,30 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
 
 
 def test_zero_step_passes_only_at_the_last_accepted_constant():
+    # both Bregman forms: 1/2 r^2 <du, d grad f> under the QuadraticForm, and
+    # psi_bregman on the same image without it
     problem = make_problem("quadratic", dimension=6, seed=4)
     image = problem.objective.linear
-    norms = problem.setup.norms
-    z = image.forward(np.ones(6))
-    zero, step = np.zeros(6), np.full(6, 1e-3)
-    args = dict(noise=None, slack=0.0, norms=norms)
-    # u did not move: 0 <= 0 holds at any L, so only L_floor decides
-    assert not bregman_check(image, z, zero, zero, 0.5, L_trial=0.5, L_floor=1.0, **args)
-    assert bregman_check(image, z, zero, zero, 0.5, L_trial=1.0, L_floor=1.0, **args)
-    # a step that moves is graded by the Bregman term alone
-    dz = image.forward(np.ones(6) + step) - z
-    assert bregman_check(image, z, dz, step, 0.5, L_trial=1.0, L_floor=4.0, **args)
-    assert not bregman_check(image, z, dz, step, 0.5, L_trial=0.01, L_floor=0.0, **args)
+    assert image.quadratic is not None and image.psi_bregman is not None
+    x_star = problem.objective.known_optimum[0]
+    for form in (image.quadratic, None):
+        objective = dataclasses.replace(
+            problem.objective, linear=dataclasses.replace(image, quadratic=form))
+        # started at x*, u does not move: 0 <= 0 holds at any L, so the last
+        # accepted constant decides; the first trial, at half of it, fails
+        setup = recenter(problem.setup, x_star)
+        config = SolverConfig(mode="amst_adaptive", L0=0.5)
+        state = init_phase(objective, setup, config)
+        assert (state.j, state.L_trial) == (0, 0.5) and np.array_equal(state.u, x_star)
+        nxt = step(state, objective, setup, config)
+        assert np.array_equal(nxt.u, x_star)
+        assert (nxt.j, nxt.L_trial) == (1, 0.5), form
+        # a step that moves is graded by the Bregman term alone: with L = 1 it
+        # passes at half of L0 = 64 at once
+        config = SolverConfig(mode="amst_adaptive", L0=64.0)
+        state = init_phase(objective, problem.setup, config)
+        nxt = step(state, objective, problem.setup, config)
+        assert (nxt.j, nxt.L_trial) == (0, 32.0), form
 
 
 def test_run_started_at_the_optimum_keeps_its_trial_constant():

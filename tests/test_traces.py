@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -185,14 +186,19 @@ def test_load_accepts_the_int64_edges(tmp_path):
     assert back.column("k")[0] == 2**63 - 1 and back.column("cum_f")[0] == -2**63
 
 
-@pytest.mark.parametrize("value", [1.5, 2**63, math.nan, math.inf, "3", None])
+@pytest.mark.parametrize("value", [1.5, 2**63, math.nan, math.inf, "3", None, np.float64(1e19)])
 def test_integer_columns_hold_exact_int64_values_only(value):
     base = {"k": [0, 1], "A": [1.0, 2.0]}
-    with pytest.raises(ParseError, match="'k'"):
-        Trace(data={**base, "k": [0, value]})
-    trace = Trace(data=base)
-    with pytest.raises(ParseError, match="'k'"):
-        trace.append(k=value, A=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ParseError comes with no numpy cast warning
+        with pytest.raises(ParseError, match="'k'"):
+            Trace(data={**base, "k": [0, value]})
+        if isinstance(value, float):  # np.float64 is a float too
+            with pytest.raises(ParseError, match="'k'"):
+                Trace(data={**base, "k": np.array([0.0, value])})
+        trace = Trace(data=base)
+        with pytest.raises(ParseError, match="'k'"):
+            trace.append(k=value, A=3.0)
     assert len(trace) == 2
 
 
