@@ -4,8 +4,14 @@ Three subcommands:
 
 * ``solve --config FILE [--seed S] [--out PATH]``: run a JSON experiment,
   one trace per seed; a seed that fails mid-run writes its partial trace.
-* ``check --trace PATH --theorem ID --L v --R2 v [--mu v] [--D v]
-  [--epsilon v]``: grade an emitted trace against a named guarantee.
+* ``check --trace PATH --theorem ID [--L v] [--R2 v] [--mu v] [--D v]
+  [--epsilon v]``: grade an emitted trace against a named guarantee.  Each
+  theorem reads its own flags: t1 ``--L --R2``; t2_t3 ``--L --R2 --mu``;
+  t6_work ``--L``; t10_calls ``--D --R2 --epsilon``; t5_halving ``--mu
+  --R2``, with R2 = ||y0 - x*||^2, on a trace that ``restart_run`` wrote.
+  c1 and c2 need ``x0_y0_sq``, which a written trace does not carry, and
+  t9_scaling grades (eps, N) points, not a trace: these are graded with
+  ``harness.check_bounds`` only.
 * ``zoo list`` / ``zoo describe KIND``: enumerate the benchmark problems.
 
 Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any error.

@@ -41,3 +41,8 @@ class CoefficientOverflow(TriangleOptError):
 
 class IoError(TriangleOptError):
     """A trace file could not be read or written."""
+
+
+__all__ = ["TriangleOptError", "DomainError", "UnsupportedGeometry", "ConfigError", "ParseError",
+           "ValidationError", "MissingColumn", "BacktrackLimitExceeded", "CoefficientOverflow",
+           "IoError"]

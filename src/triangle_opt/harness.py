@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, MissingColumn, ParseError, ValidationError
 from .oracles import NoiseModel, StochasticGradientOracle
-from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
+from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, _is_number, run
 from .traces import Trace, emit_trace
 from .zoo import ZooProblem, make_problem
 
@@ -194,10 +195,8 @@ def _seed_output_path(output: str | None, seed: int, n_seeds: int) -> str | None
         return output.replace("{seed}", str(seed))
     if n_seeds == 1:
         return output
-    stem, dot, ext = output.rpartition(".")
-    if not dot:
-        return f"{output}_seed{seed}"
-    return f"{stem}_seed{seed}.{ext}"
+    stem, ext = os.path.splitext(output)
+    return f"{stem}_seed{seed}{ext}"
 
 
 def run_experiment(experiment: Experiment) -> list[SeedResult]:
@@ -258,6 +257,8 @@ _POSITIVE = ("L", "D", "epsilon", "omega_tilde")
 
 
 def _checked_param(name: str, value) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"bound check parameter {name!r} must be a real number, got {value!r}")
     value = float(value)
     positive = name in _POSITIVE
     if not (math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
@@ -423,8 +424,9 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     t10_calls  cum_stoch(N) <= 4*(4*D*R2/eps^2 + 2N)           params: D, R2, epsilon
     t5_halving gap at restart k <= mu*y0_dist_sq/2^(k+1) + tol params: mu, y0_dist_sq (or meta)
 
-    Parameters must be finite, L, D, epsilon and omega_tilde positive and the
-    others nonnegative; a missing or bad one raises ConfigError naming it.
+    Parameters and tol must be real numbers, not bools; parameters must also be
+    finite, L, D, epsilon and omega_tilde positive and the others nonnegative.
+    A missing or bad one raises ConfigError naming it.
     Margins are bound + tol - measured: nonnegative means pass.  A truncated
     or empty trace passes vacuously.
     """
@@ -432,7 +434,10 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     theorem = _THEOREMS.get(theorem_id)
     if theorem is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    tol = float(params.pop("tol", theorem.tol))
+    tol = params.pop("tol", theorem.tol)
+    if not _is_number(tol):
+        raise ConfigError(f"bound check parameter 'tol' must be a real number, got {tol!r}")
+    tol = float(tol)
     rows = theorem.grade(trace, _gather_params(theorem, trace, params), tol)
     failing = [r["k"] for r in rows if not r["ok"]]
     return BoundCheck(theorem_id=theorem_id, rows=rows, passed=not failing,

@@ -136,18 +136,6 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
                      total_grad_calls=cum_grad, total_stoch_calls=cum_stoch, trace=trace)
 
 
-def restarts_for_target(mu: float, dist_sq_bound: float, epsilon: float) -> int:
-    """Smallest K with mu*dist_sq_bound/2^(K+1) <= epsilon: the number of
-    restarts needed to certify an epsilon gap from an initial distance bound."""
-    if not (0 < mu < math.inf and 0 < dist_sq_bound < math.inf and 0 < epsilon < math.inf):
-        raise ConfigError("restart target needs finite positive mu, dist_sq_bound, epsilon, "
-                          f"got {mu!r}, {dist_sq_bound!r}, {epsilon!r}")
-    ratio = mu * dist_sq_bound / (2.0 * epsilon)
-    if ratio == math.inf:
-        raise ConfigError("restart count overflows: mu * dist_sq_bound / (2 epsilon) is inf")
-    return math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
-
-
 def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
     """L = L_nu * (L_nu/(2*delta) * (1-nu)/(1+nu))^((1-nu)/(1+nu)).
 
@@ -171,5 +159,4 @@ def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
     return majorant
 
 
-__all__ = ["inner_iterations", "regularize", "restart_run", "restarts_for_target",
-           "holder_majorant_L"]
+__all__ = ["inner_iterations", "regularize", "restart_run", "holder_majorant_L"]

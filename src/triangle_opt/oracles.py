@@ -1,6 +1,6 @@
 """First-order oracles: exact value/gradient access with call counting,
 stochastic gradients with bounded variance, mini-batch averaging, and the
-finite-difference / Hölder validation probes used by the tests."""
+finite-difference validation gradient used by the tests."""
 
 from __future__ import annotations
 
@@ -180,12 +180,6 @@ def substream(seed: int, iteration: int, draw_index: int,
     return streams.at(iteration, draw_index)
 
 
-def sample_gradient(oracle: StochasticGradientOracle, x: np.ndarray,
-                    rng: np.random.Generator, counter: EvalCounter | None = None) -> np.ndarray:
-    """One unbiased stochastic gradient draw; stochastic counter += 1."""
-    return minibatch_gradient(oracle, x, 1, rng, counter)
-
-
 def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
                        rng: np.random.Generator, counter: EvalCounter | None = None,
                        exact_grad: np.ndarray | None = None) -> np.ndarray:
@@ -243,30 +237,8 @@ def finite_difference_gradient(obj: CompositeObjective, x: np.ndarray, step: flo
     return out
 
 
-def holder_probe(obj: CompositeObjective, dimension: int, n_pairs: int,
-                 rng: np.random.Generator, nu_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-                 dual_norm=None, radius: float = 1.0) -> dict:
-    """Lower estimates of the Hölder constants: for each nu in the grid, the max
-    over pairs sampled in a radius-ball of ||grad f(y) - grad f(x)||_* / ||y - x||^nu."""
-    if dual_norm is None:
-        dual_norm = lambda v: float(np.linalg.norm(v))
-    estimates = {float(nu): 0.0 for nu in nu_grid}
-    for _ in range(n_pairs):
-        x = rng.standard_normal(dimension)
-        x *= radius * rng.random() ** (1.0 / dimension) / np.linalg.norm(x)
-        y = rng.standard_normal(dimension)
-        y *= radius * rng.random() ** (1.0 / dimension) / np.linalg.norm(y)
-        dist = float(np.linalg.norm(y - x))
-        if dist == 0.0:
-            continue
-        dg = dual_norm(np.asarray(obj.smooth_grad(y)) - np.asarray(obj.smooth_grad(x)))
-        for nu in estimates:
-            estimates[nu] = max(estimates[nu], dg / dist ** nu)
-    return estimates
-
-
 __all__ = [
     "EvalCounter", "QuadraticForm", "LinearImage", "CompositeObjective", "value", "grad",
     "NoiseModel", "StochasticGradientOracle", "TrialStreams", "substream",
-    "sample_gradient", "minibatch_gradient", "finite_difference_gradient", "holder_probe",
+    "minibatch_gradient", "finite_difference_gradient",
 ]

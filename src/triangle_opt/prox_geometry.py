@@ -165,41 +165,6 @@ def bregman_divergence(setup: ProxSetup, x: np.ndarray, z: np.ndarray) -> float:
     return float(setup.d_value(x) - setup.d_value(z) - np.dot(gz, x - z))
 
 
-def _sample_feasible(setup: ProxSetup, rng: np.random.Generator, n_points: int) -> np.ndarray:
-    n = setup.center.size
-    fs = setup.feasible_set
-    if fs.kind == "free_space":
-        return setup.center + rng.standard_normal((n_points, n))
-    if fs.kind == "box":
-        return rng.uniform(fs.lower, fs.upper, size=(n_points, n))
-    if fs.kind == "simplex":
-        return rng.dirichlet(np.ones(n), size=n_points)
-    if fs.kind == "euclidean_ball":
-        direction = rng.standard_normal((n_points, n))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        scale = fs.radius * rng.random(n_points) ** (1.0 / n)
-        return fs.ball_center + direction * scale[:, None]
-    raise UnsupportedGeometry(f"cannot sample from feasible set {fs.kind!r}")
-
-
-def strong_convexity_probe(setup: ProxSetup, rng_seed: int, n_pairs: int) -> float:
-    """Max over sampled feasible pairs of 1/2 ||x - z||^2 - V(x, z).
-
-    Values <= 0 confirm 1-strong convexity of d in the primal norm on the
-    sample; a positive return is the worst violation found.
-    """
-    if n_pairs == 0:
-        return 0.0
-    rng = np.random.default_rng(rng_seed)
-    xs = _sample_feasible(setup, rng, n_pairs)
-    zs = _sample_feasible(setup, rng, n_pairs)
-    worst = -np.inf
-    for x, z in zip(xs, zs):
-        gap = 0.5 * setup.norm(x - z) ** 2 - bregman_divergence(setup, x, z)
-        worst = max(worst, gap)
-    return float(worst)
-
-
 @dataclass
 class SimpleTerm:
     """The simple composite term h: zero, lam * ||x||_1, or the indicator of Q."""
@@ -323,7 +288,7 @@ def recenter(setup: ProxSetup, new_center) -> ProxSetup:
 __all__ = [
     "FeasibleSet", "free_space", "box", "simplex", "euclidean_ball",
     "ProxSetup", "euclidean_setup", "entropy_setup", "bregman_divergence",
-    "strong_convexity_probe", "SimpleTerm", "EstimateFunction", "initial_estimate",
+    "SimpleTerm", "EstimateFunction", "initial_estimate",
     "estimate_value", "soft_threshold", "project_to_simplex", "composite_prox_solve",
     "recenter",
 ]

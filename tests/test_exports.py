@@ -21,3 +21,12 @@ def test_package_exports_are_unique_and_resolve():
 def test_package_reexports_every_public_name_of(module):
     names = importlib.import_module(f"triangle_opt.{module}").__all__
     assert set(names) <= set(triangle_opt.__all__), sorted(set(names) - set(triangle_opt.__all__))
+
+
+def test_errors_all_names_the_base_error_and_every_subclass_defined_there():
+    errors = importlib.import_module("triangle_opt.errors")
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.TriangleOptError)
+               and obj.__module__ == errors.__name__}
+    assert "TriangleOptError" in defined
+    assert sorted(errors.__all__) == sorted(defined)

@@ -246,6 +246,9 @@ def test_seed_output_path():
     assert _seed_output_path("out.csv", 7, 1) == "out.csv"
     assert _seed_output_path("out.csv", 7, 2) == "out_seed7.csv"
     assert _seed_output_path("outfile", 7, 2) == "outfile_seed7"
+    # the extension is the last file name's: a dotted directory or a leading dot is not one
+    assert _seed_output_path("runs.d/trace", 0, 2) == "runs.d/trace_seed0"
+    assert _seed_output_path(".hidden", 0, 2) == ".hidden_seed0"
 
 
 def test_run_experiment_single_seed_writes_trace(tmp_path):
@@ -522,6 +525,11 @@ def test_an_empty_trace_round_trip_passes_every_schema_only_theorem(tmp_path, fm
     ("t10_calls", {"D": 1.0, "R2": 1.0, "epsilon": -0.1}, "epsilon"),
     ("t5_halving", {"mu": math.nan, "y0_dist_sq": 1.0}, "mu"),
     ("t9_scaling", {"nu": -0.5, "points": [(0.1, 10), (0.01, 100)]}, "nu"),
+    ("t1", {"L": "abc", "R2": 1.0}, "L"),
+    ("t1", {"L": [1.0], "R2": 1.0}, "L"),
+    ("t1", {"L": "1.5", "R2": 1.0}, "L"),
+    ("t1", {"L": True, "R2": 1.0}, "L"),
+    ("t1", {"L": 1.0, "R2": 1.0, "tol": "x"}, "tol"),
 ])
 def test_check_bounds_rejects_out_of_range_parameters(theorem_id, params, bad):
     _, report = _mst_report(iters=5)

@@ -22,7 +22,6 @@ from triangle_opt import (
     make_problem,
     regularize,
     restart_run,
-    restarts_for_target,
     run,
 )
 
@@ -175,15 +174,6 @@ def test_restart_run_supports_l1_composite():
     assert len(report.trace) == 5
 
 
-def test_restarts_for_target_formula():
-    assert restarts_for_target(mu=1.0, dist_sq_bound=16.0, epsilon=1.0) == 3
-    assert restarts_for_target(mu=1.0, dist_sq_bound=1.0, epsilon=10.0) == 0
-    assert restarts_for_target(mu=0.1, dist_sq_bound=50.0, epsilon=1e-3) == math.ceil(
-        math.log2(0.1 * 50.0 / 2e-3))
-    with pytest.raises(ConfigError):
-        restarts_for_target(mu=0.0, dist_sq_bound=1.0, epsilon=0.1)
-
-
 def test_holder_majorant_examples():
     assert holder_majorant_L(5.0, 1.0, 123.0) == 5.0
     assert holder_majorant_L(5.0, 1.0, 1e-12) == 5.0
@@ -214,12 +204,6 @@ _QUAD = make_problem("quadratic", dimension=4, seed=0)
     pytest.param(lambda: inner_iterations(1.0, math.inf, 1.0), id="inner-mu-inf"),
     pytest.param(lambda: inner_iterations(1.0, 1.0, math.inf), id="inner-omega-inf"),
     pytest.param(lambda: inner_iterations(1e300, 1e-300, 1.0), id="inner-overflow"),
-    pytest.param(lambda: restarts_for_target(math.nan, 1.0, 1.0), id="target-mu-nan"),
-    pytest.param(lambda: restarts_for_target(1.0, math.nan, 1.0), id="target-dist-nan"),
-    pytest.param(lambda: restarts_for_target(1.0, 1.0, math.nan), id="target-eps-nan"),
-    pytest.param(lambda: restarts_for_target(math.inf, 1.0, 1.0), id="target-mu-inf"),
-    pytest.param(lambda: restarts_for_target(1.0, 1.0, math.inf), id="target-eps-inf"),
-    pytest.param(lambda: restarts_for_target(1e300, 1e300, 1.0), id="target-overflow"),
     pytest.param(lambda: holder_majorant_L(math.nan, 0.5, 1.0), id="majorant-L_nu-nan"),
     pytest.param(lambda: holder_majorant_L(math.inf, 0.5, 1.0), id="majorant-L_nu-inf"),
     pytest.param(lambda: holder_majorant_L(1.0, math.nan, 1.0), id="majorant-nu-nan"),
@@ -234,11 +218,6 @@ _QUAD = make_problem("quadratic", dimension=4, seed=0)
 def test_non_finite_constants_are_config_errors(call):
     with pytest.raises(ConfigError):
         call()
-
-
-def test_a_vanishing_restart_ratio_needs_no_restart():
-    # mu * dist_sq_bound underflows to 0: the target already holds
-    assert restarts_for_target(1e-200, 1e-200, 1.0) == 0
 
 
 def test_holder_majorant_inequality_on_power_function():

@@ -1,5 +1,5 @@
 """Unit tests for the first-order oracles: exact access with counting,
-stochastic draws, mini-batching, and the validation probes."""
+stochastic draws, mini-batching, and the finite-difference validation gradient."""
 
 import math
 
@@ -17,9 +17,7 @@ from triangle_opt import (
     TrialStreams,
     finite_difference_gradient,
     grad,
-    holder_probe,
     minibatch_gradient,
-    sample_gradient,
     substream,
     value,
 )
@@ -134,15 +132,15 @@ def test_a_repositioned_run_stream_gives_the_fresh_substream_bits():
                                   substream(6, 2, 1).standard_normal(4))
 
 
-def test_sample_gradient_degenerate_oracles_are_exact():
+def test_single_draw_degenerate_oracles_are_exact():
     obj = quadratic_objective()
     x = np.array([1.0, -2.0, 0.5])
     none_oracle = StochasticGradientOracle(base=obj)
     zero_var = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
                                         variance_bound=0.0)
     counter = EvalCounter()
-    np.testing.assert_array_equal(sample_gradient(none_oracle, x, substream(0, 0, 0), counter), x)
-    np.testing.assert_array_equal(sample_gradient(zero_var, x, substream(0, 0, 0), counter), x)
+    for oracle in (none_oracle, zero_var):
+        np.testing.assert_array_equal(minibatch_gradient(oracle, x, 1, substream(0, 0, 0), counter), x)
     assert counter.stochastic_grad_calls == 2
 
 
@@ -156,7 +154,7 @@ def test_gaussian_noise_norm_squared_matches_D():
     total = 0.0
     mean = np.zeros(2)
     for _ in range(n_draws):
-        noise = sample_gradient(oracle, x, rng) - x
+        noise = minibatch_gradient(oracle, x, 1, rng) - x
         total += float(np.dot(noise, noise))
         mean += noise
     assert 3.8 <= total / n_draws <= 4.2
@@ -169,9 +167,9 @@ def test_minibatch_m1_equals_single_draw():
     oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
                                       variance_bound=2.0)
     x = np.array([0.3, -0.7, 1.1])
-    single = sample_gradient(oracle, x, substream(5, 1, 0))
+    single = obj.smooth_grad(x) + substream(5, 1, 0).standard_normal(x.size) * np.sqrt(2.0 / x.size)
     batched = minibatch_gradient(oracle, x, 1, substream(5, 1, 0))
-    np.testing.assert_array_equal(single, batched)
+    assert batched.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "none"])
@@ -229,7 +227,7 @@ def test_finite_sum_components_average_to_gradient():
     x = rng.standard_normal(3)
     avg = sum(c(x) for c in components) / len(components)
     np.testing.assert_allclose(avg, grad(obj, x), atol=1e-10)
-    draw = sample_gradient(oracle, x, substream(0, 0, 0))
+    draw = minibatch_gradient(oracle, x, 1, substream(0, 0, 0))
     assert any(np.allclose(draw, m @ x) for m in mats)
 
 
@@ -273,10 +271,9 @@ def test_finite_sum_single_draw_is_one_component_bit_for_bit():
     oracle, vecs = finite_sum_oracle()
     x = np.array([0.4, 1.3, -0.8])
     for k in range(20):
-        single = sample_gradient(oracle, x, substream(1, k, 0))
         batched = minibatch_gradient(oracle, x, 1, substream(1, k, 0))
         component = vecs[substream(1, k, 0).integers(len(vecs))] * x
-        assert single.tobytes() == batched.tobytes() == component.tobytes()
+        assert batched.tobytes() == component.tobytes()
 
 
 class ManyComponents:
@@ -301,7 +298,7 @@ def test_finite_sum_single_draw_cost_does_not_grow_with_n():
                                       noise_model=NoiseModel(kind="finite_sum",
                                                              components=components))
     x = np.array([1.0, -2.0, 0.5])
-    out = sample_gradient(oracle, x, substream(3, 0, 0))
+    out = minibatch_gradient(oracle, x, 1, substream(3, 0, 0))
     np.testing.assert_array_equal(out, 2.0 * x)
     assert components.called == [substream(3, 0, 0).integers(10**12)]
 
@@ -324,32 +321,3 @@ def test_finite_difference_examples():
     with pytest.raises(ConfigError):
         finite_difference_gradient(obj, x, step=0.0)
 
-
-def test_holder_probe_quadratic_and_linear():
-    obj = quadratic_objective()
-    est = holder_probe(obj, dimension=3, n_pairs=500, rng=np.random.default_rng(0))
-    assert est[1.0] == pytest.approx(1.0, rel=1e-9)
-
-    c = np.array([1.0, 2.0, 3.0])
-    linear = CompositeObjective(smooth_value=lambda x: float(np.dot(c, x)),
-                                smooth_grad=lambda x: c.copy())
-    est_lin = holder_probe(linear, dimension=3, n_pairs=200, rng=np.random.default_rng(1))
-    assert all(v == 0.0 for v in est_lin.values())
-
-
-def test_holder_probe_power_function():
-    p = 1.5
-
-    def df(x):
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0:
-            return np.zeros_like(x)
-        return nrm ** (p - 2.0) * np.asarray(x)
-
-    obj = CompositeObjective(smooth_value=lambda x: float(np.linalg.norm(x) ** p) / p,
-                             smooth_grad=df)
-    est = holder_probe(obj, dimension=3, n_pairs=2000, rng=np.random.default_rng(2))
-    # nu = 0.5 ratio is bounded by L_nu = 2^(1-nu) = sqrt(2); it is a lower estimate
-    assert 0.3 < est[0.5] <= np.sqrt(2.0) + 1e-9
-    # past the true exponent the ratio blows up on close pairs
-    assert est[1.0] > est[0.5]

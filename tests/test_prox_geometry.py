@@ -25,7 +25,6 @@ from triangle_opt import (
     project_to_simplex,
     recenter,
     soft_threshold,
-    strong_convexity_probe,
 )
 
 
@@ -106,27 +105,50 @@ def test_bregman_entropy_boundary_raises():
         bregman_divergence(setup, x, z)
 
 
-def test_strong_convexity_probe_euclidean_exact():
+def feasible_pairs(setup, seed, n_pairs):
+    """n_pairs random pairs (x, z) of points of the setup's feasible set."""
+    rng = np.random.default_rng(seed)
+    n = setup.center.size
+    fs = setup.feasible_set
+
+    def points():
+        if fs.kind == "free_space":
+            return setup.center + rng.standard_normal((n_pairs, n))
+        if fs.kind == "box":
+            return rng.uniform(fs.lower, fs.upper, size=(n_pairs, n))
+        if fs.kind == "simplex":
+            return rng.dirichlet(np.ones(n), size=n_pairs)
+        direction = rng.standard_normal((n_pairs, n))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        scale = fs.radius * rng.random(n_pairs) ** (1.0 / n)
+        return fs.ball_center + direction * scale[:, None]
+
+    return zip(points(), points())
+
+
+def worst_strong_convexity_gap(setup, seed, n_pairs):
+    """Max over sampled feasible pairs of 1/2 ||x - z||^2 - V(x, z); <= 0 means d is
+    1-strongly convex in the primal norm on the sample, which every rate bound uses."""
+    return max(0.5 * setup.norm(x - z) ** 2 - bregman_divergence(setup, x, z)
+               for x, z in feasible_pairs(setup, seed, n_pairs))
+
+
+def test_bregman_divergence_is_strongly_convex_euclidean_exact():
     setup = euclidean_setup(center=np.zeros(6))
-    assert strong_convexity_probe(setup, rng_seed=3, n_pairs=500) <= 1e-12
+    assert worst_strong_convexity_gap(setup, seed=3, n_pairs=500) <= 1e-12
 
 
-def test_strong_convexity_probe_entropy_pinsker():
+def test_bregman_divergence_is_strongly_convex_entropy_pinsker():
     setup = entropy_setup(4)
-    assert strong_convexity_probe(setup, rng_seed=4, n_pairs=10000) <= 1e-9
+    assert worst_strong_convexity_gap(setup, seed=4, n_pairs=10000) <= 1e-9
 
 
-def test_strong_convexity_probe_empty_is_zero():
-    setup = euclidean_setup(center=np.zeros(2))
-    assert strong_convexity_probe(setup, rng_seed=0, n_pairs=0) == 0.0
-
-
-def test_strong_convexity_probe_constrained_sets():
+def test_bregman_divergence_is_strongly_convex_on_constrained_sets():
     rng = np.random.default_rng(9)
     for feas in (box(-np.ones(3), np.ones(3)),
                  euclidean_ball(rng.standard_normal(3), 2.0)):
         setup = euclidean_setup(center=np.zeros(3), feasible_set=feas)
-        assert strong_convexity_probe(setup, rng_seed=5, n_pairs=2000) <= 1e-12
+        assert worst_strong_convexity_gap(setup, seed=5, n_pairs=2000) <= 1e-12
 
 
 def test_prox_free_space_examples():
@@ -262,7 +284,7 @@ def test_recenter_moves_the_prox_center():
     assert moved.d_value(c) == 0.0
     assert bregman_divergence(moved, c, c) == 0.0
     # strong convexity modulus unchanged
-    assert strong_convexity_probe(moved, rng_seed=1, n_pairs=500) <= 1e-12
+    assert worst_strong_convexity_gap(moved, seed=1, n_pairs=500) <= 1e-12
 
 
 def test_recenter_identity_and_entropy_refusal():
