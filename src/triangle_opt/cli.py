@@ -1,20 +1,10 @@
-"""Command-line front end.
-
-Three subcommands:
-
-* ``solve --config FILE [--seed S] [--out PATH]``: run a JSON experiment,
-  one trace per seed; a seed that fails mid-run writes its partial trace.
-* ``check --trace PATH --theorem ID [--L v] [--R2 v] [--mu v] [--D v]
-  [--epsilon v]``: grade an emitted trace against a named guarantee.  Each
-  theorem reads its own flags: t1 ``--L --R2``; t2_t3 ``--L --R2 --mu``;
-  t6_work ``--L``; t10_calls ``--D --R2 --epsilon``; t5_halving ``--mu
-  --R2``, with R2 = ||y0 - x*||^2, on a trace that ``restart_run`` wrote.
-  c1 and c2 need ``x0_y0_sq``, which a written trace does not carry, and
-  t9_scaling grades (eps, N) points, not a trace: these are graded with
-  ``harness.check_bounds`` only.
-* ``zoo list`` / ``zoo describe KIND``: enumerate the benchmark problems.
-
-Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any error.
+"""Command-line front end: ``solve`` runs a JSON experiment, one trace per
+seed (a seed that fails mid-run writes its partial trace); ``check`` grades an
+emitted trace against a named guarantee; ``zoo list`` and ``zoo describe
+KIND`` enumerate the benchmark problems.  ``triangle-opt COMMAND --help``
+lists a command's flags, and ``check --help`` the parameters each theorem
+reads.  Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any
+error.
 """
 
 from __future__ import annotations
@@ -24,10 +14,25 @@ import functools
 import math
 import sys
 
-from .errors import TriangleOptError, ValidationError
-from .harness import THEOREM_IDS, check_bounds, load_experiment, run_experiment
+from .errors import ConfigError, TriangleOptError, ValidationError
+from .harness import _THEOREMS, THEOREM_IDS, check_bounds, load_experiment, run_experiment
 from .traces import load_trace
 from .zoo import DESCRIPTIONS, ZOO_KINDS
+
+# each `check` flag -> its help, joined from the docs of the parameters it gives
+_TABLE_PARAMS = [param for theorem in _THEOREMS.values() for param in theorem.params.values()]
+_FLAGS = {flag: "; ".join(dict.fromkeys(p.doc for p in _TABLE_PARAMS if p.flag == flag))
+          for flag in dict.fromkeys(p.flag for p in _TABLE_PARAMS if p.flag)}
+
+
+def _usage(theorem) -> str:
+    """Each parameter a theorem reads, with the ``check`` flag that gives it,
+    else its default, else a note that only check_bounds can give it."""
+    sources = []
+    for name, param in theorem.params.items():
+        fallback = "check_bounds only" if param.default is None else f"default {param.default}"
+        sources.append(f"{name} ({param.flag or fallback})")
+    return ", ".join(sources)
 
 
 @functools.cache
@@ -45,17 +50,15 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None,
                          help="trace output path (overrides the config's output)")
 
-    p_check = sub.add_parser("check", help="grade a trace against a named bound")
+    p_check = sub.add_parser(
+        "check", help="grade a trace against a named bound",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="the parameters each theorem reads:\n" + "\n".join(
+            f"  {theorem_id:<11} {_usage(theorem)}" for theorem_id, theorem in _THEOREMS.items()))
     p_check.add_argument("--trace", required=True, help="path to a CSV/JSON trace")
     p_check.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p_check.add_argument("--L", type=float, default=None, help="Lipschitz constant")
-    p_check.add_argument("--R2", type=float, default=None,
-                         help="initial distance term: V(x*, y0) for the rate checks, "
-                              "||y0 - x*||^2 for t5_halving")
-    p_check.add_argument("--mu", type=float, default=None, help="strong convexity modulus")
-    p_check.add_argument("--D", type=float, default=None, help="gradient variance bound")
-    p_check.add_argument("--epsilon", type=float, default=None,
-                         help="target accuracy (t10_calls)")
+    for flag, doc in _FLAGS.items():
+        p_check.add_argument(flag, type=float, default=None, help=doc)
 
     p_zoo = sub.add_parser("zoo", help="list or describe benchmark problems")
     p_zoo.add_argument("action", choices=("list", "describe"))
@@ -103,13 +106,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    theorem = _THEOREMS[args.theorem]
+    reads = {param.flag: name for name, param in theorem.params.items()}
+    given = {flag: getattr(args, flag[2:]) for flag in _FLAGS}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        raise ConfigError(f"{' '.join(unread)}: not read by {args.theorem}, which reads "
+                          f"{_usage(theorem)}")
     trace = load_trace(args.trace)
-    params = {"L": args.L, "R2": args.R2, "mu": args.mu, "D": args.D,
-              "epsilon": args.epsilon}
-    if args.theorem == "t5_halving" and args.R2 is not None:
-        params["y0_dist_sq"] = args.R2
-    params = {k: v for k, v in params.items() if v is not None}
-    verdict = check_bounds(trace, args.theorem, params)
+    verdict = check_bounds(trace, args.theorem, {reads[flag]: v for flag, v in given.items()})
     print(verdict.summary())
     if not verdict.passed:
         shown = [r for r in verdict.rows if not r["ok"]][:10]

@@ -9,6 +9,7 @@ solver family carries.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -241,33 +242,48 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
         return list(pool.map(one_seed, seeds))
 
 
-def _finite_column(trace: Trace | None, name: str) -> np.ndarray:
+def _finite_columns(trace: Trace | None, *names: str) -> list:
+    """The named columns; MissingColumn if one is absent or, with rows, has no finite value."""
     if trace is None:
         raise ConfigError("bound check needs a trace")
-    if not trace.has_column(name):
-        raise MissingColumn(f"bound check needs column {name!r}")
-    col = trace.column(name)
-    if len(col) and not np.any(np.isfinite(col)):
-        raise MissingColumn(f"column {name!r} has no finite values")
-    return col
+    cols = [trace.column(name) for name in names]
+    for name, col in zip(names, cols):
+        if len(col) and not np.any(np.isfinite(col)):
+            raise MissingColumn(f"column {name!r} has no finite values")
+    return cols
 
 
-# bound-check parameters that must be positive; the others may also be 0
-_POSITIVE = ("L", "D", "epsilon", "omega_tilde")
-
-
-def _checked_param(name: str, value) -> float:
+def _checked_param(name: str, value, positive: bool = False) -> float:
     if not _is_number(value):
         raise ConfigError(f"bound check parameter {name!r} must be a real number, got {value!r}")
     value = float(value)
-    positive = name in _POSITIVE
     if not (math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
         raise ConfigError(f"bound check parameter {name!r} must be finite and "
                           f"{'>' if positive else '>='} 0, got {value!r}")
     return value
 
 
-def _row(k: int, measured: float, bound: float, margin: float) -> dict:
+_positive = functools.partial(_checked_param, positive=True)
+
+
+def _points(name: str, value) -> np.ndarray:
+    """(epsilon, N) pairs; two distinct epsilons, since one leaves the slope open."""
+    try:
+        points = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        points = np.empty(0)
+    if not (points.shape[1:] == (2,) and np.all(np.isfinite(points) & (points > 0.0))
+            and np.unique(points[:, 0]).size >= 2):
+        raise ConfigError(f"bound check parameter {name!r} must be (epsilon, N) pairs, finite "
+                          f"and > 0, with two distinct epsilon values, got {value!r}")
+    return points
+
+
+def _row(k: int, tol: float, *constraints) -> dict:
+    """The row of whichever (measured, bound) constraint has the least margin,
+    bound + tol - measured."""
+    measured, bound = min(constraints, key=lambda c: c[1] + tol - c[0])
+    margin = bound + tol - measured
     return {"k": int(k), "measured": float(measured), "bound": float(bound),
             "margin": float(margin), "ok": margin >= 0.0}
 
@@ -276,59 +292,46 @@ def _check_gap_bound(trace: Trace, bound_fn, tol: float, with_gap_y: bool = Fals
     """Rows gap(k) <= bound_fn(k) + tol, skipping rows with no finite gap and
     rows where bound_fn gives None; with_gap_y grades max(gap, gap_y) where
     the trace has a finite gap_y."""
-    ks = _finite_column(trace, "k").astype(int)
-    gaps = _finite_column(trace, "gap")
-    gap_y = trace.column("gap_y") if with_gap_y and trace.has_column("gap_y") else None
+    ks, gaps = _finite_columns(trace, "k", "gap")
+    if with_gap_y and trace.has_column("gap_y"):
+        gap_y = trace.column("gap_y")
+        gaps = np.where(np.isfinite(gap_y), np.maximum(gaps, gap_y), gaps)
     rows = []
-    for i, (k, gap) in enumerate(zip(ks, gaps)):
+    for k, gap in zip(ks, gaps):
         bound = bound_fn(int(k))
-        if bound is None or not math.isfinite(gap):
-            continue
-        measured = float(gap)
-        if gap_y is not None and math.isfinite(gap_y[i]):
-            measured = max(measured, float(gap_y[i]))
-        rows.append(_row(k, measured, bound, bound + tol - measured))
+        if bound is not None and math.isfinite(gap):
+            rows.append(_row(k, tol, (float(gap), bound)))
     return rows
 
 
-def _t1(trace, p, tol):
-    return _check_gap_bound(trace, lambda k: 4.0 * p["L"] * p["R2"] / (k + 1) ** 2, tol)
+def _t1(trace, p):
+    return _check_gap_bound(trace, lambda k: 4.0 * p["L"] * p["R2"] / (k + 1) ** 2, p["tol"])
 
 
-def _t2_t3(trace, p, tol):
+def _t2_t3(trace, p):
     L, r2 = p["L"], p["R2"]
-    omega_tilde = _checked_param("omega_tilde", p.get("omega_tilde", 1.0))
-    rate = 0.5 * math.sqrt(p["mu"] / omega_tilde / L)
+    rate = 0.5 * math.sqrt(p["mu"] / p["omega_tilde"] / L)
     return _check_gap_bound(
-        trace, lambda k: min(4.0 * L * r2 / (k + 1) ** 2, L * r2 * math.exp(-rate * k)), tol)
+        trace, lambda k: min(4.0 * L * r2 / (k + 1) ** 2, L * r2 * math.exp(-rate * k)), p["tol"])
 
 
-def _c1(trace, p, tol):
-    ks = _finite_column(trace, "k").astype(int)
-    du = _finite_column(trace, "dist_u_sq")
-    dx = _finite_column(trace, "dist_x_sq")
-    dy = _finite_column(trace, "dist_y_sq")
+def _c1(trace, p):
+    ks, du, dx, dy = _finite_columns(trace, "k", "dist_u_sq", "dist_x_sq", "dist_y_sq")
     u_bound = 2.0 * p["R2"]
     xy_bound = 4.0 * p["R2"] + 2.0 * p["x0_y0_sq"]
-    rows = []
-    for k, a, b, c in zip(ks, du, dx, dy):
-        rows.append(_row(k, max(a / 2.0, max(b, c) / 4.0), xy_bound,
-                         min(u_bound + tol - a, xy_bound + tol - max(b, c))))
-    return rows
+    return [_row(k, p["tol"], (a, u_bound), (max(b, c), xy_bound))
+            for k, a, b, c in zip(ks, du, dx, dy)]
 
 
-def _c2(trace, p, tol):
+def _c2(trace, p):
     r_tilde_sq = 4.0 * p["R2"] + 2.0 * p["x0_y0_sq"]
     return _check_gap_bound(trace, lambda k: p["L"] * r_tilde_sq / k ** 2 if k >= 1 else None,
-                            tol, with_gap_y=True)
+                            p["tol"], with_gap_y=True)
 
 
-def _t6_work(trace, p, tol):
-    ks = _finite_column(trace, "k").astype(int)
-    cum_f = _finite_column(trace, "cum_f")
-    cum_grad = _finite_column(trace, "cum_grad")
-    l_trial = _finite_column(trace, "L_trial")
-    j = _finite_column(trace, "j")
+def _t6_work(trace, p):
+    ks, cum_f, cum_grad, l_trial, j = _finite_columns(trace, "k", "cum_f", "cum_grad",
+                                                      "L_trial", "j")
     if len(ks) == 0:
         return []
     # L00 = L_trial / 2^j of row 0; ldexp stays finite where 2.0 ** j overflows
@@ -337,73 +340,81 @@ def _t6_work(trace, p, tol):
         raise ConfigError(f"t6_work needs L_trial / 2^j of row 0 finite and > 0, got "
                           f"L_trial = {float(l_trial[0])!r}, j = {int(j[0])}")
     log_term = math.log2(2.0 * p["L"] / l00)
-    rows = []
-    for k, cf, cg in zip(ks, cum_f, cum_grad):
-        f_bound = 4.0 * k + log_term + 4.0
-        g_bound = 2.0 * k + log_term + 2.0
-        rows.append(_row(k, cf, f_bound, min(f_bound - cf, g_bound - cg)))
-    return rows
+    return [_row(k, p["tol"], (cf, 4.0 * k + log_term + 4.0), (cg, 2.0 * k + log_term + 2.0))
+            for k, cf, cg in zip(ks, cum_f, cum_grad)]
 
 
-def _t9_scaling(trace, p, tol):
-    points = p["points"]
-    if not points or len(points) < 2:
-        raise ConfigError("t9_scaling needs at least two (epsilon, N) points")
-    eps = np.array([float(pt[0]) for pt in points])
-    iters = np.array([float(pt[1]) for pt in points])
-    if not (np.all(np.isfinite(eps) & (eps > 0.0)) and np.all(np.isfinite(iters) & (iters > 0.0))):
-        raise ConfigError("t9_scaling points need finite, positive epsilon and N")
-    if np.unique(eps).size < 2:
-        raise ConfigError("t9_scaling needs at least two distinct epsilon values")
+def _t9_scaling(trace, p):
+    eps, iters = p["points"].T
     slope = float(np.polyfit(np.log(1.0 / eps), np.log(iters), 1)[0])
-    limit = 2.0 / (1.0 + 3.0 * p["nu"]) + 0.3
-    return [_row(0, slope, limit, limit + tol - slope)]
+    return [_row(0, p["tol"], (slope, 2.0 / (1.0 + 3.0 * p["nu"]) + 0.3))]
 
 
-def _t10_calls(trace, p, tol):
-    ks = _finite_column(trace, "k").astype(int)
-    cum_stoch = _finite_column(trace, "cum_stoch")
+def _t10_calls(trace, p):
+    ks, cum_stoch = _finite_columns(trace, "k", "cum_stoch")
     if len(ks) == 0:
         return []
     bound = 4.0 * (4.0 * p["D"] * p["R2"] / p["epsilon"] ** 2 + 2.0 * int(ks[-1]))
-    return [_row(ks[-1], cum_stoch[-1], bound, bound + tol - cum_stoch[-1])]
+    return [_row(ks[-1], p["tol"], (cum_stoch[-1], bound))]
 
 
-def _t5_halving(trace, p, tol):
-    return _check_gap_bound(trace, lambda k: p["mu"] * p["y0_dist_sq"] / 2.0 ** (k + 1), tol)
+def _t5_halving(trace, p):
+    bound = p["mu"] * p["y0_dist_sq"]  # over 2^(k+1) by ldexp: 2.0 ** (k + 1) overflows
+    return _check_gap_bound(trace, lambda k: math.ldexp(bound, -k - 1), p["tol"])
+
+
+class _Param(NamedTuple):
+    check: Callable          # check(name, value) -> the value, or ConfigError naming it
+    flag: str | None = None  # the `check` flag that gives it
+    doc: str = ""            # that flag's help
+    meta: bool = False       # the trace's meta may give it when the caller does not
+    default: float | None = None
 
 
 class _Theorem(NamedTuple):
-    tol: float             # default tolerance
-    params: tuple          # parameters the caller must give
-    grade: Callable        # grade(trace, params, tol) -> rows
-    from_meta: tuple = ()  # parameters the trace's meta may give instead
+    tol: float       # default tolerance
+    grade: Callable  # grade(trace, params) -> rows, params checked and with tol
+    params: dict     # name -> _Param of each parameter it reads
 
+
+_L = _Param(_positive, "--L", "Lipschitz constant")
+_R2 = _Param(_checked_param, "--R2", "initial distance term V(x*, y0)")
+_MU = _Param(_checked_param, "--mu", "strong convexity modulus")
+_X0_Y0_SQ = _Param(_checked_param, meta=True)
 
 _THEOREMS = {
-    "t1": _Theorem(1e-10, ("L", "R2"), _t1),
-    "t2_t3": _Theorem(1e-10, ("L", "R2", "mu"), _t2_t3),
-    "c1": _Theorem(1e-8, ("R2",), _c1, from_meta=("x0_y0_sq",)),
-    "c2": _Theorem(1e-8, ("L", "R2"), _c2, from_meta=("x0_y0_sq",)),
-    "t6_work": _Theorem(0.0, ("L",), _t6_work),
-    "t9_scaling": _Theorem(0.0, ("nu",), _t9_scaling),
-    "t10_calls": _Theorem(0.0, ("D", "R2", "epsilon"), _t10_calls),
-    "t5_halving": _Theorem(1e-9, (), _t5_halving, from_meta=("mu", "y0_dist_sq")),
+    "t1": _Theorem(1e-10, _t1, {"L": _L, "R2": _R2}),
+    "t2_t3": _Theorem(1e-10, _t2_t3, {"L": _L, "R2": _R2, "mu": _MU,
+                                      "omega_tilde": _Param(_positive, default=1.0)}),
+    "c1": _Theorem(1e-8, _c1, {"R2": _R2, "x0_y0_sq": _X0_Y0_SQ}),
+    "c2": _Theorem(1e-8, _c2, {"L": _L, "R2": _R2, "x0_y0_sq": _X0_Y0_SQ}),
+    "t6_work": _Theorem(0.0, _t6_work, {"L": _L}),
+    "t9_scaling": _Theorem(0.0, _t9_scaling, {"nu": _Param(_checked_param),
+                                              "points": _Param(_points)}),
+    "t10_calls": _Theorem(0.0, _t10_calls, {
+        "D": _Param(_positive, "--D", "gradient variance bound"), "R2": _R2,
+        "epsilon": _Param(_positive, "--epsilon", "target accuracy")}),
+    "t5_halving": _Theorem(1e-9, _t5_halving, {
+        "mu": _MU._replace(meta=True),
+        "y0_dist_sq": _Param(_checked_param, "--R2", "||y0 - x*||^2 on a restart_run trace",
+                             meta=True)}),
 }
 THEOREM_IDS = tuple(_THEOREMS)
 
 
 def _gather_params(theorem: _Theorem, trace: Trace | None, params: dict) -> dict:
-    """params, with each one the theorem needs checked against its range."""
-    out = dict(params)
-    for name in theorem.params + theorem.from_meta:
+    """tol and each parameter the theorem reads, from its first source, checked."""
+    out = {"tol": _checked_param("tol", params.get("tol", theorem.tol))}
+    for name, param in theorem.params.items():
         value = params.get(name)
-        if value is None and name in theorem.from_meta and trace is not None:
+        if value is None and param.meta and trace is not None:
             value = trace.meta.get(name)
         if value is None:
-            where = " (not found in trace metadata)" if name in theorem.from_meta else ""
+            value = param.default
+        if value is None:
+            where = " (not found in trace metadata)" if param.meta else ""
             raise ConfigError(f"bound check needs parameter {name!r}{where}")
-        out[name] = _checked_param(name, value)
+        out[name] = param.check(name, value)
     return out
 
 
@@ -411,34 +422,30 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     """Grade a trace against one of the convergence/work guarantees.
 
     t1         gap(k) <= 4*L*R2/(k+1)^2 + tol                  params: L, R2
-    t2_t3      gap(k) <= min of the t1 rate and
-               L*R2*exp(-(k/2)*sqrt(mu_tilde/L)) + tol         params: L, R2, mu [, omega_tilde]
+    t2_t3      gap(k) <= min of the t1 rate and                params: L, R2, mu,
+               L*R2*exp(-(k/2)*sqrt(mu/(w*L))) + tol           omega_tilde = w (default 1.0)
     c1         dist_u_sq <= 2*R2 + tol and
-               max(dist_x, dist_y) <= 4*R2 + 2*x0_y0_sq + tol  params: R2 [, x0_y0_sq]
+               max(dist_x, dist_y) <= 4*R2 + 2*x0_y0_sq + tol  params: R2, x0_y0_sq (or meta)
     c2         gap(k) (and gap_y when present)
-               <= L*(4*R2 + 2*x0_y0_sq)/k^2 + tol, k >= 1      params: L, R2 [, x0_y0_sq]
-    t6_work    cum_f(N) <= 4N + log2(2L/L00) + 4 and
-               cum_grad(N) <= 2N + log2(2L/L00) + 2            params: L (L00 from row 0)
+               <= L*(4*R2 + 2*x0_y0_sq)/k^2 + tol, k >= 1      params: L, R2, x0_y0_sq (or meta)
+    t6_work    cum_f(N) <= 4N + log2(2L/L00) + 4 + tol and
+               cum_grad(N) <= 2N + log2(2L/L00) + 2 + tol      params: L (L00 from row 0)
     t9_scaling log-log slope of N against 1/eps
-               <= 2/(1+3nu) + 0.3                              params: nu, points [(eps, N), ...]
-    t10_calls  cum_stoch(N) <= 4*(4*D*R2/eps^2 + 2N)           params: D, R2, epsilon
+               <= 2/(1+3nu) + 0.3 + tol                        params: nu, points [(eps, N), ...]
+    t10_calls  cum_stoch(N) <= 4*(4*D*R2/eps^2 + 2N) + tol     params: D, R2, epsilon
     t5_halving gap at restart k <= mu*y0_dist_sq/2^(k+1) + tol params: mu, y0_dist_sq (or meta)
 
-    Parameters and tol must be real numbers, not bools; parameters must also be
-    finite, L, D, epsilon and omega_tilde positive and the others nonnegative.
-    A missing or bad one raises ConfigError naming it.
-    Margins are bound + tol - measured: nonnegative means pass.  A truncated
-    or empty trace passes vacuously.
+    A parameter, or tol, comes from params, else trace.meta where marked, else
+    its default; each is a finite real, not a bool, > 0 for L, D, epsilon and
+    omega_tilde and >= 0 for the others, and points has two distinct epsilons.
+    A missing or bad one raises ConfigError naming it.  Rows show the binding
+    constraint; margin = bound + tol - measured >= 0 passes.  A truncated or
+    empty trace passes vacuously.
     """
-    params = dict(params or {})
     theorem = _THEOREMS.get(theorem_id)
     if theorem is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    tol = params.pop("tol", theorem.tol)
-    if not _is_number(tol):
-        raise ConfigError(f"bound check parameter 'tol' must be a real number, got {tol!r}")
-    tol = float(tol)
-    rows = theorem.grade(trace, _gather_params(theorem, trace, params), tol)
+    rows = theorem.grade(trace, _gather_params(theorem, trace, params or {}))
     failing = [r["k"] for r in rows if not r["ok"]]
     return BoundCheck(theorem_id=theorem_id, rows=rows, passed=not failing,
                       worst_margin=min((r["margin"] for r in rows), default=math.inf),

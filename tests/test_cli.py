@@ -1,12 +1,15 @@
 """Tests for the command-line front end: exit codes and printed summaries."""
 
+import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from triangle_opt import CSV_COLUMNS, ZOO_KINDS
-from triangle_opt.cli import main
+from triangle_opt.cli import _parser, _usage, main
+from triangle_opt.harness import _THEOREMS
 
 
 def _write_config(tmp_path, **overrides):
@@ -230,6 +233,47 @@ def test_check_t6_work_grades_a_row_0_past_1024_doublings(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "t6_work: pass" in captured.out and captured.err == ""
+
+
+def test_check_rejects_a_flag_the_theorem_does_not_read(tmp_path, capsys):
+    rc = main(["check", "--trace", _t6_trace(tmp_path, "1.0", 0),
+               "--theorem", "t6_work", "--L", "1", "--R2", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "error: ConfigError: --R2: not read by t6_work" in captured.err
+
+
+def test_check_t5_halving_grades_a_trace_past_1023_restarts(tmp_path, capsys):
+    # 2.0 ** (k + 1) overflows from k = 1023 on, where the bound mu*R2/2^(k+1) is
+    # subnormal or 0
+    config = _write_config(tmp_path, max_iters=1100)
+    out = str(tmp_path / "trace.csv")
+    assert main(["solve", "--config", config, "--out", out]) == 0
+    capsys.readouterr()
+    rc = main(["check", "--trace", out, "--theorem", "t5_halving", "--mu", "0.1", "--R2", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    assert "t5_halving: FAIL over 1100 rows" in captured.out
+
+
+def _check_subparser():
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["check"]
+
+
+def test_check_flags_are_the_flags_the_theorem_table_names():
+    flags = [opt for action in _check_subparser()._actions for opt in action.option_strings
+             if opt not in ("-h", "--help", "--trace", "--theorem")]
+    named = {param.flag for theorem in _THEOREMS.values() for param in theorem.params.values()}
+    assert sorted(flags) == sorted(named - {None})
+
+
+def test_check_help_and_the_readme_list_each_theorems_flags_from_the_table():
+    help_text = _check_subparser().format_help()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for theorem_id, theorem in _THEOREMS.items():
+        assert f"  {theorem_id:<11} {_usage(theorem)}\n" in help_text, theorem_id
+        assert f"| `{theorem_id}` | `{_usage(theorem)}` |" in readme, theorem_id
 
 
 def test_check_unreadable_trace_is_an_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ trace-vs-guarantee bound checker."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -530,6 +531,11 @@ def test_an_empty_trace_round_trip_passes_every_schema_only_theorem(tmp_path, fm
     ("t1", {"L": "1.5", "R2": 1.0}, "L"),
     ("t1", {"L": True, "R2": 1.0}, "L"),
     ("t1", {"L": 1.0, "R2": 1.0, "tol": "x"}, "tol"),
+    ("t1", {"L": 1.0, "R2": 1.0, "tol": math.nan}, "tol"),
+    ("t1", {"L": 1.0, "R2": 1.0, "tol": math.inf}, "tol"),
+    ("t1", {"L": 1.0, "R2": 1.0, "tol": -1.0}, "tol"),
+    ("t9_scaling", {"nu": 0.5, "points": "ab"}, "points"),
+    ("t9_scaling", {"nu": 0.5, "points": [(0.1,), (0.01, 3)]}, "points"),
 ])
 def test_check_bounds_rejects_out_of_range_parameters(theorem_id, params, bad):
     _, report = _mst_report(iters=5)
@@ -545,6 +551,68 @@ def test_check_bounds_checks_meta_parameters_and_accepts_zero_where_allowed():
         check_bounds(report.trace, "c1", {"R2": 1.0})
     with pytest.raises(ConfigError, match="points"):
         check_bounds(None, "t9_scaling", {"nu": 0.5, "points": [(0.0, 10), (0.01, 100)]})
+
+
+def _accepted(name, param):
+    """A value the theorem table's check for a parameter accepts."""
+    for value in (1.0, [(0.1, 10), (0.01, 100)]):
+        try:
+            param.check(name, value)
+            return value
+        except ConfigError:
+            pass
+    raise AssertionError(f"no accepted test value for {name!r}")
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_every_parameter_a_theorem_reads_is_required_and_range_checked(theorem_id):
+    # driven by the theorem table, so a new row or parameter needs no new test
+    theorem = harness._THEOREMS[theorem_id]
+    good = {name: _accepted(name, param) for name, param in theorem.params.items()}
+    trace = Trace()  # no meta: every parameter comes from the caller or its default
+    assert set(harness._gather_params(theorem, trace, good)) == {"tol", *theorem.params}
+    for name in (*theorem.params, "tol"):
+        if name != "tol" and theorem.params[name].default is None:
+            missing = {key: value for key, value in good.items() if key != name}
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                check_bounds(trace, theorem_id, missing)
+        for bad in (-1.0, math.nan, math.inf, True, "ab"):
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                check_bounds(trace, theorem_id, {**good, name: bad})
+
+
+def test_check_bounds_rows_show_the_constraint_that_sets_their_margin():
+    problem = make_problem("quadratic", dimension=20, seed=0)
+    report = run(problem.objective, problem.setup,
+                 SolverConfig(mode="amst_adaptive", max_iters=200))
+    c1 = check_bounds(report.trace, "c1", {"R2": 0.3, "x0_y0_sq": 5.0})
+    assert len(c1.rows) == 200 and c1.failing_k == [0]
+    # row 0 fails dist_u_sq <= 2*R2 = 0.6, not the distance bound 4*R2 + 2*x0_y0_sq
+    assert c1.rows[0]["bound"] == 0.6 and c1.rows[0]["measured"] > 0.6
+    for row in c1.rows:
+        assert row["margin"] == row["bound"] + 1e-8 - row["measured"]
+    trace = Trace()
+    for k, cum_grad in ((0, 1), (1, 9)):
+        trace.append(k=k, A=1.0, alpha=1.0, L_trial=1.0, j=0, m=1, cum_f=k + 1,
+                     cum_grad=cum_grad, cum_stoch=0, gap=1.0)
+    # L00 = 1 and L = 1: cum_f(1) = 2 <= 9 holds, cum_grad(1) = 9 <= 5 fails
+    t6 = check_bounds(trace, "t6_work", {"L": 1.0})
+    assert t6.rows[1] == {"k": 1, "measured": 9.0, "bound": 5.0, "margin": -4.0, "ok": False}
+
+
+def test_check_bounds_docstring_names_the_parameters_the_table_gives_each_theorem():
+    ids = "|".join(THEOREM_IDS)
+    entries = dict(re.findall(rf"^    ({ids}) (.*?)(?=^    (?:{ids}) |^$)", check_bounds.__doc__,
+                              re.M | re.S))
+    assert entries.keys() == set(THEOREM_IDS)
+    every_name = {name for theorem in harness._THEOREMS.values() for name in theorem.params}
+    for theorem_id, theorem in harness._THEOREMS.items():
+        entry = entries[theorem_id]
+        assert set(re.findall(r"\w+", entry)) & every_name == set(theorem.params), theorem_id
+        assert ("or meta" in entry) == any(p.meta for p in theorem.params.values()), theorem_id
+        for param in theorem.params.values():
+            if param.default is not None:
+                assert f"default {param.default}" in entry, theorem_id
 
 
 def test_run_failure_after_the_first_row_keeps_its_partial_report():
