@@ -19,8 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from triangle_opt import (NoiseModel, SolverConfig, StochasticGradientOracle,
-                          TriangleOptError, make_problem, run)
+from triangle_opt import NoiseModel, SolverConfig, TriangleOptError, make_problem, run
 
 KINDS = ("quadratic", "lasso", "logistic")
 EPSILON = 1e-3
@@ -39,9 +38,7 @@ def _configs(L: float, iters: int) -> dict:
 
 def _solve(objective, setup, config):
     if config.mode == "sumst_stochastic_universal":
-        objective = StochasticGradientOracle(base=objective,
-                                             noise_model=NoiseModel(kind="gaussian"),
-                                             variance_bound=config.D)
+        objective = dataclasses.replace(objective, noise_model=NoiseModel(kind="gaussian"))
     return run(objective, setup, config, rng=0)
 
 

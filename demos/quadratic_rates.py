@@ -45,9 +45,8 @@ def main():
     report = run(problem.objective, problem.setup, config)
     show_checkpoints(report.trace, lambda k: 4.0 * big_l * r_sq / (k + 1) ** 2,
                      "gap vs 4*L*R^2/(k+1)^2")
-    for theorem_id in ("t1", "c1"):
-        check = check_bounds(report.trace, theorem_id,
-                             {"L": big_l, "R2": r_sq})
+    for theorem_id, params in (("t1", {"L": big_l, "R2": r_sq}), ("c1", {"R2": r_sq})):
+        check = check_bounds(report.trace, theorem_id, params)
         status = "pass" if check.passed else "FAIL"
         print(f"{theorem_id}: {status} (worst margin {check.worst_margin:.3e})")
 

@@ -1,7 +1,7 @@
 """Stochastic mode with growing mini-batches under a gaussian gradient model.
 
-Wraps a quadratic's gradient oracle in additive gaussian noise with variance
-bound D, runs the stochastic universal mode to a certified target, and prints
+Gives a quadratic a gaussian noise model, whose variance bound D the solver
+config holds, runs the stochastic universal mode to a certified target, and prints
 how the mini-batch size m_k grows so that sampling error stays inside the
 per-step slack.  Repeats over several seeds to show the mean gap landing
 under the certified level while total stochastic-gradient calls stay within
@@ -11,12 +11,12 @@ Usage: python demos/stochastic_minibatch.py [--seeds 10] [--eps 1e-2] [--D 1.0]
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
-from triangle_opt import (NoiseModel, SolverConfig, StochasticGradientOracle,
-                          StoppingRule, bregman_divergence, check_bounds,
-                          make_problem, run)
+from triangle_opt import (NoiseModel, SolverConfig, StoppingRule, bregman_divergence,
+                          check_bounds, make_problem, run)
 
 
 def main():
@@ -29,9 +29,7 @@ def main():
     problem = make_problem("quadratic", dimension=20, seed=0)
     x_star, f_star = problem.objective.known_optimum
     r_sq = bregman_divergence(problem.setup, x_star, problem.setup.center)
-    oracle = StochasticGradientOracle(base=problem.objective,
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=args.d_var)
+    oracle = replace(problem.objective, noise_model=NoiseModel(kind="gaussian"))
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=args.eps,
                           D=args.d_var, max_iters=5000,
                           stopping=StoppingRule(kind="certified_gap", r_sq=r_sq))

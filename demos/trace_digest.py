@@ -28,9 +28,8 @@ import tempfile
 
 import numpy as np
 
-from triangle_opt import (ZOO_KINDS, NoiseModel, SolverConfig,
-                          StochasticGradientOracle, TriangleOptError, emit_trace,
-                          make_problem, run)
+from triangle_opt import (ZOO_KINDS, NoiseModel, SolverConfig, TriangleOptError,
+                          emit_trace, make_problem, run)
 
 EPSILON = 1e-3
 SUMST_D = 0.1
@@ -65,8 +64,7 @@ def _cases(iters: int):
                 objective = base
                 if isinstance(config, tuple):
                     config, noise = config
-                    objective = StochasticGradientOracle(
-                        base=base, noise_model=NoiseModel(kind=noise), variance_bound=SUMST_D)
+                    objective = dataclasses.replace(base, noise_model=NoiseModel(kind=noise))
                 yield f"{label}/{name}", objective, problem.setup, config, 0
 
 

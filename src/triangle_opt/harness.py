@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, MissingColumn, ParseError, ValidationError
-from .oracles import NoiseModel, StochasticGradientOracle
-from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, _is_number, run
+from .oracles import NoiseModel, _is_number
+from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
 from .traces import Trace, emit_trace
 from .zoo import ZooProblem, make_problem
 
@@ -183,7 +183,6 @@ def load_experiment(config_text: str) -> Experiment:
     try:
         config = SolverConfig(mode=solver_cfg["mode"], stopping=StoppingRule(**rule),
                               **settings)
-        config.validate()
     except ConfigError as exc:
         raise ValidationError(str(exc)) from exc
     return Experiment(problem=problem, config=config, seeds=list(seeds), output=output)
@@ -201,7 +200,8 @@ def _seed_output_path(output: str | None, seed: int, n_seeds: int) -> str | None
 
 
 def run_experiment(experiment: Experiment) -> list[SeedResult]:
-    """One solver run per seed; deterministic given the seed list.
+    """One solver run per seed; deterministic given the seed list.  A sumst
+    experiment draws gaussian gradients with variance D (``config.D``).
 
     Per-seed solver errors are recorded on the result rather than aborting the
     batch; a run that fails after recording its first row keeps its partial
@@ -213,9 +213,7 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
     config = experiment.config
     objective = problem.objective
     if POLICIES[config.mode].stochastic:
-        objective = StochasticGradientOracle(base=problem.objective,
-                                             noise_model=NoiseModel(kind="gaussian"),
-                                             variance_bound=float(config.D))
+        objective = replace(objective, noise_model=NoiseModel(kind="gaussian"))
 
     def one_seed(seed: int) -> SeedResult:
         path = _seed_output_path(experiment.output, seed, len(experiment.seeds))
@@ -403,7 +401,12 @@ THEOREM_IDS = tuple(_THEOREMS)
 
 
 def _gather_params(theorem: _Theorem, trace: Trace | None, params: dict) -> dict:
-    """tol and each parameter the theorem reads, from its first source, checked."""
+    """tol and each parameter the theorem reads, from its first source, checked;
+    a key it does not read is a ConfigError, not a value silently dropped."""
+    unread = [key for key in params if key != "tol" and key not in theorem.params]
+    if unread:
+        raise ConfigError(f"bound check does not read {', '.join(map(repr, unread))}; "
+                          f"it reads {', '.join([*theorem.params, 'tol'])}")
     out = {"tol": _checked_param("tol", params.get("tol", theorem.tol))}
     for name, param in theorem.params.items():
         value = params.get(name)
@@ -438,9 +441,10 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     A parameter, or tol, comes from params, else trace.meta where marked, else
     its default; each is a finite real, not a bool, > 0 for L, D, epsilon and
     omega_tilde and >= 0 for the others, and points has two distinct epsilons.
-    A missing or bad one raises ConfigError naming it.  Rows show the binding
-    constraint; margin = bound + tol - measured >= 0 passes.  A truncated or
-    empty trace passes vacuously.
+    A missing or bad one, or a key the theorem does not read, raises
+    ConfigError naming it.  Rows show the binding constraint; margin =
+    bound + tol - measured >= 0 passes.  A truncated or empty trace passes
+    vacuously.
     """
     theorem = _THEOREMS.get(theorem_id)
     if theorem is None:

@@ -39,7 +39,8 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     problem to epsilon/2 then solves the original to epsilon, because the added
     term is at most mu*R_sq = epsilon/2 at x*.  The returned objective adds the
     exact Bregman term to both oracles (for the euclidean geometry the added
-    gradient is mu*(x - y0), vanishing at the center).
+    gradient is mu*(x - y0), vanishing at the center).  It has no noise model,
+    since the objective's noise model describes draws of the base gradient.
     """
     if R_sq is None:
         raise ConfigError("regularize needs R_sq, an upper bound on V(x*, y0)")

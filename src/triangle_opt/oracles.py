@@ -13,6 +13,11 @@ from .errors import ConfigError, DomainError
 from .prox_geometry import _FLOAT64, SimpleTerm
 
 
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """A number of the given kinds that is not a bool; numpy numbers count."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class EvalCounter:
     """Cumulative oracle call counts for one solver run."""
@@ -59,6 +64,22 @@ class LinearImage:
     quadratic: QuadraticForm | None = None
 
 
+@dataclass(frozen=True)
+class NoiseModel:
+    """Stochastic gradient model: "none", "gaussian" (a draw's variance D is
+    the solver's, ``SolverConfig.D``), or "finite_sum" (components is a list of
+    per-component gradient callables averaging to grad f)."""
+
+    kind: str = "none"
+    components: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("none", "gaussian", "finite_sum"):
+            raise ConfigError(f"unknown noise model {self.kind!r}")
+        if self.kind == "finite_sum" and len(self.components) == 0:
+            raise ConfigError("finite_sum noise model needs at least one component")
+
+
 @dataclass
 class CompositeObjective:
     """F = f + h with f accessed through value/grad oracles and h simple.
@@ -68,7 +89,9 @@ class CompositeObjective:
     carries whatever constants are known: keys among "L", "mu", "L_nu", "nu".
     linear, when present, describes the same f as psi(z(x)); the solvers then
     run on cached images and call neither smooth_value nor smooth_grad.
-    Without it they run on the identity image z = x, psi = f.
+    Without it they run on the identity image z = x, psi = f.  noise_model is
+    how the stochastic mode draws gradients, which it needs; the other modes
+    ignore it.
     """
 
     smooth_value: callable
@@ -77,6 +100,7 @@ class CompositeObjective:
     known_optimum: tuple | None = None
     smoothness_meta: dict | None = None
     linear: LinearImage | None = None
+    noise_model: NoiseModel | None = None
 
     def composite_value(self, x: np.ndarray) -> float:
         """F(x) = f(x) + h(x), uncounted (observer use only)."""
@@ -112,34 +136,6 @@ def grad(obj: CompositeObjective, x: np.ndarray, counter: EvalCounter | None = N
     return _checked_grad(obj.smooth_grad(x), counter)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Stochastic gradient model: "none", "gaussian" (needs D), or "finite_sum"
-    (components is a list of per-component gradient callables averaging to grad f)."""
-
-    kind: str = "none"
-    components: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "finite_sum"):
-            raise ConfigError(f"unknown noise model {self.kind!r}")
-        if self.kind == "finite_sum" and len(self.components) == 0:
-            raise ConfigError("finite_sum noise model needs at least one component")
-
-
-@dataclass
-class StochasticGradientOracle:
-    base: CompositeObjective
-    noise_model: NoiseModel = field(default_factory=NoiseModel)
-    variance_bound: float | None = None  # D
-
-    def __post_init__(self):
-        if self.noise_model.kind == "gaussian" and self.variance_bound is None:
-            raise ConfigError("gaussian noise model requires the variance bound D")
-        if self.variance_bound is not None and not 0 <= self.variance_bound < math.inf:
-            raise ConfigError("variance bound D must be finite and nonnegative")
-
-
 class TrialStreams:
     """The trial streams of one run: a Philox keyed once from SeedSequence(seed).
 
@@ -154,6 +150,8 @@ class TrialStreams:
     __slots__ = ("seed", "_generator", "_state")
 
     def __init__(self, seed: int):
+        if not _is_number(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"trial streams need an integer seed >= 0, got {seed!r}")
         self.seed = int(seed)
         self._generator = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
         # a freshly keyed state: counter 0, no buffered output, no spare 32-bit half
@@ -180,34 +178,37 @@ def substream(seed: int, iteration: int, draw_index: int,
     return streams.at(iteration, draw_index)
 
 
-def minibatch_gradient(oracle: StochasticGradientOracle, x: np.ndarray, m: int,
+def minibatch_gradient(objective: CompositeObjective, x: np.ndarray, m: int,
                        rng: np.random.Generator, counter: EvalCounter | None = None,
-                       exact_grad: np.ndarray | None = None) -> np.ndarray:
-    """Mean of m independent draws; stochastic counter += m.
+                       exact_grad: np.ndarray | None = None,
+                       D: float | None = None) -> np.ndarray:
+    """Mean of m independent draws from the objective's noise model;
+    stochastic counter += m.
 
-    Under the gaussian model the mean of m iid N(0, (D/n) I) draws is
-    N(0, (D/(n m)) I), so the batch mean is drawn directly from that law in O(n)
-    whatever m is.  Under finite_sum m component indices are drawn and the picked
-    components are averaged.  Either way m = 1 reproduces a single draw
-    bit-for-bit, and the counter charges m oracle calls.  The gaussian and none
-    models centre the draw on exact_grad when the caller already holds grad f(x).
+    Under the gaussian model, with D the variance bound (a finite D >= 0,
+    required), the mean of m iid N(0, (D/n) I) draws is N(0, (D/(n m)) I), so
+    the batch mean is drawn directly from that law in O(n) whatever m is.
+    Under finite_sum m component indices are drawn and the picked components
+    are averaged.  Either way m = 1 reproduces a single draw bit-for-bit, and
+    the counter charges m oracle calls.  The gaussian and none models centre
+    the draw on exact_grad when the caller already holds grad f(x).
     """
     if m < 1:
         raise ConfigError("mini-batch size must be >= 1")
-    kind = oracle.noise_model.kind
-    if exact_grad is None and kind != "finite_sum":
-        exact_grad = np.asarray(oracle.base.smooth_grad(x), dtype=float)
-    if kind == "gaussian":
-        d_var = oracle.variance_bound
-        if d_var == 0.0:
+    noise = objective.noise_model
+    if exact_grad is None and noise.kind != "finite_sum":
+        exact_grad = np.asarray(objective.smooth_grad(x), dtype=float)
+    if noise.kind == "gaussian":
+        if D is None or not 0.0 <= D < math.inf:
+            raise ConfigError(f"a gaussian draw needs a finite variance bound D >= 0, got {D!r}")
+        if D == 0.0:
             batch_mean = exact_grad
         else:
             # per-coordinate variance D/n per draw, so E||noise||_2^2 = D for one draw
-            batch_mean = exact_grad + rng.standard_normal(x.size) * np.sqrt(d_var / (x.size * m))
-    elif kind == "finite_sum":
-        idx = rng.integers(len(oracle.noise_model.components), size=m)
-        draws = np.stack([np.asarray(oracle.noise_model.components[int(i)](x), dtype=float)
-                          for i in idx])
+            batch_mean = exact_grad + rng.standard_normal(x.size) * np.sqrt(D / (x.size * m))
+    elif noise.kind == "finite_sum":
+        idx = rng.integers(len(noise.components), size=m)
+        draws = np.stack([np.asarray(noise.components[int(i)](x), dtype=float) for i in idx])
         # the mean sums from +0.0, which would flip a lone -0.0, so m = 1 returns its draw as is
         batch_mean = draws[0] if m == 1 else draws.mean(axis=0)
     else:
@@ -239,6 +240,6 @@ def finite_difference_gradient(obj: CompositeObjective, x: np.ndarray, step: flo
 
 __all__ = [
     "EvalCounter", "QuadraticForm", "LinearImage", "CompositeObjective", "value", "grad",
-    "NoiseModel", "StochasticGradientOracle", "TrialStreams", "substream",
+    "NoiseModel", "TrialStreams", "substream",
     "minibatch_gradient", "finite_difference_gradient",
 ]

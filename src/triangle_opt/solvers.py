@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
                      TriangleOptError)
-from .oracles import (CompositeObjective, EvalCounter, LinearImage, StochasticGradientOracle,
-                      TrialStreams, _checked_grad, _checked_value, grad, minibatch_gradient,
+from .oracles import (CompositeObjective, EvalCounter, LinearImage, TrialStreams,
+                      _checked_grad, _checked_value, _is_number, grad, minibatch_gradient,
                       substream)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
@@ -67,7 +67,7 @@ class Policy(NamedTuple):
     """What sets one mode apart inside the shared trial step."""
 
     checks: bool          # back-track on the descent check (else accept L_known)
-    stochastic: bool      # mini-batch gradients, from a StochasticGradientOracle
+    stochastic: bool      # mini-batch gradients: the objective's noise_model, variance D
     needs_epsilon: bool   # eps is required, not an option
     slack: float          # c: per-trial slack c*eps*alpha/A_{k+1} when eps is given
     target: float         # certified_gap stops at the bound <= target*eps
@@ -84,11 +84,6 @@ A_OVERFLOW_LIMIT = 1e300
 COUNT_LIMIT = 2**63 - 1  # the int64 range of the trace's count columns
 _BLOCK_ROWS = 256  # rows whose evidence the observer computes at once
 _BLOCK_CELLS = 1 << 14  # at most this many floats in each of a block's point buffers
-
-
-def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
-    """A number of the given kinds that is not a bool; numpy numbers count."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -114,6 +109,10 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One run's settings, checked when the config is built: a bad value is
+    a ConfigError naming its field.  D is the variance bound of sumst's
+    gradient draws; it sizes the mini-batches and scales the gaussian noise."""
+
     mode: str
     L_known: float | None = None
     L0: float = 1.0
@@ -124,7 +123,7 @@ class SolverConfig:
     max_backtracks_per_iter: int = 60
     stopping: StoppingRule = field(default_factory=StoppingRule)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         policy = POLICIES.get(self.mode) if isinstance(self.mode, str) else None
         if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
@@ -252,12 +251,6 @@ def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: f
     return max(1, math.ceil(2.0 * D * A_next / (L_trial * alpha * epsilon)))
 
 
-def _base_objective(objective) -> CompositeObjective:
-    if isinstance(objective, StochasticGradientOracle):
-        return objective.base
-    return objective
-
-
 def _identity_image(obj: CompositeObjective) -> LinearImage:
     """f as psi(z) with z = x: psi and psi' are the objective's value and
     gradient oracles as they are now, and there is no Bregman form."""
@@ -304,7 +297,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
     [u; z(u)] and [x; z(x)] (``_triangle``), with A [x; z(x)] formed once."""
     policy = POLICIES[config.mode]
     stochastic = policy.stochastic
-    h = _base_objective(objective).h
+    h = objective.h
     image = state.image
     form = image.quadratic
     counters = state.counters
@@ -345,7 +338,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
                 raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
                                           f"past 2**63 - 1 at k={state.k + 1}")
             stream = substream(state.streams.seed, state.k + 1, j, state.streams)
-            g = minibatch_gradient(objective, y, m, stream, counters, g_exact)
+            g = minibatch_gradient(objective, y, m, stream, counters, g_exact, config.D)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, mu_tilde, setup)
         u = composite_prox_solve(setup, phi, h)
         slack = c_eps if A == 0.0 else c_eps * alpha / a_next
@@ -395,19 +388,14 @@ def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> S
     phi_0 = d, whose first trial gives alpha_0 = A_0 = 1/L with L the known
     constant (exact mode) or L0, doubled until the check passes.  The run's
     mu~ is config.mu / setup.omega_tilde: omega_tilde belongs to the geometry.
-    In sumst it keys the run's Philox from rng (default 0), which must be an
-    integer >= 0."""
-    config.validate()
+    In sumst, which needs the objective's noise_model, it keys the run's
+    Philox from rng (default 0), which must be an integer >= 0."""
     streams = None
     if POLICIES[config.mode].stochastic:
-        if not isinstance(objective, StochasticGradientOracle):
-            raise ConfigError(f"{config.mode} needs a StochasticGradientOracle")
-        seed = 0 if rng is None else rng
-        if not _is_number(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"{config.mode} needs an integer seed >= 0, got {rng!r}")
-        streams = TrialStreams(seed)
-    obj = _base_objective(objective)
-    image = obj.linear if obj.linear is not None else _identity_image(obj)
+        if objective.noise_model is None:
+            raise ConfigError(f"{config.mode} needs an objective with a noise_model")
+        streams = TrialStreams(0 if rng is None else rng)
+    image = objective.linear if objective.linear is not None else _identity_image(objective)
     center = setup.center
     uz = _cached(image, center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
@@ -426,15 +414,14 @@ def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: flo
     model and raises UnsupportedGeometry (via the prox dispatch)."""
     if L <= 0:
         raise ConfigError("gradient mapping needs L > 0")
-    obj = _base_objective(objective)
     if setup.geometry != "euclidean":
         from .errors import UnsupportedGeometry
         raise UnsupportedGeometry("gradient mapping residual is defined for the euclidean geometry")
-    g = grad(obj, x, counter)
+    g = grad(objective, x, counter)
     # (L/2)||z-x||^2 = L*d(z) + L*<y0-x, z> + const with d(z) = 1/2||z-y0||^2
     model = EstimateFunction(d_scale=L, linear=g + L * (setup.center - x),
                              h_scale=1.0, constant=0.0)
-    z = composite_prox_solve(setup, model, obj.h)
+    z = composite_prox_solve(setup, model, objective.h)
     return setup.norm(x - z)
 
 
@@ -470,9 +457,8 @@ class _Evidence:
 
     def __init__(self, objective, setup: ProxSetup, config: SolverConfig, trace: Trace,
                  n: int):
-        obj = _base_objective(objective)
-        self.h = obj.h
-        self.optimum = obj.known_optimum
+        self.h = objective.h
+        self.optimum = objective.known_optimum
         self.setup = setup
         self.trace = trace
         self.slack_factor = config.slack_factor

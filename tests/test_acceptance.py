@@ -12,12 +12,13 @@ prox equivalence, and the degeneracy chain between the backtracking modes.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from brute_prox import grid_refine_prox, projected_gradient_prox
 from triangle_opt import (EstimateFunction, NoiseModel, SimpleTerm,
-                          SolverConfig, StochasticGradientOracle, StoppingRule,
+                          SolverConfig, StoppingRule,
                           alpha_next, box, bregman_divergence, check_bounds,
                           composite_prox_solve, entropy_setup, euclidean_ball,
                           euclidean_setup, holder_majorant_L, make_problem,
@@ -196,9 +197,7 @@ def test_criterion_07_stochastic_mode_mean_gap_and_call_budget():
     problem = make_problem("quadratic", dimension=20, seed=0)
     x_star, f_star = problem.objective.known_optimum
     r_sq = bregman_divergence(problem.setup, x_star, problem.setup.center)
-    oracle = StochasticGradientOracle(base=problem.objective,
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=1.0)
+    oracle = replace(problem.objective, noise_model=NoiseModel(kind="gaussian"))
     eps = 1e-2
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=eps, D=1.0,
                           max_iters=5000,
@@ -385,9 +384,7 @@ def test_criterion_12_mode_degeneracy_chain():
         extra = {}
         objective = problem.objective
         if mode == "sumst_stochastic_universal":
-            objective = StochasticGradientOracle(base=problem.objective,
-                                                 noise_model=NoiseModel(kind="none"),
-                                                 variance_bound=0.0)
+            objective = replace(problem.objective, noise_model=NoiseModel(kind="none"))
             extra["D"] = 0.0
         config = SolverConfig(mode=mode, epsilon=eps, max_iters=iters, **extra)
         return run(objective, problem.setup, config, rng=7)

@@ -11,9 +11,9 @@ import pytest
 
 from triangle_opt import (THEOREM_IDS, CoefficientOverflow, ConfigError,
                           MissingColumn, NoiseModel, ParseError, ProblemSpec, SolverConfig,
-                          StochasticGradientOracle, StoppingRule, Trace, ValidationError,
-                          check_bounds, emit_trace, init_phase, load_experiment, load_trace,
-                          make_problem, run, run_experiment)
+                          StoppingRule, Trace, ValidationError, check_bounds, emit_trace,
+                          init_phase, load_experiment, load_trace, make_problem, run,
+                          run_experiment)
 from triangle_opt import harness
 from triangle_opt.harness import _seed_output_path
 
@@ -103,7 +103,7 @@ def test_load_experiment_rejects_missing_sections():
         _load(solver={"L": 1.0})
 
 
-def test_load_experiment_sumst_requires_variance_bound():
+def test_load_experiment_sumst_requires_D():
     with pytest.raises(ValidationError, match='requires "D"'):
         _load(solver={"mode": "sumst_stochastic_universal", "L0": 1.0}, epsilon=1e-2)
 
@@ -315,9 +315,7 @@ def test_run_experiment_runs_the_seeds_in_order_one_at_a_time(monkeypatch):
     results = run_experiment(exp)
     assert [r.seed for r in results] == [2, 0, 1]
     assert most == [1, 1, 1]
-    oracle = StochasticGradientOracle(base=exp.problem.objective,
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=0.5)
+    oracle = dataclasses.replace(exp.problem.objective, noise_model=NoiseModel(kind="gaussian"))
     for res in results:
         alone = run(oracle, exp.problem.setup, exp.config, rng=res.seed)
         assert res.error is None
@@ -579,6 +577,17 @@ def test_every_parameter_a_theorem_reads_is_required_and_range_checked(theorem_i
         for bad in (-1.0, math.nan, math.inf, True, "ab"):
             with pytest.raises(ConfigError, match=f"'{name}'"):
                 check_bounds(trace, theorem_id, {**good, name: bad})
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_a_key_the_theorem_does_not_read_is_refused_not_dropped(theorem_id):
+    # no theorem reads "omega": t2_t3 given it for "omega_tilde" was graded at 1.0
+    theorem = harness._THEOREMS[theorem_id]
+    good = {name: _accepted(name, param) for name, param in theorem.params.items()}
+    reads = ", ".join([*theorem.params, "tol"])
+    with pytest.raises(ConfigError, match=f"does not read 'omega'; it reads {reads}$"):
+        check_bounds(Trace(), theorem_id, {**good, "omega": 4.0})
+    assert harness._gather_params(theorem, Trace(), {**good, "tol": 0.0})["tol"] == 0.0
 
 
 def test_check_bounds_rows_show_the_constraint_that_sets_their_margin():

@@ -1,6 +1,7 @@
 """Unit tests for regularization, distance-halving restarts, and the
 quadratic-majorant constant for Holder-continuous gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from triangle_opt import (
     CompositeObjective,
     ConfigError,
+    NoiseModel,
     SimpleTerm,
     SolverConfig,
     UnsupportedGeometry,
@@ -66,6 +68,9 @@ def test_regularize_mu_value_and_center_gradient():
         problem.objective.smoothness_meta["mu"] + mu_reg)
     assert reg.smoothness_meta["L"] == pytest.approx(
         problem.objective.smoothness_meta["L"] + mu_reg)
+    # a noise model describes the base gradient, so the regularized objective has none
+    noisy = dataclasses.replace(problem.objective, noise_model=NoiseModel(kind="gaussian"))
+    assert regularize(noisy, problem.setup, epsilon=0.1, R_sq=1.0)[0].noise_model is None
 
 
 def test_regularize_validation():

@@ -2,6 +2,7 @@
 stochastic draws, mini-batching, and the finite-difference validation gradient."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from triangle_opt import (
     EvalCounter,
     NoiseModel,
     SimpleTerm,
-    StochasticGradientOracle,
     TrialStreams,
     finite_difference_gradient,
     grad,
@@ -86,14 +86,11 @@ def test_noise_model_validation():
         NoiseModel(kind="poisson")
     with pytest.raises(ConfigError):
         NoiseModel(kind="finite_sum", components=())
-    with pytest.raises(ConfigError):
-        StochasticGradientOracle(base=quadratic_objective(),
-                                 noise_model=NoiseModel(kind="gaussian"))
-    with pytest.raises(ConfigError):
-        StochasticGradientOracle(base=quadratic_objective(), variance_bound=-1.0)
-    for bound in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="finite"):
-            StochasticGradientOracle(base=quadratic_objective(), variance_bound=bound)
+    # D is the solver's: a gaussian draw without a finite D >= 0 is refused
+    noisy = replace(quadratic_objective(), noise_model=NoiseModel(kind="gaussian"))
+    for bound in (None, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite variance bound D >= 0"):
+            minibatch_gradient(noisy, np.zeros(2), 1, substream(0, 0, 0), D=bound)
 
 
 def test_substream_reproducible_and_keyed():
@@ -118,6 +115,17 @@ def test_substream_is_philox_keyed_from_the_seed_at_counter_0_0_j_k():
                                   np.random.Generator(keyed).standard_normal(4))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(2.0)])
+def test_trial_streams_take_only_an_integer_seed_of_at_least_0(seed):
+    # SeedSequence's own ValueError for -1, and 1.5, True or "3" truncated to a seed
+    with pytest.raises(ConfigError, match="integer seed >= 0"):
+        TrialStreams(seed)
+    with pytest.raises(ConfigError, match="integer seed >= 0"):
+        substream(seed, 0, 0)
+    np.testing.assert_array_equal(substream(np.int64(3), 5, 2).standard_normal(4),
+                                  substream(3, 5, 2).standard_normal(4))
+
+
 def test_a_repositioned_run_stream_gives_the_fresh_substream_bits():
     streams = TrialStreams(5)
     # out of order, with 32-bit draws that leave a spare half buffered
@@ -135,26 +143,25 @@ def test_a_repositioned_run_stream_gives_the_fresh_substream_bits():
 def test_single_draw_degenerate_oracles_are_exact():
     obj = quadratic_objective()
     x = np.array([1.0, -2.0, 0.5])
-    none_oracle = StochasticGradientOracle(base=obj)
-    zero_var = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                        variance_bound=0.0)
+    none_oracle = replace(obj, noise_model=NoiseModel())
+    zero_var = replace(obj, noise_model=NoiseModel(kind="gaussian"))
     counter = EvalCounter()
     for oracle in (none_oracle, zero_var):
-        np.testing.assert_array_equal(minibatch_gradient(oracle, x, 1, substream(0, 0, 0), counter), x)
+        np.testing.assert_array_equal(
+            minibatch_gradient(oracle, x, 1, substream(0, 0, 0), counter, D=0.0), x)
     assert counter.stochastic_grad_calls == 2
 
 
 def test_gaussian_noise_norm_squared_matches_D():
     obj = quadratic_objective()
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=4.0)
+    oracle = replace(obj, noise_model=NoiseModel(kind="gaussian"))
     x = np.zeros(2)
     rng = substream(7, 0, 0)
     n_draws = 100000
     total = 0.0
     mean = np.zeros(2)
     for _ in range(n_draws):
-        noise = minibatch_gradient(oracle, x, 1, rng) - x
+        noise = minibatch_gradient(oracle, x, 1, rng, D=4.0) - x
         total += float(np.dot(noise, noise))
         mean += noise
     assert 3.8 <= total / n_draws <= 4.2
@@ -164,30 +171,29 @@ def test_gaussian_noise_norm_squared_matches_D():
 
 def test_minibatch_m1_equals_single_draw():
     obj = quadratic_objective()
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=2.0)
+    oracle = replace(obj, noise_model=NoiseModel(kind="gaussian"))
     x = np.array([0.3, -0.7, 1.1])
     single = obj.smooth_grad(x) + substream(5, 1, 0).standard_normal(x.size) * np.sqrt(2.0 / x.size)
-    batched = minibatch_gradient(oracle, x, 1, substream(5, 1, 0))
+    batched = minibatch_gradient(oracle, x, 1, substream(5, 1, 0), D=2.0)
     assert batched.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "none"])
 def test_minibatch_centred_on_a_given_exact_gradient_draws_the_same_bits(kind):
     obj = quadratic_objective()
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind=kind),
-                                      variance_bound=2.0)
+    oracle = replace(obj, noise_model=NoiseModel(kind=kind))
     x = np.array([0.3, -0.7, 1.1])
     counter = EvalCounter()
     given = minibatch_gradient(oracle, x, 5, substream(2, 3, 1), counter,
-                               exact_grad=obj.smooth_grad(x))
-    np.testing.assert_array_equal(given, minibatch_gradient(oracle, x, 5, substream(2, 3, 1)))
+                               exact_grad=obj.smooth_grad(x), D=2.0)
+    np.testing.assert_array_equal(given, minibatch_gradient(oracle, x, 5, substream(2, 3, 1),
+                                                            D=2.0))
     assert counter.stochastic_grad_calls == 5 and counter.grad_calls == 0
 
 
 def test_minibatch_noiseless_and_counter():
     obj = quadratic_objective()
-    oracle = StochasticGradientOracle(base=obj)
+    oracle = replace(obj, noise_model=NoiseModel())
     x = np.array([2.0, -1.0])
     counter = EvalCounter()
     out = minibatch_gradient(oracle, x, 7, substream(0, 0, 0), counter)
@@ -200,14 +206,13 @@ def test_minibatch_noiseless_and_counter():
 def test_minibatch_variance_reduction():
     obj = quadratic_objective()
     d_var = 3.0
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=d_var)
+    oracle = replace(obj, noise_model=NoiseModel(kind="gaussian"))
     x = np.zeros(4)
     m = 100
     reps = 1000
     total = 0.0
     for r in range(reps):
-        mean_grad = minibatch_gradient(oracle, x, m, substream(11, r, 0))
+        mean_grad = minibatch_gradient(oracle, x, m, substream(11, r, 0), D=d_var)
         total += float(np.dot(mean_grad, mean_grad))
     empirical = total / reps
     assert 0.8 * d_var / m <= empirical <= 1.2 * d_var / m
@@ -221,9 +226,7 @@ def test_finite_sum_components_average_to_gradient():
     obj = CompositeObjective(smooth_value=lambda x: 0.5 * float(x @ mean_mat @ x),
                              smooth_grad=lambda x: mean_mat @ x)
     components = tuple((lambda x, m=m: m @ x) for m in mats)
-    oracle = StochasticGradientOracle(base=obj,
-                                      noise_model=NoiseModel(kind="finite_sum",
-                                                             components=components))
+    oracle = replace(obj, noise_model=NoiseModel(kind="finite_sum", components=components))
     x = rng.standard_normal(3)
     avg = sum(c(x) for c in components) / len(components)
     np.testing.assert_allclose(avg, grad(obj, x), atol=1e-10)
@@ -232,12 +235,10 @@ def test_finite_sum_components_average_to_gradient():
 
 
 def test_gaussian_minibatch_costs_o_n_whatever_m():
-    oracle = StochasticGradientOracle(base=quadratic_objective(),
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=1.0)
+    oracle = replace(quadratic_objective(), noise_model=NoiseModel(kind="gaussian"))
     x = np.array([1.0, -2.0, 0.5])
     counter = EvalCounter()
-    out = minibatch_gradient(oracle, x, 10**12, substream(0, 0, 0), counter)
+    out = minibatch_gradient(oracle, x, 10**12, substream(0, 0, 0), counter, D=1.0)
     assert out.shape == x.shape
     assert counter.stochastic_grad_calls == 10**12
 
@@ -246,11 +247,9 @@ def finite_sum_oracle():
     rng = np.random.default_rng(4)
     vecs = [rng.standard_normal(3) for _ in range(5)]
     vecs[0][1] = -0.0  # a signed zero that a bit-for-bit comparison must keep
-    oracle = StochasticGradientOracle(
-        base=quadratic_objective(),
-        noise_model=NoiseModel(kind="finite_sum",
-                               components=tuple((lambda x, v=v: v * np.asarray(x, dtype=float))
-                                                for v in vecs)))
+    components = tuple((lambda x, v=v: v * np.asarray(x, dtype=float)) for v in vecs)
+    oracle = replace(quadratic_objective(),
+                     noise_model=NoiseModel(kind="finite_sum", components=components))
     return oracle, vecs
 
 
@@ -294,9 +293,8 @@ class ManyComponents:
 def test_finite_sum_single_draw_cost_does_not_grow_with_n():
     # A pass over all N components (or an N-long count array) could not run at N = 10**12.
     components = ManyComponents(10**12)
-    oracle = StochasticGradientOracle(base=quadratic_objective(),
-                                      noise_model=NoiseModel(kind="finite_sum",
-                                                             components=components))
+    oracle = replace(quadratic_objective(),
+                     noise_model=NoiseModel(kind="finite_sum", components=components))
     x = np.array([1.0, -2.0, 0.5])
     out = minibatch_gradient(oracle, x, 1, substream(3, 0, 0))
     np.testing.assert_array_equal(out, 2.0 * x)

@@ -8,6 +8,7 @@ Skipped when hypothesis is missing."""
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from triangle_opt import (CSV_COLUMNS, NoiseModel, SolverConfig,  # noqa: E402
-                          StochasticGradientOracle, Trace, emit_trace, load_trace,
-                          make_problem, run)
+from triangle_opt import (CSV_COLUMNS, NoiseModel, SolverConfig, Trace,  # noqa: E402
+                          emit_trace, load_trace, make_problem, run)
 
 INT_COLUMNS = ("k", "j", "m", "cum_f", "cum_grad", "cum_stoch")
 
@@ -44,9 +44,7 @@ def _solve(kind, dimension, seed, mode, octaves):
     else:
         config = SolverConfig(mode="sumst_stochastic_universal", L0=L0, epsilon=1e-2,
                               D=0.1, max_iters=40)
-        objective = StochasticGradientOracle(base=objective,
-                                             noise_model=NoiseModel(kind="gaussian"),
-                                             variance_bound=0.1)
+        objective = replace(objective, noise_model=NoiseModel(kind="gaussian"))
     return problem, run(objective, problem.setup, config, rng=seed)
 
 

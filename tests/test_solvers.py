@@ -20,7 +20,6 @@ from triangle_opt import (
     NoiseModel,
     SimpleTerm,
     SolverConfig,
-    StochasticGradientOracle,
     StoppingRule,
     TriangleOptError,
     UnsupportedGeometry,
@@ -162,22 +161,22 @@ def test_batch_size_examples():
 
 def test_solver_config_validation():
     with pytest.raises(ConfigError):
-        SolverConfig(mode="nesterov").validate()
+        SolverConfig(mode="nesterov")
     with pytest.raises(ConfigError):
-        SolverConfig(mode="mst_exact_L").validate()
+        SolverConfig(mode="mst_exact_L")
     with pytest.raises(ConfigError):
-        SolverConfig(mode="umst_universal").validate()
+        SolverConfig(mode="umst_universal")
     with pytest.raises(ConfigError):
-        SolverConfig(mode="sumst_stochastic_universal", epsilon=0.1).validate()
+        SolverConfig(mode="sumst_stochastic_universal", epsilon=0.1)
     with pytest.raises(ConfigError):
-        SolverConfig(mode="amst_adaptive", L0=-1.0).validate()
+        SolverConfig(mode="amst_adaptive", L0=-1.0)
     with pytest.raises(ConfigError):
-        SolverConfig(mode="amst_adaptive", mu=-0.1).validate()
+        SolverConfig(mode="amst_adaptive", mu=-0.1)
     with pytest.raises(ConfigError):
-        SolverConfig(mode="amst_adaptive", max_iters=0).validate()
+        SolverConfig(mode="amst_adaptive", max_iters=0)
     with pytest.raises(ConfigError):
         SolverConfig(mode="amst_adaptive",
-                     stopping=StoppingRule(kind="certified_gap", r_sq=1.0)).validate()
+                     stopping=StoppingRule(kind="certified_gap", r_sq=1.0))
     with pytest.raises(ConfigError):
         StoppingRule(kind="whenever")
     with pytest.raises(ConfigError):
@@ -211,7 +210,7 @@ def test_solver_config_validation():
 def test_validate_checks_the_type_of_every_field(field, value, message):
     config = SolverConfig(mode="amst_adaptive", L_known=1.0, epsilon=0.1, D=1.0, max_iters=3)
     with pytest.raises(ConfigError, match=f"^{message}"):
-        dataclasses.replace(config, **{field: value}).validate()
+        dataclasses.replace(config, **{field: value})
 
 
 @pytest.mark.parametrize("threshold, r_sq", [("small", None), (None, math.nan), (True, None)])
@@ -223,7 +222,7 @@ def test_stopping_rule_checks_its_numbers(threshold, r_sq):
 def test_validate_takes_numpy_numbers():
     SolverConfig(mode="umst_universal", L0=np.float32(2.0), mu=np.float64(0.0),
                  epsilon=np.float64(0.1), max_iters=np.int64(5),
-                 max_backtracks_per_iter=np.int32(3)).validate()
+                 max_backtracks_per_iter=np.int32(3))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -236,13 +235,11 @@ def test_validate_takes_numpy_numbers():
     ("D", -1.0, "D must be nonnegative"),
 ])
 def test_run_rejects_a_non_finite_or_negative_config_field(field, value, message):
-    oracle = StochasticGradientOracle(base=quadratic_objective(),
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=1.0)
+    oracle = dataclasses.replace(quadratic_objective(), noise_model=NoiseModel(kind="gaussian"))
     config = SolverConfig(mode="sumst_stochastic_universal", L0=1.0, epsilon=0.1, D=1.0,
                           max_iters=3)
-    config = dataclasses.replace(config, **{field: value})
     with pytest.raises(ConfigError, match=f"^{message}"):
+        config = dataclasses.replace(config, **{field: value})
         run(oracle, euclidean_setup(center=np.zeros(2)), config, rng=0)
 
 
@@ -286,8 +283,7 @@ def test_init_phase_sumst_noiseless_matches_umst():
     setup = euclidean_setup(center=np.full(4, 2.0))
     umst_cfg = SolverConfig(mode="umst_universal", epsilon=1e-3)
     sumst_cfg = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-3, D=0.0)
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=0.0)
+    oracle = dataclasses.replace(obj, noise_model=NoiseModel(kind="gaussian"))
     s_u = init_phase(obj, setup, umst_cfg, rng=3)
     s_s = init_phase(oracle, setup, sumst_cfg, rng=3)
     np.testing.assert_array_equal(s_u.x, s_s.x)
@@ -298,7 +294,7 @@ def test_init_phase_sumst_requires_oracle():
     obj = quadratic_objective()
     setup = euclidean_setup(center=np.zeros(2))
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=0.1, D=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs an objective with a noise_model"):
         init_phase(obj, setup, config)
 
 
@@ -411,8 +407,7 @@ def test_certificate_margin_nonnegative_all_modes():
     problem = make_problem("quadratic", dimension=6, seed=1)
     obj = problem.objective
     setup = problem.setup
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=0.5)
+    oracle = dataclasses.replace(obj, noise_model=NoiseModel(kind="gaussian"))
     runs = [
         (obj, SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=50)),
         (obj, SolverConfig(mode="amst_adaptive", L0=0.1, max_iters=50)),
@@ -495,8 +490,7 @@ def test_stochastic_count_past_int64_raises_with_an_int64_trace():
     # noiseless sumst on the Holder kind reaches gap 0, then L_trial halves
     # every iteration and the batch size doubles, past 2**63 - 1 draws at k = 57
     problem = make_problem("holder_norm_power")
-    oracle = StochasticGradientOracle(base=problem.objective,
-                                      noise_model=NoiseModel(kind="none"), variance_bound=0.1)
+    oracle = dataclasses.replace(problem.objective, noise_model=NoiseModel(kind="none"))
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
                           max_iters=300)
     with pytest.raises(CoefficientOverflow, match="2\\*\\*63") as caught:
@@ -544,9 +538,7 @@ def test_adaptive_backtracking_stays_near_true_L():
 
 def test_sumst_determinism_and_seed_sensitivity():
     problem = make_problem("quadratic", dimension=6, seed=12)
-    oracle = StochasticGradientOracle(base=problem.objective,
-                                      noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=1.0)
+    oracle = dataclasses.replace(problem.objective, noise_model=NoiseModel(kind="gaussian"))
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0,
                           max_iters=15)
     rep_a = run(oracle, problem.setup, config, rng=21)
@@ -569,7 +561,7 @@ def _noisy_quadratic(kind):
         noise = NoiseModel(kind="finite_sum",
                            components=tuple((lambda x, v=v: obj.smooth_grad(x) + v)
                                             for v in shifts))
-    return problem, StochasticGradientOracle(base=obj, noise_model=noise, variance_bound=1.0)
+    return problem, dataclasses.replace(obj, noise_model=noise)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "finite_sum"])
@@ -578,8 +570,8 @@ def test_each_sumst_trial_draws_the_substream_of_its_k_and_j(monkeypatch, kind):
     drawn = []
     real = solvers.minibatch_gradient
 
-    def recording(oracle, x, m, rng, counter=None, exact_grad=None):
-        out = real(oracle, x, m, rng, counter, exact_grad)
+    def recording(oracle, x, m, rng, counter=None, exact_grad=None, D=None):
+        out = real(oracle, x, m, rng, counter, exact_grad, D)
         drawn.append((x.copy(), m, exact_grad, out))
         return out
 
@@ -591,7 +583,7 @@ def test_each_sumst_trial_draws_the_substream_of_its_k_and_j(monkeypatch, kind):
               for j in range(last + 1)]
     assert len(trials) == len(drawn) and max(j for _, j in trials) >= 1
     for (k, j), (x, m, exact_grad, out) in zip(trials, drawn):
-        again = real(oracle, x, m, substream(4, k, j), None, exact_grad)
+        again = real(oracle, x, m, substream(4, k, j), None, exact_grad, D=1.0)
         assert again.tobytes() == out.tobytes(), (k, j)
 
 
@@ -677,8 +669,7 @@ def test_observer_reuses_the_methods_f_values():
         return base.smooth_value(x)
 
     obj = dataclasses.replace(base, smooth_value=counted_value, linear=None)
-    oracle = StochasticGradientOracle(base=obj, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=0.1)
+    oracle = dataclasses.replace(obj, noise_model=NoiseModel(kind="gaussian"))
     runs = [
         (obj, SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=20), True),
         (obj, SolverConfig(mode="amst_adaptive", L0=0.1, max_iters=20), False),
@@ -786,9 +777,7 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
                               0)
         objective = _counting_image(problem.objective, tally)
         if config.mode == "sumst_stochastic_universal":
-            objective = StochasticGradientOracle(base=objective,
-                                                 noise_model=NoiseModel(kind="gaussian"),
-                                                 variance_bound=config.D)
+            objective = dataclasses.replace(objective, noise_model=NoiseModel(kind="gaussian"))
         report = run(objective, problem.setup, config, rng=2)
         trials = report.trace.column("j").astype(int) + 1
         if kind == "logistic":
@@ -858,8 +847,7 @@ def test_noiseless_sumst_equals_umst_bit_for_bit_on_the_cached_path(kind):
     umst = run(problem.objective, problem.setup,
                SolverConfig(mode="umst_universal", epsilon=1e-6, max_iters=200), rng=5)
     for noise in (NoiseModel(kind="none"), NoiseModel(kind="gaussian")):
-        oracle = StochasticGradientOracle(base=problem.objective, noise_model=noise,
-                                          variance_bound=0.0)
+        oracle = dataclasses.replace(problem.objective, noise_model=noise)
         sumst = run(oracle, problem.setup,
                     SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-6 / 3.0,
                                  D=0.0, max_iters=200), rng=5)
@@ -907,9 +895,7 @@ def test_uncached_path_evaluates_f_and_grad_at_y0_once_across_the_k0_trials(kind
         stochastic = config.mode == "sumst_stochastic_universal"
         solved = objective
         if stochastic:
-            solved = StochasticGradientOracle(base=objective,
-                                              noise_model=NoiseModel(kind="gaussian"),
-                                              variance_bound=config.D)
+            solved = dataclasses.replace(objective, noise_model=NoiseModel(kind="gaussian"))
         trace = run(solved, problem.setup, config, rng=2).trace
         trials = trace.column("j").astype(int) + 1
         assert trials[0] > 1, config.mode
@@ -948,8 +934,7 @@ def test_finite_sum_sumst_on_the_identity_image_never_forms_the_exact_gradient()
     noise = NoiseModel(kind="finite_sum",
                        components=(lambda x: base.smooth_grad(x) + shift,
                                    lambda x: base.smooth_grad(x) - shift))
-    oracle = StochasticGradientOracle(base=dataclasses.replace(base, smooth_grad=counted_grad),
-                                      noise_model=noise, variance_bound=1.0)
+    oracle = dataclasses.replace(base, smooth_grad=counted_grad, noise_model=noise)
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=1.0, max_iters=30)
     report = run(oracle, problem.setup, config, rng=0)
     assert len(report.trace) == 30 and report.total_stoch_calls > 0
@@ -990,8 +975,7 @@ def _row_by_row(state, objective, setup, config):
     """One trace row as the observer computed it, one row at a time, with the
     point formulas of prox_geometry written out: the reference for the block
     computation, which must give every cell the same bits."""
-    obj = objective.base if isinstance(objective, StochasticGradientOracle) else objective
-    h, counters, phi = obj.h, state.counters, state.phi
+    h, counters, phi = objective.h, state.counters, state.phi
 
     def h_value(x):
         return h.lam * float(np.abs(x).sum()) if h.kind == "l1" else 0.0
@@ -1021,8 +1005,8 @@ def _row_by_row(state, objective, setup, config):
     row["cert_margin"] = phi_at_u + slack_abs - state.A * f_x
     row["gap"] = row["gap_y"] = math.nan
     row["dist_u_sq"] = row["dist_x_sq"] = row["dist_y_sq"] = math.nan
-    if obj.known_optimum is not None:
-        x_star, f_star = obj.known_optimum
+    if objective.known_optimum is not None:
+        x_star, f_star = objective.known_optimum
         row["gap"] = f_x - f_star
         row["gap_y"] = state.f_y + h_value(state.y) - f_star
         if x_star is not None:
@@ -1088,8 +1072,7 @@ def test_block_evidence_of_sumst_and_of_optima_without_x_star():
         objective = dataclasses.replace(problem.objective, known_optimum=optimum)
         _assert_block_evidence_matches(objective, problem.setup, config, min_blocks=2)
     quad = make_problem("quadratic", dimension=10, seed=3)
-    oracle = StochasticGradientOracle(base=quad.objective, noise_model=NoiseModel(kind="gaussian"),
-                                      variance_bound=0.1)
+    oracle = dataclasses.replace(quad.objective, noise_model=NoiseModel(kind="gaussian"))
     config = SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1, max_iters=300)
     _assert_block_evidence_matches(oracle, quad.setup, config, rng=4)
 
