@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 
-from .errors import ConfigError, TriangleOptError, ValidationError
+from .errors import ConfigError, TriangleOptError, ValidationError, _checked
 from .harness import _THEOREMS, THEOREM_IDS, check_bounds, load_experiment, run_experiment
 from .traces import load_trace
 from .zoo import DESCRIPTIONS, ZOO_KINDS
@@ -75,9 +75,8 @@ def _cmd_solve(args) -> int:
         return 1
     experiment = load_experiment(text)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError(f'"--seed" must be an integer >= 0, got {args.seed}')
-        experiment.seeds = [args.seed]
+        experiment.seeds = [_checked('"--seed"', args.seed, 0, integer=True,
+                                     error=ValidationError)]
     if args.out is not None:
         experiment.output = args.out
     results = run_experiment(experiment)

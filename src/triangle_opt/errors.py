@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule every public
+entry point checks its scalar arguments by."""
+
+import math
+
+import numpy as np
 
 
 class TriangleOptError(Exception):
@@ -41,6 +46,35 @@ class CoefficientOverflow(TriangleOptError):
 
 class IoError(TriangleOptError):
     """A trace file could not be read or written."""
+
+
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _checked(name: str, value, minimum=None, above: bool = False, integer: bool = False,
+             maximum=None, error: type = ConfigError):
+    """value, if it keeps the number rule; else an ``error`` naming it as ``name``.
+
+    The rule: a number (an int or numpy integer when ``integer`` is set; numpy
+    numbers count), not a bool, finite, >= minimum (> minimum when ``above``
+    is set) where given, and <= maximum where given (with a minimum)."""
+    if integer:
+        if (isinstance(value, _INTEGERS) and value.__class__ is not bool
+                and (minimum is None or value >= minimum)):
+            return value
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{at_least}, got {value!r}")
+    if not isinstance(value, _NUMBERS) or value.__class__ is bool:  # bool has no subclasses
+        raise error(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    if ((minimum is not None and (value <= minimum if above else value < minimum))
+            or (maximum is not None and value > maximum)):
+        bound = (f"be {'>' if above else '>='} {minimum}" if maximum is None
+                 else f"lie in {'(' if above else '['}{minimum}, {maximum}]")
+        raise error(f"{name} must {bound}, got {value!r}")
+    return value
 
 
 __all__ = ["TriangleOptError", "DomainError", "UnsupportedGeometry", "ConfigError", "ParseError",

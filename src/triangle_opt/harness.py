@@ -19,8 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingColumn, ParseError, ValidationError
-from .oracles import NoiseModel, _is_number
+from .errors import (ConfigError, DomainError, MissingColumn, ParseError, ValidationError,
+                     _checked)
+from .oracles import NoiseModel
 from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
 from .traces import Trace, emit_trace
 from .zoo import ZooProblem, make_problem
@@ -88,22 +89,11 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
-# JSON types, checked under the key's name; the values' ranges are their owners' checks
-def _number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f'"{name}" must be a number, got {value!r}')
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f'"{name}" must be an integer, got {value!r}')
-    return value
-
-
-def _setting(name: str, field_name: str, value):
-    """A JSON value for a SolverConfig field, as its annotation (a string) names."""
-    return (_integer if _FIELD_TYPES[field_name] == "int" else _number)(name, value)
+def _number(name: str, value, integer: bool = False):
+    """A JSON number, checked under its key's name: an integer one as it is,
+    any other as a float.  The ranges are the checks of the values' owners."""
+    value = _checked(f'"{name}"', value, integer=integer, error=ValidationError)
+    return value if integer else float(value)
 
 
 def load_experiment(config_text: str) -> Experiment:
@@ -152,7 +142,7 @@ def load_experiment(config_text: str) -> Experiment:
     if not isinstance(solver_cfg, dict) or "mode" not in solver_cfg:
         raise ValidationError('"solver" must be an object with a "mode"')
     _require_keys(solver_cfg, {"mode", "stopping", *_SOLVER_FIELDS}, "solver")
-    settings = {field: _setting(f"solver.{key}", field, solver_cfg[key])
+    settings = {field: _number(f"solver.{key}", solver_cfg[key], _FIELD_TYPES[field] == "int")
                 for key, field in _SOLVER_FIELDS.items() if solver_cfg.get(key) is not None}
     if raw.get("epsilon") is not None:
         settings["epsilon"] = _number("epsilon", raw["epsilon"])
@@ -165,17 +155,16 @@ def load_experiment(config_text: str) -> Experiment:
             for key, value in stopping_cfg.items() if value is not None}
 
     seeds = raw["seeds"]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+    if not isinstance(seeds, list) or not seeds:
         raise ValidationError('"seeds" must be a nonempty list of integers')
+    for seed in seeds:
+        _checked('"seeds"', seed, integer=True, error=ValidationError)
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         # each seed writes its own trace file, so a repeat would race on it
         raise ValidationError(f'"seeds" lists seed {repeated} more than once')
-    negative = next((s for s in seeds if s < 0), None)
-    if negative is not None:
-        # sumst keys its stream from the seed, which SeedSequence needs >= 0
-        raise ValidationError(f'"seeds" must be integers >= 0, got {negative}')
+    # sumst keys its stream from the seed, which SeedSequence needs >= 0
+    _checked('"seeds"', min(seeds), 0, integer=True, error=ValidationError)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a path string')
@@ -252,13 +241,7 @@ def _finite_columns(trace: Trace | None, *names: str) -> list:
 
 
 def _checked_param(name: str, value, positive: bool = False) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"bound check parameter {name!r} must be a real number, got {value!r}")
-    value = float(value)
-    if not (math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
-        raise ConfigError(f"bound check parameter {name!r} must be finite and "
-                          f"{'>' if positive else '>='} 0, got {value!r}")
-    return value
+    return float(_checked(f"bound check parameter {name!r}", value, 0, above=positive))
 
 
 _positive = functools.partial(_checked_param, positive=True)
@@ -439,7 +422,7 @@ def check_bounds(trace: Trace | None, theorem_id: str, params: dict | None = Non
     t5_halving gap at restart k <= mu*y0_dist_sq/2^(k+1) + tol params: mu, y0_dist_sq (or meta)
 
     A parameter, or tol, comes from params, else trace.meta where marked, else
-    its default; each is a finite real, not a bool, > 0 for L, D, epsilon and
+    its default; each keeps the number rule, > 0 for L, D, epsilon and
     omega_tilde and >= 0 for the others, and points has two distinct epsilons.
     A missing or bad one, or a key the theorem does not read, raises
     ConfigError naming it.  Rows show the binding constraint; margin =

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _checked
 from .oracles import CompositeObjective
 from .prox_geometry import ProxSetup, bregman_divergence, recenter
 from .solvers import RunReport, SolverConfig, run
@@ -22,9 +22,9 @@ from .traces import Trace
 
 def inner_iterations(L: float, mu: float, omega: float) -> int:
     """ceil(sqrt(8*L*omega/mu)), always >= 1."""
-    if not (0 < L < math.inf and 0 < mu < math.inf and 1.0 <= omega < math.inf):
-        raise ConfigError("inner iteration count needs finite L > 0, mu > 0, omega >= 1, "
-                          f"got L={L!r}, mu={mu!r}, omega={omega!r}")
+    _checked("L", L, 0, above=True)
+    _checked("mu", mu, 0, above=True)
+    _checked("omega", omega, 1)
     root = math.sqrt(8.0 * L * omega / mu)
     if root == math.inf:
         raise ConfigError("inner iteration count overflows: 8 L omega / mu is inf")
@@ -42,11 +42,11 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     gradient is mu*(x - y0), vanishing at the center).  It has no noise model,
     since the objective's noise model describes draws of the base gradient.
     """
-    if R_sq is None:
-        raise ConfigError("regularize needs R_sq, an upper bound on V(x*, y0)")
-    if epsilon <= 0 or R_sq <= 0:
-        raise ConfigError("regularize needs epsilon > 0 and R_sq > 0")
+    _checked("epsilon", epsilon, 0, above=True)
+    _checked("R_sq", R_sq, 0, above=True)
     mu_reg = epsilon / (2.0 * R_sq)
+    if mu_reg == math.inf:
+        raise ConfigError("regularize overflows: epsilon / (2 R_sq) is inf")
     base_value = objective.smooth_value
     base_grad = objective.smooth_grad
     center = setup.center
@@ -88,8 +88,7 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     euclidean operation.
     """
     n_bar = inner_iterations(L, mu, omega)
-    if K < 0:
-        raise ConfigError("K must be >= 0")
+    _checked("K", K, 0, integer=True)
     setup = recenter(setup, setup.center)  # raises UnsupportedGeometry when re-centering is undefined
     if objective.h.kind not in ("zero", "l1"):
         raise ConfigError(f"restarts support h in {{zero, l1}}, got {objective.h.kind!r}")
@@ -145,14 +144,10 @@ def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:
     + (L/2)*||x-y||^2 + delta with this L.  Nonincreasing in delta; at nu = 1
     the exponent vanishes and L = L_1 regardless of delta.
     """
-    if not 0 < L_nu < math.inf:
-        raise ConfigError(f"holder_majorant_L needs finite L_nu > 0, got {L_nu!r}")
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError("nu must lie in [0, 1]")
-    if nu == 1.0:
+    _checked("L_nu", L_nu, 0, above=True)
+    if _checked("nu", nu, 0, maximum=1) == 1.0:
         return L_nu
-    if not 0 < delta < math.inf:
-        raise ConfigError(f"delta must be positive and finite when nu < 1, got {delta!r}")
+    _checked("delta", delta, 0, above=True)  # read only when nu < 1
     exponent = (1.0 - nu) / (1.0 + nu)
     majorant = L_nu * (L_nu / (2.0 * delta) * (1.0 - nu) / (1.0 + nu)) ** exponent
     if majorant == math.inf:

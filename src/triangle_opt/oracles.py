@@ -9,13 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _checked
 from .prox_geometry import _FLOAT64, SimpleTerm
-
-
-def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
-    """A number of the given kinds that is not a bool; numpy numbers count."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -67,8 +62,10 @@ class LinearImage:
 @dataclass(frozen=True)
 class NoiseModel:
     """Stochastic gradient model: "none", "gaussian" (a draw's variance D is
-    the solver's, ``SolverConfig.D``), or "finite_sum" (components is a list of
-    per-component gradient callables averaging to grad f)."""
+    the solver's, ``SolverConfig.D``), or "finite_sum" (components is a
+    nonempty sequence of per-component gradient callables averaging to grad f:
+    a list or tuple, or an object with len and indexing that makes them on
+    demand)."""
 
     kind: str = "none"
     components: tuple = ()
@@ -76,8 +73,17 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "finite_sum"):
             raise ConfigError(f"unknown noise model {self.kind!r}")
-        if self.kind == "finite_sum" and len(self.components) == 0:
-            raise ConfigError("finite_sum noise model needs at least one component")
+        if self.kind != "finite_sum":
+            return
+        components = self.components
+        if isinstance(components, (list, tuple)):
+            sequence = all(map(callable, components))
+        else:  # one that makes its callables on demand is taken on its len and indexing
+            sequence = (not isinstance(components, (str, bytes))
+                        and hasattr(components, "__len__") and hasattr(components, "__getitem__"))
+        if not sequence or len(components) == 0:
+            raise ConfigError("finite_sum noise model needs components, a nonempty sequence "
+                              f"of callables, got {components!r}")
 
 
 @dataclass
@@ -150,9 +156,7 @@ class TrialStreams:
     __slots__ = ("seed", "_generator", "_state")
 
     def __init__(self, seed: int):
-        if not _is_number(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"trial streams need an integer seed >= 0, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = int(_checked("seed", seed, 0, integer=True))
         self._generator = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
         # a freshly keyed state: counter 0, no buffered output, no spare 32-bit half
         self._state = self._generator.bit_generator.state
@@ -193,15 +197,12 @@ def minibatch_gradient(objective: CompositeObjective, x: np.ndarray, m: int,
     the counter charges m oracle calls.  The gaussian and none models centre
     the draw on exact_grad when the caller already holds grad f(x).
     """
-    if m < 1:
-        raise ConfigError("mini-batch size must be >= 1")
+    _checked("m", m, 1, integer=True)
     noise = objective.noise_model
     if exact_grad is None and noise.kind != "finite_sum":
         exact_grad = np.asarray(objective.smooth_grad(x), dtype=float)
     if noise.kind == "gaussian":
-        if D is None or not 0.0 <= D < math.inf:
-            raise ConfigError(f"a gaussian draw needs a finite variance bound D >= 0, got {D!r}")
-        if D == 0.0:
+        if _checked("D", D, 0) == 0.0:
             batch_mean = exact_grad
         else:
             # per-coordinate variance D/n per draw, so E||noise||_2^2 = D for one draw
@@ -223,8 +224,7 @@ def finite_difference_gradient(obj: CompositeObjective, x: np.ndarray, step: flo
 
     The points x +- step*e_i are written into one probe copy of x in turn,
     which saves two array operations per coordinate at construction time."""
-    if step <= 0:
-        raise ConfigError("finite-difference step must be positive")
+    _checked("step", step, 0, above=True)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     probe = x.copy()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedGeometry
+from .errors import DomainError, UnsupportedGeometry, _checked
 
 _LOG_FLOOR = 1e-300  # clamp before logs on the simplex
 _FLOAT64 = np.dtype(np.float64)
@@ -50,9 +50,22 @@ def free_space() -> FeasibleSet:
     return FeasibleSet(kind="free_space")
 
 
+def _vector(name: str, value, finite: bool = True) -> np.ndarray:
+    """value as a 1-D float array, of finite numbers unless ``finite`` is
+    False; else a DomainError naming it."""
+    try:
+        vector = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.ndim != 1 or (finite and not np.isfinite(vector).all()):
+        raise DomainError(f"{name} must be a {'finite ' if finite else ''}1-D vector of numbers, "
+                          f"got {value!r}")
+    return vector
+
+
 def box(lower, upper) -> FeasibleSet:
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower = _vector("lower", lower, finite=False)
+    upper = _vector("upper", upper, finite=False)
     # NaN fails lower <= upper; infinite bounds stay allowed unless the box is empty
     if lower.shape != upper.shape or not np.all(lower <= upper):
         raise DomainError("box bounds must satisfy lower <= upper componentwise, with no NaN")
@@ -66,12 +79,9 @@ def simplex() -> FeasibleSet:
 
 
 def euclidean_ball(center, radius: float) -> FeasibleSet:
-    if not 0 < radius < math.inf:
-        raise DomainError(f"ball radius must be positive and finite, got {radius!r}")
-    center = np.asarray(center, dtype=float)
-    if center.ndim != 1 or not np.all(np.isfinite(center)):
-        raise DomainError(f"ball center must be a finite 1-D vector, got {center.tolist()!r}")
-    return FeasibleSet(kind="euclidean_ball", ball_center=center, radius=float(radius))
+    radius = float(_checked("radius", radius, 0, above=True, error=DomainError))
+    return FeasibleSet(kind="euclidean_ball", ball_center=_vector("ball center", center),
+                       radius=radius)
 
 
 @dataclass(frozen=True)
@@ -79,11 +89,11 @@ class ProxSetup:
     """A prox geometry: the primal norm, center y0, prox-function d, and
     feasible set Q.
 
-    d is 1-strongly convex in the primal norm with d(center) = 0; omega_tilde
-    >= 1 is the user-supplied constant comparing V to the squared norm (1 by
-    default), and a run's strong convexity constant is
-    mu~ = mu/omega_tilde.  The norm follows from the geometry: ||.||_2 for
-    euclidean, ||.||_1 for entropy.
+    The center is a finite 1-D vector, and d is 1-strongly convex in the
+    primal norm with d(center) = 0; omega_tilde >= 1 is the user-supplied
+    constant comparing V to the squared norm (1 by default), and a run's
+    strong convexity constant is mu~ = mu/omega_tilde.  The norm follows from
+    the geometry: ||.||_2 for euclidean, ||.||_1 for entropy.
     """
 
     geometry: str  # "euclidean" or "entropy"
@@ -94,10 +104,9 @@ class ProxSetup:
     def __post_init__(self):
         if self.geometry not in ("euclidean", "entropy"):
             raise DomainError(f"unknown geometry {self.geometry!r}; known: euclidean, entropy")
-        if not math.isfinite(self.omega_tilde):
-            raise DomainError(f"omega_tilde must be finite, got {self.omega_tilde!r}")
-        if self.omega_tilde < 1.0:
-            raise DomainError("omega_tilde must be >= 1")
+        object.__setattr__(self, "center", _vector("center", self.center))
+        object.__setattr__(self, "omega_tilde",
+                           float(_checked("omega_tilde", self.omega_tilde, 1, error=DomainError)))
 
     def norm(self, v: np.ndarray):
         """||v|| in the primal norm of a point, as a float; of a block of points
@@ -146,15 +155,14 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 def euclidean_setup(center, feasible_set: FeasibleSet | None = None,
                     omega_tilde: float = 1.0) -> ProxSetup:
     fs = feasible_set if feasible_set is not None else free_space()
-    return ProxSetup(geometry="euclidean", center=np.asarray(center, dtype=float),
-                     feasible_set=fs, omega_tilde=float(omega_tilde))
+    return ProxSetup(geometry="euclidean", center=center, feasible_set=fs,
+                     omega_tilde=omega_tilde)
 
 
 def entropy_setup(dimension: int, omega_tilde: float = 1.0) -> ProxSetup:
-    if dimension < 2:
-        raise DomainError("entropy setup needs dimension >= 2")
+    _checked("dimension", dimension, 2, integer=True, error=DomainError)
     return ProxSetup(geometry="entropy", center=np.full(dimension, 1.0 / dimension),
-                     feasible_set=simplex(), omega_tilde=float(omega_tilde))
+                     feasible_set=simplex(), omega_tilde=omega_tilde)
 
 
 def bregman_divergence(setup: ProxSetup, x: np.ndarray, z: np.ndarray) -> float:
@@ -175,8 +183,8 @@ class SimpleTerm:
     def __post_init__(self):
         if self.kind not in ("zero", "l1", "indicator"):
             raise DomainError(f"unknown composite term kind {self.kind!r}")
-        if self.kind == "l1" and not 0 <= self.lam < math.inf:
-            raise DomainError(f"l1 weight must be nonnegative and finite, got {self.lam!r}")
+        if self.kind == "l1":
+            _checked("lam", self.lam, 0, error=DomainError)
 
     def value(self, x: np.ndarray):
         """h(x) of a point, or of each row of a block (see ProxSetup.norm)."""
@@ -279,10 +287,10 @@ def recenter(setup: ProxSetup, new_center) -> ProxSetup:
     """Same geometry and feasible set with the prox-function centered at new_center."""
     if setup.geometry != "euclidean":
         raise UnsupportedGeometry("only the euclidean prox-function can be re-centered")
-    new_center = np.asarray(new_center, dtype=float)
-    if new_center.shape != setup.center.shape:
+    moved = replace(setup, center=new_center)  # checks the center
+    if moved.center.shape != setup.center.shape:
         raise DomainError("new center has wrong shape")
-    return replace(setup, center=new_center)
+    return moved
 
 
 __all__ = [

@@ -54,10 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
-                     TriangleOptError)
+                     TriangleOptError, _checked)
 from .oracles import (CompositeObjective, EvalCounter, LinearImage, TrialStreams,
-                      _checked_grad, _checked_value, _is_number, grad, minibatch_gradient,
-                      substream)
+                      _checked_grad, _checked_value, grad, minibatch_gradient, substream)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -97,14 +96,12 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("iterations_only", "gradient_mapping", "certified_gap"):
             raise ConfigError(f"unknown stopping rule {self.kind!r}")
-        for name in ("threshold", "r_sq"):
+        for name, kind in (("threshold", "gradient_mapping"), ("r_sq", "certified_gap")):
             value = getattr(self, name)
-            if value is not None and not (_is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.kind == "gradient_mapping" and (self.threshold is None or self.threshold <= 0):
-            raise ConfigError("gradient_mapping stopping needs a positive threshold")
-        if self.kind == "certified_gap" and (self.r_sq is None or self.r_sq <= 0):
-            raise ConfigError("certified_gap stopping needs a positive r_sq bound")
+            if value is None and self.kind == kind:
+                raise ConfigError(f"{kind} stopping needs a positive {name}")
+            if value is not None:  # > 0 where the rule reads it
+                _checked(name, value, 0 if self.kind == kind else None, above=True)
 
 
 @dataclass(frozen=True)
@@ -127,34 +124,21 @@ class SolverConfig:
         policy = POLICIES.get(self.mode) if isinstance(self.mode, str) else None
         if policy is None:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        for name in ("L_known", "L0", "mu", "epsilon", "D"):
+        # L0 and mu always hold a number; the others may be None where the mode does without
+        needs = {"L_known": not policy.checks, "epsilon": policy.needs_epsilon,
+                 "D": policy.stochastic}
+        for name, above in (("L_known", True), ("L0", True), ("mu", False), ("epsilon", True),
+                            ("D", False)):
             value = getattr(self, name)
-            if value is None and name not in ("L0", "mu"):
-                continue  # unset: the mode's checks below say whether it needs one
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if value is None and name in needs:
+                if needs[name]:
+                    raise ConfigError(f'{self.mode} requires "{name}"')
+                continue
+            _checked(name, value, 0, above=above)
         for name in ("max_iters", "max_backtracks_per_iter"):
-            value = getattr(self, name)
-            if not _is_number(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            _checked(name, getattr(self, name), 1, integer=True)
         if not isinstance(self.stopping, StoppingRule):
             raise ConfigError(f"stopping must be a StoppingRule, got {self.stopping!r}")
-        if not policy.checks and (self.L_known is None or self.L_known <= 0):
-            raise ConfigError(f"{self.mode} requires a positive L_known")
-        if policy.needs_epsilon and (self.epsilon is None or self.epsilon <= 0):
-            raise ConfigError(f"{self.mode} requires a positive epsilon")
-        if policy.stochastic and self.D is None:
-            raise ConfigError(f'{self.mode} requires "D", the variance bound')
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive when given")
-        if self.D is not None and self.D < 0:
-            raise ConfigError("D must be nonnegative")
-        if self.L0 <= 0:
-            raise ConfigError("L0 must be positive")
-        if self.mu < 0:
-            raise ConfigError("mu must be nonnegative")
         if self.stopping.kind == "certified_gap" and self.epsilon is None:
             raise ConfigError("certified_gap stopping needs config.epsilon as its target")
 
@@ -244,9 +228,8 @@ def fold_estimate(phi: EstimateFunction, alpha: float, y: np.ndarray, g: np.ndar
 
 def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: float) -> int:
     """ceil(2*D*A_{k+1} / (L_trial * alpha_{k+1} * eps)), clamped to >= 1."""
-    if D is None or epsilon is None:
-        raise ConfigError("batch size needs both D and epsilon")
-    if D == 0.0:
+    _checked("epsilon", epsilon, 0, above=True)
+    if _checked("D", D, 0) == 0.0:
         return 1
     return max(1, math.ceil(2.0 * D * A_next / (L_trial * alpha * epsilon)))
 
@@ -412,8 +395,7 @@ def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: flo
 
     Defined for the euclidean geometry; the entropy setup has no norm-squared
     model and raises UnsupportedGeometry (via the prox dispatch)."""
-    if L <= 0:
-        raise ConfigError("gradient mapping needs L > 0")
+    _checked("L", L, 0, above=True)
     if setup.geometry != "euclidean":
         from .errors import UnsupportedGeometry
         raise UnsupportedGeometry("gradient mapping residual is defined for the euclidean geometry")

@@ -117,7 +117,7 @@ def test_load_experiment_validates_seeds_and_iters():
         _load(seeds=[0, True])
     with pytest.raises(ValidationError):
         _load(seeds=[0, 1.5])
-    with pytest.raises(ValidationError, match='"seeds" must be integers >= 0, got -1'):
+    with pytest.raises(ValidationError, match='"seeds" must be an integer >= 0, got -1'):
         _load(seeds=[0, -1])
     with pytest.raises(ValidationError):
         _load(max_iters=0)
@@ -198,10 +198,10 @@ def test_load_experiment_maps_each_solver_key_onto_its_field():
     ({"kind": "whenever"}, "unknown stopping rule 'whenever'"),
     ({"kind": []}, "unknown stopping rule \\[\\]"),
     ({"kind": "gradient_mapping"}, "gradient_mapping stopping needs a positive threshold"),
-    ({"kind": "gradient_mapping", "threshold": 0}, "gradient_mapping stopping needs a positive"),
-    ({"kind": "certified_gap"}, "certified_gap stopping needs a positive r_sq bound"),
-    ({"kind": "gradient_mapping", "threshold": math.nan}, "threshold must be a finite number"),
-    ({"kind": "certified_gap", "r_sq": math.inf}, "r_sq must be a finite number"),
+    ({"kind": "gradient_mapping", "threshold": 0}, "threshold must be > 0, got 0.0"),
+    ({"kind": "certified_gap"}, "certified_gap stopping needs a positive r_sq"),
+    ({"kind": "gradient_mapping", "threshold": math.nan}, '"stopping.threshold" must be finite'),
+    ({"kind": "certified_gap", "r_sq": math.inf}, '"stopping.r_sq" must be finite'),
 ])
 def test_load_experiment_bad_stopping_rules_are_validation_errors(stopping, message):
     with pytest.raises(ValidationError, match=f"^{message}"):

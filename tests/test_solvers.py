@@ -215,7 +215,7 @@ def test_validate_checks_the_type_of_every_field(field, value, message):
 
 @pytest.mark.parametrize("threshold, r_sq", [("small", None), (None, math.nan), (True, None)])
 def test_stopping_rule_checks_its_numbers(threshold, r_sq):
-    with pytest.raises(ConfigError, match="must be a finite number"):
+    with pytest.raises(ConfigError, match="must be (a number|finite)"):
         StoppingRule(kind="iterations_only", threshold=threshold, r_sq=r_sq)
 
 
@@ -232,7 +232,7 @@ def test_validate_takes_numpy_numbers():
     ("epsilon", math.nan, "epsilon must be finite"),
     ("D", math.nan, "D must be finite"),
     ("D", math.inf, "D must be finite"),
-    ("D", -1.0, "D must be nonnegative"),
+    ("D", -1.0, "D must be >= 0"),
 ])
 def test_run_rejects_a_non_finite_or_negative_config_field(field, value, message):
     oracle = dataclasses.replace(quadratic_objective(), noise_model=NoiseModel(kind="gaussian"))
@@ -627,7 +627,7 @@ def test_init_phase_sumst_rejects_a_bad_seed_before_any_draw(monkeypatch, rng):
         raise AssertionError("drew before the seed was checked")
 
     monkeypatch.setattr(solvers, "minibatch_gradient", no_draw)
-    with pytest.raises(ConfigError, match="integer seed >= 0"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         init_phase(oracle, problem.setup, config, rng=rng)
 
 

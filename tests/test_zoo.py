@@ -10,7 +10,8 @@ import pytest
 from triangle_opt import (DESCRIPTIONS, ZOO_KINDS, CompositeObjective,
                           ConfigError, DomainError, ProblemSpec, SimpleTerm,
                           grad, gradient_mapping_residual, make_problem, value)
-from triangle_opt.zoo import _KINDS, _fd_consistency_check, _image_consistency_check
+from triangle_opt.zoo import (_KINDS, _fd_consistency_check, _image_consistency_check,
+                              _imaged_objective, _normal_probes)
 
 _DEFAULTS = {"quadratic": 50, "lasso": 12, "holder_norm_power": 5,
              "logistic": 8, "simplex_linear": 6}
@@ -51,7 +52,7 @@ def test_make_problem_checks_dimension_and_seed_before_building(kind, key, bad):
     ("holder_norm_power", "p", -math.inf),
 ])
 def test_make_problem_checks_option_types_before_building(kind, name, bad):
-    with pytest.raises(ConfigError, match=f"^{kind} option {name} must be a "):
+    with pytest.raises(ConfigError, match=f"^{kind} option {name} must be (a |finite)"):
         make_problem(kind, **{name: bad})
 
 
@@ -294,6 +295,37 @@ def test_image_guard_catches_an_inconsistent_image(field, replacement):
     with pytest.raises(DomainError):
         _image_consistency_check(obj, points)
 
+
+
+def _corrupted(image, part):
+    """The image with one part off by 1%, or its quadratic form's value off by 1."""
+    form = image.quadratic
+    if part == "hessian":
+        return dataclasses.replace(image, quadratic=dataclasses.replace(
+            form, hessian=lambda v: 1.01 * form.hessian(v)))
+    if part == "value":
+        return dataclasses.replace(image, quadratic=dataclasses.replace(
+            form, value=form.value + 1.0))
+    original = getattr(image, part)
+    return dataclasses.replace(image, **{part: lambda *args: 1.01 * original(*args)})
+
+
+@pytest.mark.parametrize("kind", ("quadratic", "lasso"))
+@pytest.mark.parametrize("part", ("psi_grad", "adjoint", "psi_bregman", "hessian", "value"))
+def test_make_problems_guards_catch_a_corrupted_image(kind, part):
+    # the oracles are built from the corrupted image, as make_problem builds
+    # them, so only the two guards it runs can tell
+    problem = make_problem(kind, dimension=6, seed=3)
+    points = _normal_probes(6, 3)
+
+    def guards(image):
+        objective = _imaged_objective(image, h=problem.objective.h)
+        _fd_consistency_check(objective, points)
+        _image_consistency_check(objective, points)
+
+    guards(problem.objective.linear)
+    with pytest.raises(DomainError):
+        guards(_corrupted(problem.objective.linear, part))
 
 def test_make_problem_is_deterministic():
     a = make_problem("lasso", seed=5)
