@@ -4,7 +4,7 @@ emitted trace against a named guarantee; ``zoo list`` and ``zoo describe
 KIND`` enumerate the benchmark problems.  ``triangle-opt COMMAND --help``
 lists a command's flags, and ``check --help`` the parameters each theorem
 reads.  Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any
-error.
+error, a usage error included.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 
-from .errors import ConfigError, TriangleOptError, ValidationError, _checked
+from .errors import ConfigError, ParseError, TriangleOptError, ValidationError, _checked
 from .harness import _THEOREMS, THEOREM_IDS, check_bounds, load_experiment, run_experiment
 from .traces import load_trace
 from .zoo import DESCRIPTIONS, ZOO_KINDS
@@ -73,6 +73,8 @@ def _cmd_solve(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {args.config} is not UTF-8 text: {exc}") from exc
     experiment = load_experiment(text)
     if args.seed is not None:
         experiment.seeds = [_checked('"--seed"', args.seed, 0, integer=True,
@@ -143,7 +145,10 @@ def _cmd_zoo(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 is a failed bound
+        raise SystemExit(1 if exc.code else 0) from None
     try:
         if args.command == "solve":
             return _cmd_solve(args)

@@ -73,12 +73,10 @@ class BoundCheck:
 
 
 def _reject_duplicates(pairs):
-    seen = set()
     out = {}
     for key, val in pairs:
-        if key in seen:
+        if key in out:
             raise ParseError(f"duplicate key {key!r} in configuration")
-        seen.add(key)
         out[key] = val
     return out
 

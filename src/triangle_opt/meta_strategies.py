@@ -52,17 +52,11 @@ def regularize(objective: CompositeObjective, setup: ProxSetup, epsilon: float,
     center = setup.center
     grad_d_center = setup.d_grad(center)
 
-    def added_value(x):
-        return mu_reg * bregman_divergence(setup, x, center)
-
-    def added_grad(x):
-        return mu_reg * (setup.d_grad(x) - grad_d_center)
-
     def reg_value(x):
-        return float(base_value(x)) + added_value(x)
+        return float(base_value(x)) + mu_reg * bregman_divergence(setup, x, center)
 
     def reg_grad(x):
-        return np.asarray(base_grad(x), dtype=float) + added_grad(x)
+        return np.asarray(base_grad(x), dtype=float) + mu_reg * (setup.d_grad(x) - grad_d_center)
 
     meta = dict(objective.smoothness_meta or {})
     if "L" in meta:

@@ -95,9 +95,9 @@ class CompositeObjective:
     carries whatever constants are known: keys among "L", "mu", "L_nu", "nu".
     linear, when present, describes the same f as psi(z(x)); the solvers then
     run on cached images and call neither smooth_value nor smooth_grad.
-    Without it they run on the identity image z = x, psi = f.  noise_model is
-    how the stochastic mode draws gradients, which it needs; the other modes
-    ignore it.
+    Without it they call those oracles as they are when the run starts.
+    noise_model is how the stochastic mode draws gradients, which it needs;
+    the other modes ignore it.
     """
 
     smooth_value: callable

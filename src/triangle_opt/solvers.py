@@ -25,38 +25,31 @@ The per-iterate certificate A_k F(x^k) <= phi_k(u^k) + A_k * c * eps (with the
 mode's accumulated slack factor c) is recorded in the trace and drives the
 certified-gap stopping rule and the reported gap bound R^2/A_N + c*eps.
 
-Every run sees f as psi(z(x)) with z affine: the objective's own
-``LinearImage``, or, when it has none, the identity image z = x, psi = f,
-psi' = grad f, which ``init_phase`` builds once per run.  The state keeps z(u)
-(one forward product per trial) and z(x) (a combination of images), so z(y)
-costs no product and f(y), grad f(y) cost one adjoint product.  When the image
-has a ``psi_bregman``, the descent check takes its Bregman form
-D_psi(z(y), z(x) - z(y)) <= L/2 ||x - y||^2 + slack, which is free of the
-cancellation in f(y) + <g, x - y> - f(x); a trial whose u does not move passes
-it only at an L_trial no smaller than the last accepted one.  Without one (the
-identity image among others) the check is that difference, f(y) + <g, x - y> +
-L/2 ||x - y||^2 + slack >= f(x).
-
-When the image also carries a ``QuadraticForm`` (f(x) = value + 1/2 <x - c,
-H(x - c)>), grad f is affine and the state keeps grad f(u) and grad f(x) in
-place of the images.  grad f(y) is then the combination that forms y, f(v) =
-value + 1/2 <v - c, grad f(v)> at any cached point, and a trial makes one
-product, H(u' - c).  The Bregman term of the check is 1/2 r^2 <du, d grad f>
-with x' - y = r du.
+``init_phase`` picks once, from the objective, how a run keeps each point v
+and reads f off it (``_cache_rule``): beside v it keeps grad f(v) under a
+``QuadraticForm`` and z(v) under a ``LinearImage`` (one product per trial
+each), and nothing otherwise.  y and x' are combinations of kept points, so
+f(y) and grad f(y) need no product beyond an adjoint.  With a closed-form
+Bregman term (the form's, or the image's ``psi_bregman``) the descent check
+is f(x') - f(y) - <g, x' - y> <= L/2 ||x' - y||^2 + slack, free of the
+cancellation in f(y) + <g, x' - y> - f(x'); a trial whose u does not move
+passes it only at an L_trial no smaller than the last accepted one.  Without
+one the check is that difference of f values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (BacktrackLimitExceeded, CoefficientOverflow, ConfigError,
-                     TriangleOptError, _checked)
-from .oracles import (CompositeObjective, EvalCounter, LinearImage, TrialStreams,
-                      _checked_grad, _checked_value, grad, minibatch_gradient, substream)
+                     TriangleOptError, UnsupportedGeometry, _checked)
+from .oracles import (EvalCounter, TrialStreams, _checked_grad, _checked_value, grad,
+                      minibatch_gradient, substream)
 from .prox_geometry import (EstimateFunction, ProxSetup, composite_prox_solve,
                             estimate_value, initial_estimate)
 from .traces import Trace
@@ -148,6 +141,21 @@ class SolverConfig:
         return POLICIES[self.mode].slack if self.epsilon is not None else 0.0
 
 
+class RunRecord(NamedTuple):
+    """What a run fixes once, in ``init_phase``: the mode's policy row, mu~,
+    the oracle counts, sumst's keyed Philox (else None), and the cache rule,
+    the four callables of ``_cache_rule``."""
+
+    policy: Policy
+    mu_tilde: float
+    counters: EvalCounter
+    streams: TrialStreams | None
+    cached: Callable          # v -> v as kept: [v; part(v)], or v alone
+    value: Callable           # kept point -> f
+    grad: Callable            # kept point -> grad f, uncounted and unchecked
+    bregman: Callable | None  # (kept y, kept u' - u, r) -> the Bregman term; None: none
+
+
 @dataclass
 class SolverState:
     k: int
@@ -160,20 +168,14 @@ class SolverState:
     L_trial: float
     j: int
     m: int
-    mu_tilde: float
-    counters: EvalCounter
-    # the run's image of f: the objective's LinearImage, or the identity image
-    image: LinearImage
-    # [u; z(u)] and [x; z(x)] stacked, so that one combination forms a point
-    # and its image together; under a QuadraticForm, [u; grad f(u)] and
-    # [x; grad f(x)] instead
+    # u and x as the run's cache rule keeps them, so that one combination
+    # forms a point and its kept part together
     uz: np.ndarray
     xz: np.ndarray
+    run: RunRecord
     # f at x and y as the method computed them, or None where it computed none
     f_x: float | None = None
     f_y: float | None = None
-    # in sumst, the run's one keyed Philox, re-positioned for each trial
-    streams: TrialStreams | None = None
 
 
 @dataclass
@@ -198,7 +200,7 @@ def alpha_next(L: float, A_k: float, mu_tilde: float) -> tuple[float, float]:
     b = 1.0 + A_k * mu_tilde
     alpha = b * (1.0 + math.sqrt(1.0 + 4.0 * L * A_k / b)) / (2.0 * L)
     a_next = A_k + alpha
-    if not (math.isfinite(alpha) and math.isfinite(a_next)):
+    if not math.isfinite(a_next):  # A_k + alpha: not finite if either is not
         raise CoefficientOverflow("coefficient recursion left double range")
     # identity check in overflow-safe ratio form: (A_next/alpha)*(b/alpha) == L
     drift = (a_next / alpha) * (b / alpha) - L
@@ -229,16 +231,40 @@ def fold_estimate(phi: EstimateFunction, alpha: float, y: np.ndarray, g: np.ndar
 def batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: float) -> int:
     """ceil(2*D*A_{k+1} / (L_trial * alpha_{k+1} * eps)), clamped to >= 1."""
     _checked("epsilon", epsilon, 0, above=True)
-    if _checked("D", D, 0) == 0.0:
+    return _batch_size(_checked("D", D, 0), A_next, alpha, L_trial, epsilon)
+
+
+def _batch_size(D: float, A_next: float, alpha: float, L_trial: float, epsilon: float) -> int:
+    """batch_size for a D and eps already checked (by SolverConfig in a run)."""
+    if D == 0.0:
         return 1
     return max(1, math.ceil(2.0 * D * A_next / (L_trial * alpha * epsilon)))
 
 
-def _identity_image(obj: CompositeObjective) -> LinearImage:
-    """f as psi(z) with z = x: psi and psi' are the objective's value and
-    gradient oracles as they are now, and there is no Bregman form."""
-    return LinearImage(forward=lambda v: v, adjoint=lambda w: np.asarray(w, dtype=float),
-                       psi=obj.smooth_value, psi_grad=obj.smooth_grad)
+def _cache_rule(objective, n: int) -> tuple:
+    """(cached, value, grad, bregman) for a run on objective, in dimension n.
+
+    Beside v, cached(v) keeps grad f(v) = H(v - c) under a QuadraticForm and
+    z(v) under a LinearImage: one product each.  Otherwise it keeps nothing,
+    and f is read through the objective's oracles as they are now.  With
+    x' - y = r du and dw the difference of the kept parts of u' and u,
+    bregman is f(x') - f(y) - <grad f(y), x' - y>: 1/2 r^2 <du, dw> under the
+    form, psi_bregman(z(y), r dz) under an image that has one, else None."""
+    image = objective.linear
+    if image is None:
+        value, smooth_grad = objective.smooth_value, objective.smooth_grad
+        return (lambda v: v), value, (lambda v: np.asarray(smooth_grad(v), dtype=float)), None
+    form = image.quadratic
+    if form is not None:
+        return ((lambda v: np.concatenate((v, form.hessian(v - form.center)))),
+                (lambda vw: form.value + 0.5 * float((vw[:n] - form.center).dot(vw[n:]))),
+                operator.itemgetter(slice(n, None)),  # grad f(v), kept
+                (lambda yw, dw, r: 0.5 * (r * r * float(dw[:n].dot(dw[n:])))))
+    return ((lambda v: np.concatenate((v, image.forward(v)))),
+            (lambda vw: image.psi(vw[n:])),
+            (lambda vw: image.adjoint(image.psi_grad(vw[n:]))),
+            None if image.psi_bregman is None
+            else (lambda yw, dw, r: image.psi_bregman(yw[n:], r * dw[n:])))
 
 
 def _triangle(alpha: float, new: np.ndarray, a_old: np.ndarray | None,
@@ -249,42 +275,23 @@ def _triangle(alpha: float, new: np.ndarray, a_old: np.ndarray | None,
     return new if a_old is None else (alpha * new + a_old) / a_next
 
 
-def _cached(image: LinearImage, v: np.ndarray) -> np.ndarray:
-    """[v; grad f(v)] under a QuadraticForm, else [v; z(v)]: one product."""
-    form = image.quadratic
-    w = image.forward(v) if form is None else form.hessian(v - form.center)
-    return np.concatenate((v, w))
-
-
-def _cached_value(image: LinearImage, vz: np.ndarray, n: int) -> float:
-    """f(v) from a cached [v; z(v)], or from [v; grad f(v)] under a QuadraticForm."""
-    form = image.quadratic
-    if form is None:
-        return image.psi(vz[n:])
-    return form.value + 0.5 * float((vz[:n] - form.center).dot(vz[n:]))
-
-
 def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) -> SolverState:
-    """One accepted iteration, as the mode's row in POLICIES sets it.
+    """One accepted iteration, as the run's policy row (``state.run``) sets it.
 
     The exact-L mode accepts its one trial at L_known.  The checking modes
     double L from half the last accepted constant (from L0 in the A = 0 start
     state, where y is the center and f, grad f at y are evaluated once) until
     the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
-    draws its mini-batch from the state's keyed Philox (``state.streams``, from
-    ``init_phase``) set to the counter block (0, 0, j, k + 1).  Under a Bregman
-    check x and its cached part are formed for the accepted trial only; the
-    difference check forms them at every trial.  A sumst trial whose draws
-    would take the stochastic count past 2**63 - 1 raises CoefficientOverflow.
-    A point and its cached part are formed together, y and x' from the stacked
-    [u; z(u)] and [x; z(x)] (``_triangle``), with A [x; z(x)] formed once."""
-    policy = POLICIES[config.mode]
+    draws its mini-batch from the run's keyed Philox set to the counter block
+    (0, 0, j, k + 1).  Under a Bregman check x and its kept part are formed
+    for the accepted trial only; the difference check forms them at every
+    trial.  A sumst trial whose draws would take the stochastic count past
+    2**63 - 1 raises CoefficientOverflow.  y and x' are formed with their kept
+    parts from the kept u and x (``_triangle``), with A x formed once."""
+    rec = state.run
+    policy, counters, mu_tilde = rec.policy, rec.counters, rec.mu_tilde
     stochastic = policy.stochastic
-    h = objective.h
-    image = state.image
-    form = image.quadratic
-    counters = state.counters
-    A, n, mu_tilde = state.A, state.u.size, state.mu_tilde
+    A, n = state.A, state.u.size
     uz_old = state.uz
     a_xz = None if A == 0.0 else A * state.xz  # the A x term of every trial's y and x'
     eps = config.epsilon
@@ -294,7 +301,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
         L_trial = config.L_known
     else:
         L_trial = state.L_trial / 2.0 if A > 0.0 else config.L0
-    difference_check = policy.checks and form is None and image.psi_bregman is None
+    difference_check = policy.checks and rec.bregman is None
     # a finite_sum draw graded by the difference check never reads the exact
     # gradient: only the gaussian and none centres and the Bregman noise term do
     exact = not (difference_check and stochastic
@@ -302,48 +309,40 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
     for j in range(config.max_backtracks_per_iter + 1):
         alpha, a_next = alpha_next(L_trial, A, mu_tilde)
         if j == 0 or A > 0.0:  # from the start state y is the center at every trial
-            # y, its cached part (z(y) or grad f(y)), f(y) and the exact grad f(y):
-            # 1 f + 1 grad call, or in sumst 1 f call, with the exact gradient
-            # left uncounted for the mini-batch draw to use
+            # y with its kept part, f(y) and the exact grad f(y): 1 f + 1 grad
+            # call, or in sumst 1 f call, with the exact gradient left
+            # uncounted for the mini-batch draw to use
             yz = _triangle(alpha, uz_old, a_xz, a_next)
-            y, z_y = yz[:n], yz[n:]
-            f_y = _checked_value(_cached_value(image, yz, n), counters)
-            if form is not None:  # z_y is grad f(y) already, at no product
-                g_exact = z_y
-            else:
-                g_exact = image.adjoint(image.psi_grad(z_y)) if exact else None
+            y = yz[:n]
+            f_y = _checked_value(rec.value(yz), counters)
+            g_exact = rec.grad(yz) if exact else None
             if not stochastic:
                 g_exact = _checked_grad(g_exact, counters)
         g, m = g_exact, 1
         if stochastic:
-            m = batch_size(config.D, a_next, alpha, L_trial, config.epsilon)
+            m = _batch_size(config.D, a_next, alpha, L_trial, eps)
             if counters.stochastic_grad_calls + m > COUNT_LIMIT:
                 raise CoefficientOverflow(f"a batch of {m} draws takes the stochastic count "
                                           f"past 2**63 - 1 at k={state.k + 1}")
-            stream = substream(state.streams.seed, state.k + 1, j, state.streams)
+            stream = substream(rec.streams.seed, state.k + 1, j, rec.streams)
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact, config.D)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, mu_tilde, setup)
-        u = composite_prox_solve(setup, phi, h)
+        u = composite_prox_solve(setup, phi, objective.h)
         slack = c_eps if A == 0.0 else c_eps * alpha / a_next
-        uz = _cached(image, u)
+        uz = rec.cached(u)
         f_x = xz = None
         passed = True
         if difference_check:
-            # no Bregman form: the difference check at x' from the stacked combination
             xz = _triangle(alpha, uz, a_xz, a_next)
-            f_x = _checked_value(_cached_value(image, xz, n), counters)
+            f_x = _checked_value(rec.value(xz), counters)
             dx = xz[:n] - y
             passed = f_y + float(g.dot(dx)) + 0.5 * L_trial * setup.norm(dx) ** 2 + slack >= f_x
         elif policy.checks:
             # the Bregman form, counted as the f(x') call it replaces, with
-            # x' - y = r du and z(x') - z(y) = r dz:
-            #   D_psi(z(y), r dz) - <g - grad f(y), r du> <= L/2 r^2 ||du||^2 + slack
+            # x' - y = r du:  bregman - <g - grad f(y), r du> <= L/2 r^2 ||du||^2 + slack
             duz = uz - uz_old
-            du, dz, r = duz[:n], duz[n:], alpha / a_next
-            if form is None:
-                bregman = image.psi_bregman(z_y, r * dz)
-            else:  # dz is d grad f: f(x') - f(y) - <grad f(y), x' - y> = 1/2 r^2 <du, dz>
-                bregman = 0.5 * (r * r * float(du.dot(dz)))
+            du, r = duz[:n], alpha / a_next
+            bregman = rec.bregman(yz, duz, r)
             if stochastic:
                 bregman -= r * float((g - g_exact).dot(du))
             bregman = _checked_value(bregman, counters)
@@ -356,11 +355,10 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
             if xz is None:
                 xz = _triangle(alpha, uz, a_xz, a_next)
                 if policy.checks:
-                    f_x = _checked_value(_cached_value(image, xz, n), None)
+                    f_x = _checked_value(rec.value(xz), None)
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=xz[:n], y=y,
-                               phi=phi, L_trial=L_trial, j=j, m=m, mu_tilde=mu_tilde,
-                               counters=counters, image=image, uz=uz, xz=xz, f_x=f_x,
-                               f_y=f_y, streams=state.streams)
+                               phi=phi, L_trial=L_trial, j=j, m=m, uz=uz, xz=xz, run=rec,
+                               f_x=f_x, f_y=f_y)
         L_trial *= 2.0
     raise BacktrackLimitExceeded(f"no acceptable L after {config.max_backtracks_per_iter} "
                                  f"doublings at k={state.k + 1}")
@@ -369,22 +367,24 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
 def init_phase(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> SolverState:
     """The k = 0 state: ``step`` from the A = 0 start state u = x = y = center,
     phi_0 = d, whose first trial gives alpha_0 = A_0 = 1/L with L the known
-    constant (exact mode) or L0, doubled until the check passes.  The run's
-    mu~ is config.mu / setup.omega_tilde: omega_tilde belongs to the geometry.
-    In sumst, which needs the objective's noise_model, it keys the run's
-    Philox from rng (default 0), which must be an integer >= 0."""
+    constant (exact mode) or L0, doubled until the check passes.  It fixes the
+    run's record: mu~ = config.mu / setup.omega_tilde (omega_tilde belongs to
+    the geometry), fresh counters, and the cache rule.  In sumst, which needs
+    the objective's noise_model, it keys the run's Philox from rng (default
+    0), which must be an integer >= 0."""
+    policy = POLICIES[config.mode]
     streams = None
-    if POLICIES[config.mode].stochastic:
+    if policy.stochastic:
         if objective.noise_model is None:
             raise ConfigError(f"{config.mode} needs an objective with a noise_model")
         streams = TrialStreams(0 if rng is None else rng)
-    image = objective.linear if objective.linear is not None else _identity_image(objective)
     center = setup.center
-    uz = _cached(image, center)
+    rec = RunRecord(policy, config.mu / setup.omega_tilde, EvalCounter(), streams,
+                    *_cache_rule(objective, center.size))
+    uz = rec.cached(center)
     start = SolverState(k=-1, A=0.0, alpha=0.0, u=center, x=center, y=center,
-                        phi=initial_estimate(setup), L_trial=0.0, j=0, m=1,
-                        mu_tilde=config.mu / setup.omega_tilde, counters=EvalCounter(),
-                        image=image, uz=uz, xz=uz, streams=streams)
+                        phi=initial_estimate(setup), L_trial=0.0, j=0, m=1, uz=uz, xz=uz,
+                        run=rec)
     return step(start, objective, setup, config)
 
 
@@ -397,7 +397,6 @@ def gradient_mapping_residual(objective, setup: ProxSetup, x: np.ndarray, L: flo
     model and raises UnsupportedGeometry (via the prox dispatch)."""
     _checked("L", L, 0, above=True)
     if setup.geometry != "euclidean":
-        from .errors import UnsupportedGeometry
         raise UnsupportedGeometry("gradient mapping residual is defined for the euclidean geometry")
     g = grad(objective, x, counter)
     # (L/2)||z-x||^2 = L*d(z) + L*<y0-x, z> + const with d(z) = 1/2||z-y0||^2
@@ -419,10 +418,9 @@ def _should_stop(state: SolverState, objective, setup: ProxSetup, config: Solver
     rule = config.stopping
     if rule.kind == "certified_gap":
         # total-budget reading: the eps-slack modes (amst-with-eps, sumst) certify 2*eps
-        return (_certified_bound(config, state.A)
-                <= POLICIES[config.mode].target * config.epsilon)
+        return _certified_bound(config, state.A) <= state.run.policy.target * config.epsilon
     residual = gradient_mapping_residual(objective, setup, state.x, state.L_trial,
-                                         state.counters)
+                                         state.run.counters)
     return residual <= rule.threshold
 
 
@@ -491,13 +489,13 @@ def _record_row(evidence: _Evidence, state: SolverState) -> None:
     into the trace when full."""
     # F(x) and F(y) reuse the f values the method computed (state.f_x,
     # state.f_y); only the exact-L mode's f(x), which the method never needs,
-    # is evaluated here, from the cached part of x.
+    # is evaluated here, from x as the run keeps it.
     f_x = state.f_x
     if f_x is None:
-        f_x = _cached_value(state.image, state.xz, state.x.size)
+        f_x = state.run.value(state.xz)
     i = evidence.count
     phi = state.phi
-    counters = state.counters
+    counters = state.run.counters
     evidence.u[i] = state.u
     evidence.x[i] = state.x
     evidence.y[i] = state.y
@@ -542,7 +540,7 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
 
 
 def _report(state: SolverState, config: SolverConfig, trace: Trace) -> RunReport:
-    counters = state.counters
+    counters = state.run.counters
     return RunReport(final_x=state.x, iterations=state.k,
                      total_f_calls=counters.f_calls,
                      total_grad_calls=counters.grad_calls,

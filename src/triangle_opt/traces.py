@@ -277,10 +277,12 @@ def _csv_columns(rows: list, linenos: list) -> list:
 def load_trace(path: str) -> Trace:
     """Read a trace file written by emit_trace (format inferred from extension)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read trace from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"trace {path} is not UTF-8 text: {exc}") from exc
     if str(path).endswith(".json"):
         try:
             rows = json.loads(text)

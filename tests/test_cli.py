@@ -63,10 +63,34 @@ def test_the_parser_is_reused_without_carrying_state_between_calls(tmp_path, cap
     assert main(["solve", "--config", config]) == 0
     with pytest.raises(SystemExit) as rejected:
         main(["solve", "--config", config, "--seed", "three"])
-    assert rejected.value.code == 2
+    assert rejected.value.code == 1
     assert main(["solve", "--config", config]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == ["seed 3"] + ["seed 0", "seed 1", "seed 2"] * 2
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["check", "--trace", "t.csv", "--theorem", "bogus"], "invalid choice: 'bogus'"),
+    (["check", "--trace", "t.csv", "--theorem", "t1", "--L", "abc"], "invalid float value"),
+    (["solve"], "required: --config"),
+    ([], "required: command"),
+])
+def test_a_usage_error_exits_1_with_the_usage_line(capsys, argv, says):
+    # 2 is kept for a failed bound check, so a script can tell a typo from one
+    with pytest.raises(SystemExit) as rejected:
+        main(argv)
+    assert rejected.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: triangle-opt") and says in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as shown:
+            main(argv)
+        assert shown.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: triangle-opt")
 
 
 def test_solve_repeated_seed_is_a_validation_error(tmp_path, capsys):
@@ -136,6 +160,16 @@ def test_solve_bad_config_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "cannot read config" in captured.err
+
+
+def test_solve_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    rc = main(["solve", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: ParseError: config {path} is not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_solve_reports_per_seed_failures(tmp_path, capsys):
@@ -282,6 +316,17 @@ def test_check_unreadable_trace_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("name", ["utf16.csv", "utf16.json"])
+def test_check_trace_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe" + ",".join(CSV_COLUMNS).encode("utf-16-le"))
+    rc = main(["check", "--trace", str(path), "--theorem", "t1", "--L", "1", "--R2", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: ParseError: trace {path} is not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_check_badly_typed_json_trace_is_a_parse_error(tmp_path, capsys):

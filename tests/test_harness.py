@@ -221,7 +221,7 @@ def test_load_experiment_prox_override_reaches_setup_and_solver():
     exp = _load(prox={"omega_tilde": 2.0}, solver={"mode": "mst_exact_L", "L": 1.0, "mu": 0.5})
     assert exp.problem.setup.omega_tilde == 2.0
     state = init_phase(exp.problem.objective, exp.problem.setup, exp.config)
-    assert state.mu_tilde == 0.25
+    assert state.run.mu_tilde == 0.25
 
 
 def test_load_experiment_reads_null_sections_as_absent():

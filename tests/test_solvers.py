@@ -369,7 +369,7 @@ def test_estimate_function_structure_invariants():
     problem = make_problem("quadratic", dimension=6, seed=4, lam_min=0.3)
     config = SolverConfig(mode="mst_exact_L", L_known=1.0, mu=0.3, max_iters=30)
     state = init_phase(problem.objective, problem.setup, config)
-    mu_tilde = state.mu_tilde
+    mu_tilde = state.run.mu_tilde
     for _ in range(20):
         assert state.phi.d_scale == pytest.approx(1.0 + mu_tilde * state.A, rel=1e-12)
         assert state.phi.h_scale == pytest.approx(state.A, rel=1e-12)
@@ -764,10 +764,18 @@ def _counting_image(objective, tally):
         smooth_value=raw("smooth_value"), smooth_grad=raw("smooth_grad"))
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic"])
+@pytest.mark.parametrize("kind", ["quadratic", "lasso", "logistic", "lasso:no_bregman",
+                                  "logistic:no_bregman"])
 def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
+    kind, _, variant = kind.partition(":")
     problem = make_problem(kind, seed=3)
-    L = problem.objective.smoothness_meta["L"]
+    base = problem.objective
+    if variant:
+        # an image with no Bregman form and no quadratic form: the descent
+        # check takes the difference of f values read off cached images
+        base = dataclasses.replace(base, linear=dataclasses.replace(
+            base.linear, psi_bregman=None, quadratic=None))
+    L = base.smoothness_meta["L"]
     for config in (SolverConfig(mode="mst_exact_L", L_known=L, max_iters=30),
                    SolverConfig(mode="amst_adaptive", L0=L / 64, max_iters=30),
                    SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=30),
@@ -775,12 +783,12 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
                                 max_iters=15)):
         tally = dict.fromkeys(("forward", "adjoint", "hessian", "smooth_value", "smooth_grad"),
                               0)
-        objective = _counting_image(problem.objective, tally)
+        objective = _counting_image(base, tally)
         if config.mode == "sumst_stochastic_universal":
             objective = dataclasses.replace(objective, noise_model=NoiseModel(kind="gaussian"))
         report = run(objective, problem.setup, config, rng=2)
         trials = report.trace.column("j").astype(int) + 1
-        if kind == "logistic":
+        if base.linear.quadratic is None:
             # one forward product at the center, then one per trial (z(u_next));
             # one adjoint at the center, then one per trial after k = 0, which
             # reuses the gradient at the center
@@ -792,8 +800,8 @@ def test_cached_path_makes_two_products_per_trial_and_no_raw_oracle_call(kind):
             assert tally["hessian"] == 1 + int(trials.sum()), config.mode
             assert tally["forward"] == tally["adjoint"] == 0, config.mode
         assert tally["smooth_value"] == tally["smooth_grad"] == 0, config.mode
-        # f(y0), then per trial f(y) (after k = 0) and the Bregman term that
-        # stands for f(x); the exact-L mode makes one f(y) per row
+        # f(y0), then per trial f(y) (after k = 0) and f(x'), or the Bregman
+        # term that stands for it; the exact-L mode makes one f(y) per row
         if config.mode == "mst_exact_L":
             assert report.total_f_calls == len(trials)
         else:
@@ -975,7 +983,7 @@ def _row_by_row(state, objective, setup, config):
     """One trace row as the observer computed it, one row at a time, with the
     point formulas of prox_geometry written out: the reference for the block
     computation, which must give every cell the same bits."""
-    h, counters, phi = objective.h, state.counters, state.phi
+    h, counters, phi = objective.h, state.run.counters, state.phi
 
     def h_value(x):
         return h.lam * float(np.abs(x).sum()) if h.kind == "l1" else 0.0
@@ -997,7 +1005,7 @@ def _row_by_row(state, objective, setup, config):
            "cum_grad": counters.grad_calls, "cum_stoch": counters.stochastic_grad_calls}
     f = state.f_x
     if f is None:
-        f = solvers._cached_value(state.image, state.xz, state.x.size)
+        f = state.run.value(state.xz)
     f_x = f + h_value(state.x)
     phi_at_u = float(phi.d_scale * d_value(state.u) + phi.linear.dot(state.u)
                      + phi.h_scale * h_value(state.u) + phi.constant)

@@ -124,6 +124,15 @@ def test_load_rejects_malformed_files(tmp_path):
         load_trace(str(wrong_keys))
 
 
+def test_load_of_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path):
+    # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+    for name in ("utf16.csv", "utf16.json"):
+        path = tmp_path / name
+        path.write_text(",".join(CSV_COLUMNS), encoding="utf-16")
+        with pytest.raises(ParseError, match=f"^trace {re.escape(str(path))} is not UTF-8"):
+            load_trace(str(path))
+
+
 @pytest.mark.parametrize("text, where", [
     ("{header}\n\n\n0,1,oops,1,0,1,1,1,0,nan\n", "line 4: bad value 'oops' for column 'alpha'"),
     ("\n{header}\n0,1,1,1,0,1,1,1,0,nan\n\n0,1\n", "line 5: expected 10 cells, got 2"),
