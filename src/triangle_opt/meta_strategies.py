@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, _checked
+from .errors import ConfigError, TriangleOptError, _checked
 from .oracles import CompositeObjective
 from .prox_geometry import ProxSetup, bregman_divergence, recenter
 from .solvers import RunReport, SolverConfig, run
@@ -74,11 +74,16 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
     inside), each N_bar = ceil(sqrt(8*L*omega/mu)) iterations, re-centering the
     prox at the previous restart's output.
 
-    The returned trace holds one row per restart boundary (k = restart index,
-    gap and dist_x_sq relative to known_optimum when available); meta records
-    mu, omega, N_bar, and the initial squared distance when the optimum is
-    known.  Supported for h in {zero, l1} on free space: the strong convexity
-    of the whole F is what the halving argument needs, and re-centering is a
+    The returned trace holds one row per restart boundary: the last row its
+    inner run recorded, with every column of that trace (cert_margin, gap,
+    gap_y and the squared distances to known_optimum's x* among them), except
+    that k is the restart index and cum_f, cum_grad and cum_stoch count from
+    the first restart.  meta records mu, omega, N_bar, and the initial squared
+    distance when x* is known.  A TriangleOptError raised inside a restart
+    leaves with this RunReport as its ``report``: the rows and final_x of the
+    restarts completed, and call totals that include the failed restart's.
+    Supported for h in {zero, l1} on free space: the strong convexity of the
+    whole F is what the halving argument needs, and re-centering is a
     euclidean operation.
     """
     n_bar = inner_iterations(L, mu, omega)
@@ -88,46 +93,33 @@ def restart_run(objective: CompositeObjective, setup: ProxSetup, L: float, mu: f
         raise ConfigError(f"restarts support h in {{zero, l1}}, got {objective.h.kind!r}")
     if setup.feasible_set.kind != "free_space":
         raise ConfigError("restarts are supported on free_space only")
-    trace = Trace()
-    trace.meta["mu"] = mu
-    trace.meta["omega"] = omega
-    trace.meta["n_bar"] = n_bar
-    x_star = f_star = None
-    if objective.known_optimum is not None:
-        x_star, f_star = objective.known_optimum
-    if x_star is not None:
-        trace.meta["y0_dist_sq"] = float(setup.norm(setup.center - x_star) ** 2)
-    if K == 0:
-        return RunReport(final_x=setup.center.copy(), iterations=0, total_f_calls=0,
-                         total_grad_calls=0, total_stoch_calls=0, trace=trace)
-
+    trace = Trace(meta={"mu": mu, "omega": omega, "n_bar": n_bar})
+    if objective.known_optimum is not None and objective.known_optimum[0] is not None:
+        trace.meta["y0_dist_sq"] = float(setup.norm(setup.center - objective.known_optimum[0]) ** 2)
     inner_config = SolverConfig(mode="mst_exact_L", L_known=L, max_iters=n_bar + 1)
-    current = setup.center
-    cum_f = cum_grad = cum_stoch = 0
-    total_iters = 0
-    report = None
+    report = RunReport(final_x=setup.center.copy(), iterations=0, total_f_calls=0,
+                       total_grad_calls=0, total_stoch_calls=0, trace=trace)
     for k in range(1, K + 1):
-        inner_setup = recenter(setup, current)
-        report = run(objective, inner_setup, inner_config)
-        current = report.final_x
-        cum_f += report.total_f_calls
-        cum_grad += report.total_grad_calls
-        cum_stoch += report.total_stoch_calls
-        total_iters += report.iterations
-        row = {"k": k, "A": report.trace.last("A"), "alpha": report.trace.last("alpha"),
-               "L_trial": L, "j": 0, "m": 1, "cum_f": cum_f, "cum_grad": cum_grad,
-               "cum_stoch": cum_stoch}
-        if f_star is not None:
-            row["gap"] = objective.composite_value(current) - f_star
-        else:
-            row["gap"] = math.nan
-        if x_star is not None:
-            row["dist_x_sq"] = float(setup.norm(current - x_star) ** 2)
-        else:
-            row["dist_x_sq"] = math.nan
-        trace.append(**row)
-    return RunReport(final_x=current, iterations=total_iters, total_f_calls=cum_f,
-                     total_grad_calls=cum_grad, total_stoch_calls=cum_stoch, trace=trace)
+        try:
+            inner = run(objective, recenter(setup, report.final_x), inner_config)
+        except TriangleOptError as exc:
+            spent = getattr(exc, "report", None)  # None when the run failed before its k = 0 row
+            if spent is not None:
+                report.total_f_calls += spent.total_f_calls
+                report.total_grad_calls += spent.total_grad_calls
+                report.total_stoch_calls += spent.total_stoch_calls
+            exc.report = report
+            raise
+        report.final_x = inner.final_x
+        report.iterations += inner.iterations
+        report.total_f_calls += inner.total_f_calls
+        report.total_grad_calls += inner.total_grad_calls
+        report.total_stoch_calls += inner.total_stoch_calls
+        trace.append_rows({**{name: col[-1:] for name, col in inner.trace.data.items()},
+                           "k": (k,), "cum_f": (report.total_f_calls,),
+                           "cum_grad": (report.total_grad_calls,),
+                           "cum_stoch": (report.total_stoch_calls,)})
+    return report
 
 
 def holder_majorant_L(L_nu: float, nu: float, delta: float) -> float:

@@ -109,7 +109,8 @@ class CompositeObjective:
     noise_model: NoiseModel | None = None
 
     def composite_value(self, x: np.ndarray) -> float:
-        """F(x) = f(x) + h(x), uncounted (observer use only)."""
+        """F(x) = f(x) + h(x), uncounted.  For callers that grade a point after
+        a run; the solvers' observer reads the f values the method computed."""
         return float(self.smooth_value(x)) + self.h.value(x)
 
 

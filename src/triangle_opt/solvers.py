@@ -328,7 +328,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
             g = minibatch_gradient(objective, y, m, stream, counters, g_exact, config.D)
         phi = fold_estimate(state.phi, alpha, y, g, f_y, mu_tilde, setup)
         u = composite_prox_solve(setup, phi, objective.h)
-        slack = c_eps if A == 0.0 else c_eps * alpha / a_next
+        slack = c_eps * alpha / a_next
         uz = rec.cached(u)
         f_x = xz = None
         passed = True

@@ -10,6 +10,7 @@ import pytest
 from triangle_opt import (
     CompositeObjective,
     ConfigError,
+    DomainError,
     NoiseModel,
     SimpleTerm,
     SolverConfig,
@@ -22,6 +23,7 @@ from triangle_opt import (
     holder_majorant_L,
     inner_iterations,
     make_problem,
+    recenter,
     regularize,
     restart_run,
     run,
@@ -177,6 +179,92 @@ def test_restart_run_supports_l1_composite():
     from triangle_opt import gradient_mapping_residual
     assert gradient_mapping_residual(obj, setup, final, 1.0) <= 1e-3
     assert len(report.trace) == 5
+
+
+def test_restart_boundary_rows_are_the_inner_runs_last_rows():
+    # criterion 8's run: each boundary row is the last row its inner run
+    # recorded, with only k and the cumulative counts set by the wrapper
+    problem = make_problem("quadratic", dimension=10, seed=1, lam_min=0.1)
+    big_l = problem.objective.smoothness_meta["L"]
+    mu = problem.objective.smoothness_meta["mu"]
+    report = restart_run(problem.objective, problem.setup, L=big_l, mu=mu, omega=1.0, K=8)
+    inner_config = SolverConfig(mode="mst_exact_L", L_known=big_l,
+                                max_iters=inner_iterations(big_l, mu, 1.0) + 1)
+    rows = report.trace
+    assert len(rows) == 8
+    current = problem.setup.center
+    cum = np.zeros(3, dtype=np.int64)
+    for i in range(8):
+        inner = run(problem.objective, recenter(problem.setup, current), inner_config)
+        current = inner.final_x
+        assert set(rows.data) == set(inner.trace.data)
+        for name in inner.trace.data:
+            if name not in ("k", "cum_f", "cum_grad", "cum_stoch"):
+                np.testing.assert_array_equal(rows.column(name)[i], inner.trace.last(name),
+                                              err_msg=name)
+        cum += (inner.total_f_calls, inner.total_grad_calls, inner.total_stoch_calls)
+        assert rows.column("k")[i] == i + 1
+        assert [rows.column(name)[i] for name in ("cum_f", "cum_grad", "cum_stoch")] == list(cum)
+        assert rows.column("cert_margin")[i] >= -1e-8 * max(1.0, rows.column("A")[i])
+    np.testing.assert_array_equal(report.final_x, current)
+    assert (report.total_f_calls, report.total_grad_calls, report.total_stoch_calls) == tuple(cum)
+
+
+def test_restart_without_known_optimum_keeps_its_certificate():
+    # the l1 composite of test_restart_run_supports_l1_composite: no x*, so
+    # no gap, but every boundary carries its inner run's certificate
+    rng = np.random.default_rng(4)
+    x_off = rng.standard_normal(4)
+    obj = CompositeObjective(
+        smooth_value=lambda x: 0.5 * float(np.dot(x - x_off, x - x_off)),
+        smooth_grad=lambda x: np.asarray(x, dtype=float) - x_off,
+        h=SimpleTerm(kind="l1", lam=0.3))
+    report = restart_run(obj, euclidean_setup(center=np.zeros(4)), L=1.0, mu=1.0,
+                         omega=1.0, K=5)
+    assert np.isnan(report.trace.column("gap")).all()
+    assert np.isfinite(report.trace.column("cert_margin")).all()
+    assert "y0_dist_sq" not in report.trace.meta
+
+
+def _turns_nan_after(calls):
+    """A strongly convex objective read through its oracles, whose value is
+    nan from its (calls + 1)-th evaluation on."""
+    x_off = np.array([1.0, -2.0, 0.5])
+    made = [0]
+
+    def value(x):
+        made[0] += 1
+        return math.nan if made[0] > calls else 0.5 * float(np.dot(x - x_off, x - x_off))
+
+    return CompositeObjective(smooth_value=value,
+                              smooth_grad=lambda x: np.asarray(x, dtype=float) - x_off), made
+
+
+def test_a_failed_restart_keeps_the_boundary_rows_before_it():
+    setup = euclidean_setup(center=np.zeros(3))
+    counting, made = _turns_nan_after(math.inf)
+    two = restart_run(counting, setup, L=1.0, mu=0.5, omega=1.0, K=2)
+    # the third inner run reads a nan value after its first row
+    failing, _ = _turns_nan_after(made[0] + 4)
+    with pytest.raises(DomainError) as info:
+        restart_run(failing, setup, L=1.0, mu=0.5, omega=1.0, K=5)
+    report = info.value.report
+    assert len(report.trace) == 2
+    for name, col in two.trace.data.items():
+        np.testing.assert_array_equal(report.trace.column(name), col, err_msg=name)
+    np.testing.assert_array_equal(report.final_x, two.final_x)
+    assert report.iterations == two.iterations
+    # the failed run's calls count too
+    third, _ = _turns_nan_after(4)
+    inner_config = SolverConfig(mode="mst_exact_L", L_known=1.0,
+                                max_iters=inner_iterations(1.0, 0.5, 1.0) + 1)
+    with pytest.raises(DomainError) as partial:
+        run(third, recenter(setup, two.final_x), inner_config)
+    spent = partial.value.report
+    assert spent.total_f_calls > 0
+    assert report.total_f_calls == two.total_f_calls + spent.total_f_calls
+    assert report.total_grad_calls == two.total_grad_calls + spent.total_grad_calls
+    assert report.total_stoch_calls == 0
 
 
 def test_holder_majorant_examples():
