@@ -159,7 +159,7 @@ def load_experiment(config_text: str) -> Experiment:
         _checked('"seeds"', seed, integer=True, error=ValidationError)
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
-        # each seed writes its own trace file, so a repeat would race on it
+        # seeds run one after another, so a repeat would overwrite its own trace file
         raise ValidationError(f'"seeds" lists seed {repeated} more than once')
     # sumst keys its stream from the seed, which SeedSequence needs >= 0
     _checked('"seeds"', min(seeds), 0, integer=True, error=ValidationError)

@@ -173,7 +173,7 @@ class SolverState:
     uz: np.ndarray
     xz: np.ndarray
     run: RunRecord
-    # f at x and y as the method computed them, or None where it computed none
+    # f at x and y as step read them; None only in init_phase's start state
     f_x: float | None = None
     f_y: float | None = None
 
@@ -283,11 +283,13 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
     state, where y is the center and f, grad f at y are evaluated once) until
     the descent check passes with slack c*eps*alpha/A_{k+1}; in sumst trial j
     draws its mini-batch from the run's keyed Philox set to the counter block
-    (0, 0, j, k + 1).  Under a Bregman check x and its kept part are formed
-    for the accepted trial only; the difference check forms them at every
-    trial.  A sumst trial whose draws would take the stochastic count past
-    2**63 - 1 raises CoefficientOverflow.  y and x' are formed with their kept
-    parts from the kept u and x (``_triangle``), with A x formed once."""
+    (0, 0, j, k + 1).  Under a Bregman check, and in the exact-L mode, x and
+    its kept part are formed for the accepted trial only, and f(x) is read
+    off them checked and uncounted; the difference check forms them, and
+    counts f(x), at every trial.  A sumst trial whose draws would take the
+    stochastic count past 2**63 - 1 raises CoefficientOverflow.  y and x' are
+    formed with their kept parts from the kept u and x (``_triangle``), with
+    A x formed once."""
     rec = state.run
     policy, counters, mu_tilde = rec.policy, rec.counters, rec.mu_tilde
     stochastic = policy.stochastic
@@ -354,8 +356,7 @@ def step(state: SolverState, objective, setup: ProxSetup, config: SolverConfig) 
         if passed:
             if xz is None:
                 xz = _triangle(alpha, uz, a_xz, a_next)
-                if policy.checks:
-                    f_x = _checked_value(rec.value(xz), None)
+                f_x = _checked_value(rec.value(xz), None)
             return SolverState(k=state.k + 1, A=a_next, alpha=alpha, u=u, x=xz[:n], y=y,
                                phi=phi, L_trial=L_trial, j=j, m=m, uz=uz, xz=xz, run=rec,
                                f_x=f_x, f_y=f_y)
@@ -486,13 +487,9 @@ class _Evidence:
 
 def _record_row(evidence: _Evidence, state: SolverState) -> None:
     """Record the state's row: copy it into the run's block, which is flushed
-    into the trace when full."""
-    # F(x) and F(y) reuse the f values the method computed (state.f_x,
-    # state.f_y); only the exact-L mode's f(x), which the method never needs,
-    # is evaluated here, from x as the run keeps it.
-    f_x = state.f_x
-    if f_x is None:
-        f_x = state.run.value(state.xz)
+    into the trace when full.  F(x) and F(y) are built from state.f_x and
+    state.f_y, the f values step read and checked: the observer calls no
+    oracle."""
     i = evidence.count
     phi = state.phi
     counters = state.run.counters
@@ -502,7 +499,7 @@ def _record_row(evidence: _Evidence, state: SolverState) -> None:
     evidence.linear[i] = phi.linear
     evidence.rows[i] = (state.k, state.A, state.alpha, state.L_trial, state.j, state.m,
                         counters.f_calls, counters.grad_calls, counters.stochastic_grad_calls,
-                        f_x, state.f_y, phi.d_scale, phi.h_scale, phi.constant)
+                        state.f_x, state.f_y, phi.d_scale, phi.h_scale, phi.constant)
     evidence.count = i + 1
     if i + 1 == evidence.size:
         evidence.flush()
@@ -519,17 +516,15 @@ def run(objective, setup: ProxSetup, config: SolverConfig, rng=None) -> RunRepor
     trace = Trace(meta={"x0_y0_sq": setup.norm(state.x - setup.center) ** 2})
     evidence = _Evidence(objective, setup, config, trace, state.u.size)
     _record_row(evidence, state)
-    rows = 1
     stops = config.stopping.kind != "iterations_only"
     try:
-        while rows < config.max_iters:
+        while state.k + 1 < config.max_iters:
             if stops and _should_stop(state, objective, setup, config):
                 break
             nxt = step(state, objective, setup, config)
             if not nxt.A <= A_OVERFLOW_LIMIT:  # true for nan and inf as well
                 raise CoefficientOverflow(f"A_k = {nxt.A:.3e} past the 1e300 guard at k={nxt.k}")
             _record_row(evidence, nxt)
-            rows += 1
             state = nxt
     except TriangleOptError as exc:
         evidence.flush()

@@ -677,12 +677,12 @@ def test_observer_reuses_the_methods_f_values():
         (oracle, SolverConfig(mode="sumst_stochastic_universal", epsilon=1e-2, D=0.1,
                               max_iters=10), False),
     ]
-    for objective, config, observer_evaluates_x in runs:
+    for objective, config, uncounted_x in runs:
         calls[0] = 0
         report = run(objective, problem.setup, config, rng=1)
-        # only the exact-L mode's F(x), which the method never computes, is
-        # evaluated by the observer: one uncounted call per row
-        extra = len(report.trace) if observer_evaluates_x else 0
+        # the observer calls no oracle; the exact-L mode's f(x), which its
+        # method never needs, is read by step uncounted: one call per row
+        extra = len(report.trace) if uncounted_x else 0
         assert calls[0] == report.total_f_calls + extra, config.mode
 
 
@@ -952,8 +952,8 @@ def test_finite_sum_sumst_on_the_identity_image_never_forms_the_exact_gradient()
 @pytest.mark.parametrize("name", ["holder_norm_power", "simplex_linear", "regularized_quadratic"])
 def test_identity_image_evaluates_f_and_grad_once_per_counted_call(name):
     # objectives without a LinearImage run on the identity image: every raw
-    # oracle call is a counted one, except the exact-L mode's F(x), which
-    # the observer evaluates once per row
+    # oracle call is a counted one, except the exact-L mode's f(x), which
+    # step reads, uncounted, once per row
     base, setup = _without_image(name)
     assert base.linear is None
     tally = {"smooth_value": 0, "smooth_grad": 0}
@@ -1003,10 +1003,7 @@ def _row_by_row(state, objective, setup, config):
     row = {"k": state.k, "A": state.A, "alpha": state.alpha, "L_trial": state.L_trial,
            "j": state.j, "m": state.m, "cum_f": counters.f_calls,
            "cum_grad": counters.grad_calls, "cum_stoch": counters.stochastic_grad_calls}
-    f = state.f_x
-    if f is None:
-        f = state.run.value(state.xz)
-    f_x = f + h_value(state.x)
+    f_x = state.f_x + h_value(state.x)
     phi_at_u = float(phi.d_scale * d_value(state.u) + phi.linear.dot(state.u)
                      + phi.h_scale * h_value(state.u) + phi.constant)
     slack_abs = state.A * config.slack_factor * (config.epsilon or 0.0)
@@ -1108,16 +1105,16 @@ def test_partial_report_of_an_overflowing_run_keeps_every_row():
 
 
 def test_block_evidence_of_a_value_that_turns_non_finite_mid_block():
-    # the observer evaluates the exact-L mode's f(x) itself, unchecked: calls
-    # 2k + 2 are f(x_k), so rows 20 and 30 read inf and nan, and call 601,
-    # f(y) at k = 300, stops the run with a DomainError in the second block
+    # step reads and checks the exact-L mode's f(x) like every f value: calls
+    # 2k + 1 and 2k + 2 are f(y_k) and f(x_k), so call 42, f(x_20), stops
+    # the run with a DomainError and the 20 rows before it, all finite
     problem = make_problem("quadratic", dimension=6, seed=2)
     base = problem.objective
     calls = [0]
 
     def value(x):
         calls[0] += 1
-        return {42: math.inf, 62: math.nan, 601: math.inf}.get(calls[0], base.smooth_value(x))
+        return math.inf if calls[0] == 42 else base.smooth_value(x)
 
     objective = dataclasses.replace(base, smooth_value=value, linear=None)
     config = SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=400)
@@ -1126,9 +1123,83 @@ def test_block_evidence_of_a_value_that_turns_non_finite_mid_block():
     calls[0] = 0
     with pytest.raises(DomainError) as caught:
         run(objective, problem.setup, config)
+    assert calls[0] == 42
     trace = caught.value.report.trace
-    assert len(trace) == len(expected) == 300
-    assert trace.column("gap")[20] == math.inf and math.isnan(trace.column("gap")[30])
+    assert len(trace) == len(expected) == 20
+    assert caught.value.report.iterations == 19
+    for name in ("gap", "cert_margin"):
+        assert np.isfinite(trace.column(name)).all(), name
     for name, col in trace.data.items():
         want = np.array([row[name] for row in expected], dtype=col.dtype)
         assert col.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("row", [0, 4])
+@pytest.mark.parametrize("mode", ["mst", "mst+mu", "amst", "umst"])
+def test_a_non_finite_f_at_an_iterate_raises_in_every_mode(mode, row):
+    # smooth_value is NaN at x_row alone, on an objective without an image:
+    # every mode reads f(x) through the same check, so none records a NaN
+    problem = make_problem("quadratic", dimension=6, seed=2, lam_min=0.1)
+    base = dataclasses.replace(problem.objective, linear=None)
+    config = {"mst": SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=10),
+              "mst+mu": SolverConfig(mode="mst_exact_L", L_known=1.0, mu=0.1, max_iters=10),
+              "amst": SolverConfig(mode="amst_adaptive", L0=0.1, max_iters=10),
+              "umst": SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=10)}[mode]
+    state = init_phase(base, problem.setup, config)
+    for _ in range(row):
+        state = step(state, base, problem.setup, config)
+    x_row = state.x
+
+    def value(x):
+        return math.nan if np.array_equal(x, x_row) else base.smooth_value(x)
+
+    objective = dataclasses.replace(base, smooth_value=value)
+    with pytest.raises(DomainError) as caught:
+        run(objective, problem.setup, config)
+    report = getattr(caught.value, "report", None)
+    if row == 0:  # raised in init_phase, before any row
+        assert report is None
+        return
+    trace = report.trace
+    assert trace.column("k").tolist() == list(range(row))
+    for name in ("gap", "cert_margin"):
+        assert np.isfinite(trace.column(name)).all(), name
+
+
+# each mode's slack factor c, as the solvers docstring states it, and its
+# certified target, written out here rather than read from POLICIES
+_SLACK_AND_TARGET = {"amst_adaptive": (1.0, 2.0), "umst_universal": (0.5, 1.0),
+                     "sumst_stochastic_universal": (1.5, 2.0)}
+
+
+@pytest.mark.parametrize("mode", sorted(_SLACK_AND_TARGET))
+def test_certified_gap_is_r_sq_over_a_plus_the_modes_slack(mode):
+    problem = make_problem("quadratic", dimension=10, seed=8)
+    x_star = problem.objective.known_optimum[0]
+    r_sq = problem.setup.d_value(x_star)  # V(x*, y0) in the euclidean setup
+    eps = 1e-3
+    c, target = _SLACK_AND_TARGET[mode]
+    # D = 0 makes sumst's gaussian draws exact, so the run is deterministic
+    objective = dataclasses.replace(problem.objective, noise_model=NoiseModel(kind="gaussian"))
+    config = SolverConfig(mode=mode, epsilon=eps, D=0.0, max_iters=10000,
+                          stopping=StoppingRule(kind="certified_gap", r_sq=r_sq))
+    report = run(objective, problem.setup, config, rng=0)
+    assert report.iterations < config.max_iters - 1
+    A_N = float(report.trace.last("A"))
+    assert report.certified_gap == r_sq / A_N + c * eps
+    assert report.certified_gap <= target * eps
+    assert float(report.trace.last("gap")) <= report.certified_gap
+
+
+@pytest.mark.xfail(strict=True, raises=CoefficientOverflow,
+                   reason="ROADMAP items 5 and 18: with mu > 0 and an eps target, A_k "
+                          "passes the 1e300 guard about 40 rows after the gap reaches eps")
+@pytest.mark.parametrize("mode", ["amst_adaptive", "umst_universal"])
+def test_strongly_convex_eps_runs_finish_with_their_evidence(mode):
+    # today amst raises CoefficientOverflow at k = 48 and umst at k = 49
+    problem = make_problem("quadratic", dimension=20, seed=0, lam_min=0.5)
+    config = SolverConfig(mode=mode, L0=1.0, mu=0.5, epsilon=1e-4, max_iters=2000)
+    report = run(problem.objective, problem.setup, config)
+    trace = report.trace
+    scale = np.maximum(1.0, np.abs(trace.column("A")))
+    assert np.all(trace.column("cert_margin") >= -1e-8 * scale)
