@@ -3,8 +3,11 @@ seed (a seed that fails mid-run writes its partial trace); ``check`` grades an
 emitted trace against a named guarantee; ``zoo list`` and ``zoo describe
 KIND`` enumerate the benchmark problems.  ``triangle-opt COMMAND --help``
 lists a command's flags, and ``check --help`` the parameters each theorem
-reads.  Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any
-error, a usage error included.
+reads.  Config and trace files are read through ``traces``, as every input
+file is.  Exit codes: 0 on success/pass, 2 when a bound check fails, 1 on any
+error, a usage error included.  ``main`` is the one reporter of an error that
+stops a command: one stderr line, ``error: <Type>: <message>``; a seed that
+fails is reported on its own stdout line instead.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import functools
 import math
 import sys
 
-from .errors import ConfigError, ParseError, TriangleOptError, ValidationError, _checked
+from .errors import ConfigError, TriangleOptError, ValidationError, _checked
 from .harness import _THEOREMS, THEOREM_IDS, check_bounds, load_experiment, run_experiment
-from .traces import load_trace
-from .zoo import DESCRIPTIONS, ZOO_KINDS
+from .traces import _read_text, load_trace
+from .zoo import DESCRIPTIONS, ZOO_KINDS, ProblemSpec
 
 # each `check` flag -> its help, joined from the docs of the parameters it gives
 _TABLE_PARAMS = [param for theorem in _THEOREMS.values() for param in theorem.params.values()]
@@ -67,15 +70,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"config {args.config} is not UTF-8 text: {exc}") from exc
-    experiment = load_experiment(text)
+    experiment = load_experiment(_read_text(args.config, "config"))
     if args.seed is not None:
         experiment.seeds = [_checked('"--seed"', args.seed, 0, integer=True,
                                      error=ValidationError)]
@@ -133,14 +128,9 @@ def _cmd_zoo(args) -> int:
             print(kind)
         return 0
     if args.kind is None:
-        print("error: describe needs a problem kind", file=sys.stderr)
-        return 1
-    if args.kind not in ZOO_KINDS:
-        print(f"error: unknown problem kind {args.kind!r}; known: {', '.join(ZOO_KINDS)}",
-              file=sys.stderr)
-        return 1
-    print(f"{args.kind}:")
-    print(DESCRIPTIONS[args.kind])
+        raise ConfigError("describe needs a problem kind")
+    ProblemSpec(args.kind)  # a ConfigError naming the known kinds, for an unknown one
+    print(f"{args.kind}:\n{DESCRIPTIONS[args.kind]}")
     return 0
 
 
@@ -157,9 +147,6 @@ def main(argv=None) -> int:
         return _cmd_zoo(args)
     except TriangleOptError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,6 @@ solver family carries.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,11 +18,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, MissingColumn, ParseError, ValidationError,
-                     _checked)
+from .errors import ConfigError, DomainError, MissingColumn, ValidationError, _checked
 from .oracles import NoiseModel
 from .solvers import POLICIES, RunReport, SolverConfig, StoppingRule, run
-from .traces import Trace, emit_trace
+from .traces import Trace, _parse_json, emit_trace
 from .zoo import ZooProblem, make_problem
 
 _TOP_KEYS = {"problem", "prox", "solver", "epsilon", "seeds", "max_iters", "output"}
@@ -72,15 +70,6 @@ class BoundCheck:
         return "\n".join(lines)
 
 
-def _reject_duplicates(pairs):
-    out = {}
-    for key, val in pairs:
-        if key in out:
-            raise ParseError(f"duplicate key {key!r} in configuration")
-        out[key] = val
-    return out
-
-
 def _require_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -104,11 +93,7 @@ def load_experiment(config_text: str) -> Experiment:
     problem's other keys, dimension and seed among them, go to make_problem
     as they are, which checks them.  Unknown or duplicate keys are rejected.
     """
-    try:
-        raw = json.loads(config_text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"configuration is not valid JSON: line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
+    raw = _parse_json(config_text, "configuration")
     if not isinstance(raw, dict):
         raise ValidationError("configuration must be a JSON object")
     _require_keys(raw, _TOP_KEYS, "configuration")
@@ -218,13 +203,10 @@ def run_experiment(experiment: Experiment) -> list[SeedResult]:
             emit_trace(report.trace, fmt, path)
         return SeedResult(seed=seed, report=report, error=error, path=path)
 
-    seeds = experiment.seeds
-    if len(seeds) == 1:
-        return [one_seed(seeds[0])]
     # one worker, in seed order: interpreter-bound seed runs on two threads
     # only contend for the GIL, and ran slower than one after another
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return list(pool.map(one_seed, seeds))
+        return list(pool.map(one_seed, experiment.seeds))
 
 
 def _finite_columns(trace: Trace | None, *names: str) -> list:

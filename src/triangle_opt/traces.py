@@ -1,4 +1,8 @@
-"""Per-iteration run traces and their CSV/JSON serialization.
+"""Per-iteration run traces, their CSV/JSON serialization, and the one reader
+of every file the package takes in: ``_read_text`` reads a trace or a
+``solve`` config as UTF-8 text, and ``_parse_json`` parses a JSON trace or an
+experiment config, refusing a repeated key in either; each failure is an
+IoError or ParseError that names the file.
 
 The serialized schema is fixed: columns k,A,alpha,L_trial,j,m,cum_f,cum_grad,
 cum_stoch,gap with a mandatory header, '.' decimal separator, '\\n' newlines,
@@ -274,20 +278,41 @@ def _csv_columns(rows: list, linenos: list) -> list:
     raise ParseError("bad CSV trace")  # not reached: the loop names the bad cell
 
 
-def load_trace(path: str) -> Trace:
-    """Read a trace file written by emit_trace (format inferred from extension)."""
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; IoError or ParseError naming it as
+    what ("config", "trace") and its path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise IoError(f"cannot read trace from {path}: {exc}") from exc
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"trace {path} is not UTF-8 text: {exc}") from exc
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def _parse_json(text: str, what: str):
+    """The JSON value of text; a ParseError naming what for text that is not
+    JSON (with its line and column) or for an object that repeats a key."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ParseError(f"duplicate key {key!r} in {what}")
+        return obj
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+
+
+def load_trace(path: str) -> Trace:
+    """Read a trace file written by emit_trace (format inferred from extension).
+    A JSON row that repeats a key is a ParseError, as in a config."""
+    text = _read_text(path, "trace")
     if str(path).endswith(".json"):
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON trace: {exc}") from exc
+        rows = _parse_json(text, f"trace {path}")
         if not isinstance(rows, list):
             raise ParseError("JSON trace must be an array of row objects")
         columns = _json_columns(rows)

@@ -364,6 +364,44 @@ def test_zoo_list_and_describe(capsys):
     assert "describe needs a problem kind" in captured.err
 
 
+def _file(tmp_path, name, content) -> str:
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+# a JSON trace row that gives "gap" twice: 5.0 fails t1 at k = 0, 0.1 passes it
+_REPEATED_GAP = ('[{"k": 0, "A": 1.0, "alpha": 1.0, "L_trial": 1.0, "j": 0, "m": 1, '
+                 '"cum_f": 1, "cum_grad": 1, "cum_stoch": 0, "gap": 5.0, "gap": 0.1}]')
+_T1 = ["--theorem", "t1", "--L", "1", "--R2", "1"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(lambda tmp: ["solve", "--config", str(tmp / "missing.json")], "IoError",
+                 id="unreadable-config"),
+    pytest.param(lambda tmp: ["solve", "--config", _file(tmp, "utf16.json", b"\xff\xfe{\x00}\x00")],
+                 "ParseError", id="config-not-utf8"),
+    pytest.param(lambda tmp: ["solve", "--config", _file(tmp, "twice.json",
+                                                         '{"seeds": [0], "seeds": [1]}')],
+                 "ParseError", id="config-repeated-key"),
+    pytest.param(lambda tmp: ["check", "--trace", str(tmp / "missing.csv"), *_T1], "IoError",
+                 id="unreadable-trace"),
+    pytest.param(lambda tmp: ["check", "--trace", _file(tmp, "twice.json", _REPEATED_GAP), *_T1],
+                 "ParseError", id="json-trace-repeated-key"),
+    pytest.param(lambda tmp: ["zoo", "describe", "cubic"], "ConfigError", id="zoo-unknown-kind"),
+    pytest.param(lambda tmp: ["zoo", "describe"], "ConfigError", id="zoo-no-kind"),
+])
+def test_every_failure_prints_one_typed_error_line(tmp_path, capsys, argv, error):
+    rc = main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {error}: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 _OPTION_LINES = {
     "quadratic": "dimension (default 50), lam_min (default 0.02), lam_max (default 1.0), "
                  "x_star_norm (default 2.0), feasible (default free_space)",

@@ -133,6 +133,15 @@ def test_load_of_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path):
             load_trace(str(path))
 
 
+def test_load_json_row_that_repeats_a_key_is_a_parse_error_naming_it(tmp_path):
+    # json.loads alone keeps the last "gap", so this row would grade as gap 0.1
+    path = tmp_path / "twice.json"
+    path.write_text('[{"k": 0, "A": 1.0, "alpha": 1.0, "L_trial": 1.0, "j": 0, "m": 1, '
+                    '"cum_f": 1, "cum_grad": 1, "cum_stoch": 0, "gap": 5.0, "gap": 0.1}]')
+    with pytest.raises(ParseError, match=f"^duplicate key 'gap' in trace {re.escape(str(path))}$"):
+        load_trace(str(path))
+
+
 @pytest.mark.parametrize("text, where", [
     ("{header}\n\n\n0,1,oops,1,0,1,1,1,0,nan\n", "line 4: bad value 'oops' for column 'alpha'"),
     ("\n{header}\n0,1,1,1,0,1,1,1,0,nan\n\n0,1\n", "line 5: expected 10 cells, got 2"),
