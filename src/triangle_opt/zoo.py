@@ -132,12 +132,13 @@ def _quadratic(dimension: int, seed: int, lam_min: float, lam_max: float,
     direction = rng.standard_normal(dimension)
     x_star = x_star_norm * direction / np.linalg.norm(direction)
 
-    # z = q (x - x*) keeps the value cancellation-free near the optimum
+    # z = x - x* reads f = 1/2 <z, Hz> off the offset from the optimum, with
+    # no cancellation near it
     h_matrix = q.T @ (lam[:, None] * q)
-    image = LinearImage(forward=lambda x: q @ (x - x_star), adjoint=lambda w: q.T @ w,
-                        psi=lambda z: 0.5 * float(z @ (lam * z)),
-                        psi_grad=lambda z: lam * z,
-                        psi_bregman=lambda z, dz: 0.5 * float(dz @ (lam * dz)),
+    image = LinearImage(forward=lambda x: x - x_star, adjoint=lambda w: w,
+                        psi=lambda z: 0.5 * float(z @ (h_matrix @ z)),
+                        psi_grad=lambda z: h_matrix @ z,
+                        psi_bregman=lambda z, dz: 0.5 * float(dz @ (h_matrix @ dz)),
                         quadratic=QuadraticForm(h_matrix.dot, x_star, 0.0))
 
     if feasible == "free_space":

@@ -1183,6 +1183,46 @@ def test_a_non_finite_f_at_an_iterate_raises_in_every_mode(mode, row):
         assert np.isfinite(trace.column(name)).all(), name
 
 
+@pytest.mark.parametrize("mode", ["mst", "amst", "umst"])
+def test_a_hessian_product_that_turns_inf_mid_run_raises_in_every_mode(mode):
+    # under a QuadraticForm the kept grad f(u) is one Hessian product per
+    # trial, after one at the center; from product 25 on it is inf in one
+    # coordinate.  The f(x') or Bregman term read off it is then not finite,
+    # so the run raises there, with the rows of the trials before it as a
+    # clean run records them
+    problem = make_problem("quadratic", dimension=6, seed=2, lam_min=0.1)
+    base = problem.objective
+    form = base.linear.quadratic
+    config = {"mst": SolverConfig(mode="mst_exact_L", L_known=1.0, max_iters=40),
+              "amst": SolverConfig(mode="amst_adaptive", L0=0.1, max_iters=40),
+              "umst": SolverConfig(mode="umst_universal", epsilon=1e-3, max_iters=40)}[mode]
+    calls = [0]
+
+    def hessian(v):
+        calls[0] += 1
+        out = form.hessian(v)
+        if calls[0] >= 25:
+            out[0] = math.inf
+        return out
+
+    objective = dataclasses.replace(base, linear=dataclasses.replace(
+        base.linear, quadratic=dataclasses.replace(form, hessian=hessian)))
+    clean = run(base, problem.setup, config).trace
+    # trials per row are j + 1: row k's products end at 1 + sum of j_i + 1, i <= k
+    products = 1 + np.cumsum(clean.column("j") + 1)
+    rows = int(np.sum(products < 25))
+    assert 0 < rows < len(clean)
+    with pytest.raises(DomainError) as caught:
+        run(objective, problem.setup, config)
+    assert calls[0] == 25
+    trace = caught.value.report.trace
+    assert len(trace) == rows
+    for name, col in trace.data.items():
+        assert col.tobytes() == clean.column(name)[:rows].tobytes(), name
+    for name in ("gap", "cert_margin"):
+        assert np.isfinite(trace.column(name)).all(), name
+
+
 # each mode's slack factor c, as the solvers docstring states it, and its
 # certified target, written out here rather than read from POLICIES
 _SLACK_AND_TARGET = {"amst_adaptive": (1.0, 2.0), "umst_universal": (0.5, 1.0),

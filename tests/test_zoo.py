@@ -3,6 +3,7 @@ frozen optima, and option validation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,23 @@ def test_make_problems_guards_catch_a_corrupted_image(kind, part):
     guards(problem.objective.linear)
     with pytest.raises(DomainError):
         guards(_corrupted(problem.objective.linear, part))
+
+
+def test_a_quadratic_keeps_one_matrix():
+    # H alone: the basis Q it is built from is dropped, so an instance keeps
+    # one n-by-n matrix, not two
+    n = 300
+    make_problem("quadratic", dimension=2)  # imports what a first build imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem = make_problem("quadratic", dimension=n)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert problem.data["A_matrix"].nbytes == n * n * 8
+    assert kept <= 1.25 * n * n * 8
+
 
 def test_make_problem_is_deterministic():
     a = make_problem("lasso", seed=5)
